@@ -116,13 +116,13 @@ def cmd_project(args) -> int:
     r = _internal_radius(g, args.radius)
     q = quotient.project(g, r)
     f = quotient.fingerprint(q)
-    quotient.euler_bounds_check(g, q, f)
+    quotient.euler_bounds_check(g, f)
     if args.dot is not None:
         _emit(_project_dot(q, f), args.dot)
     doc = {
         "radius_user": format_rational(g.to_user(r)),
         "radius_internal": format_rational(r),
-        "injective": quotient.is_injective(g, r),
+        "injective": q.injective,
         "cells": {
             "vertex_cells": len(q.sub.vertex_cells),
             "segment_cells": len(q.sub.segment_cells),
@@ -279,8 +279,7 @@ def cmd_selftest(args) -> int:
         prof = g.potential_profile()
         tl = evolution.timeline(g)
         for e in tl.entries:
-            q = quotient.project(g, e.radius)
-            quotient.euler_bounds_check(g, q, e.fingerprint)
+            quotient.euler_bounds_check(g, e.fingerprint)
         pts = mergetree.sample_points(g, Fraction(1, 2))
         m = mergetree.merge_matrix(g, pts)
         rep = mergetree.ultrametric_check(m)

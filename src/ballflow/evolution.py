@@ -80,7 +80,7 @@ def timeline(g: MetricGraph) -> Timeline:
                 radius=r,
                 on_grid=on_grid,
                 fingerprint=fingerprint(q),
-                injective=is_injective(g, r),
+                injective=q.injective,
             )
         )
     critical = []

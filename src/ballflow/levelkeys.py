@@ -5,8 +5,9 @@ endpoints are integers times 1/S and a ball is determined by the pair
 (reach-from-tail, reach-from-head) per edge plus one within-edge interval
 on the center's edge.  The encoding below is injective on set values, so
 two keys are equal iff the balls are equal as subsets.  Arithmetic is
-integer throughout (numpy int64 with an exact-range guard, falling back to
-Python integers), hence exact.
+integer throughout, hence exact: numpy int64 while an exact-range guard
+holds, otherwise the same code on object arrays of Python integers.  Keys
+are the raw int64 bytes of a row, or the row as a tuple of Python integers.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ def ball_keys(g: MetricGraph, r: Fraction, points: list[GraphPoint]):
     heads = np.fromiter((v for _, v in g.edges), dtype=np.int64, count=E)
     D = g.vertex_distance_matrix()
     bound = S * (int(D.max()) + 2) + R
-    if bound >= INT64_SAFE:
-        return _ball_keys_python(g, S, R, points)
+    if bound < INT64_SAFE:
+        dtype, encode = np.int64, np.ndarray.tobytes
+    else:
+        dtype, encode = object, lambda row: tuple(row.ravel().tolist())
+        D = D.astype(object)
 
     P = len(points)
-    t = np.fromiter((int(p.t * S) for p in points), dtype=np.int64, count=P)
+    t = np.fromiter((int(p.t * S) for p in points), dtype=dtype, count=P)
     pe = np.fromiter((p.edge for p in points), dtype=np.int64, count=P)
     SD = S * D
     # distance from each point to each vertex, scaled by S
@@ -54,10 +58,10 @@ def ball_keys(g: MetricGraph, r: Fraction, points: list[GraphPoint]):
 
     rows = np.stack([enc_h, enc_l], axis=2)  # (P, E, 2)
     keys = []
-    full_row = np.empty((E, 2), dtype=np.int64)
+    full_row = np.empty((E, 2), dtype=dtype)
     full_row[:, 0] = S
     full_row[:, 1] = 0
-    full_key = (full_row.tobytes(), None)
+    full_key = (encode(full_row), None)
     for i, p in enumerate(points):
         extra = None
         if 0 < p.t * S < S:
@@ -69,7 +73,7 @@ def ball_keys(g: MetricGraph, r: Fraction, points: list[GraphPoint]):
             rows[i, e, 1] = enc[1]
             if extra is not None:
                 extra = (e, extra)
-        keys.append((rows[i].tobytes(), extra))
+        keys.append((encode(rows[i]), extra))
     return keys, full_key
 
 
@@ -101,33 +105,3 @@ def _center_edge_encoding(S: int, H: int, L: int, t: int, R: int):
         return (merged[0][1], merged[1][0]), None
     # a middle component exists; pinned encoding cannot express it
     return (-2, -2), tuple(merged)
-
-
-def _ball_keys_python(g: MetricGraph, S: int, R: int, points: list[GraphPoint]):
-    D = g.vertex_distances()
-    E = g.num_edges
-    keys = []
-    for p in points:
-        t = int(p.t * S)
-        u0, v0 = g.edges[p.edge]
-        du, dv = D[u0], D[v0]
-        dp = [min(t + S * du[w], (S - t) + S * dv[w]) for w in range(g.num_vertices)]
-        row = []
-        extra = None
-        for e, (u, v) in enumerate(g.edges):
-            H = R - dp[u]
-            L = (S - R) + dp[v]
-            if e == p.edge and 0 < t < S:
-                enc, mid = _center_edge_encoding(S, H, L, t, R)
-                row.extend(enc)
-                if mid is not None:
-                    extra = (e, mid)
-                continue
-            eh = -1 if H < 0 else min(H, S)
-            el = S + 1 if L > S else max(L, 0)
-            if eh >= el or eh == S or el == 0:
-                eh, el = S, 0
-            row.extend((eh, el))
-        keys.append((tuple(row), extra))
-    full_key = (tuple([S, 0] * E), None)
-    return keys, full_key

@@ -23,7 +23,9 @@ _BALL_CACHE_MAX = 200_000
 
 
 def _cached_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
-    key = (id(g), p, r)
+    # keyed on the graph itself (identity hash), which keeps it alive while
+    # its entries exist; an id(g) key can be reused by a later graph
+    key = (g, p, r)
     hit = _ball_cache.get(key)
     if hit is None:
         if len(_ball_cache) >= _BALL_CACHE_MAX:
@@ -143,28 +145,19 @@ class Dendrogram:
     events: tuple[MergeEvent, ...]
 
     def clusters_at(self, r: Fraction) -> list[tuple[int, ...]]:
-        """Partition of leaf indices into clusters of merge radius <= r."""
-        parent = list(range(len(self.points)))
+        """Partition of leaf indices into clusters of merge radius <= r.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        Each event lists whole merged clusters, so a leaf's cluster at r is
+        the last one it joined at a radius <= r.
+        """
+        cluster = {i: (i,) for i in range(len(self.points))}
         for ev in self.events:
             if ev.radius > r:
                 break
             for group in ev.clusters:
-                root = find(group[0])
-                for i in group[1:]:
-                    ri = find(i)
-                    if ri != root:
-                        parent[ri] = root
-        classes: dict[int, list[int]] = {}
-        for i in range(len(self.points)):
-            classes.setdefault(find(i), []).append(i)
-        return sorted((tuple(v) for v in classes.values()), key=lambda c: c[0])
+                for i in group:
+                    cluster[i] = group
+        return sorted(set(cluster.values()), key=lambda c: c[0])
 
     @property
     def root_radius(self) -> Fraction:

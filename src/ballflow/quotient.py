@@ -99,6 +99,7 @@ class QuotientGraph:
     x_vertex: int | None  # q-vertex id of the collapsed ball-X region
     n0: int  # number of ball-X segment cells
     x_segments: tuple[int, ...]  # the ball-X segment-cell ids
+    injective: bool  # the projection at this radius is an embedding
 
     @property
     def num_vertices(self) -> int:
@@ -193,6 +194,7 @@ def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
         x_vertex=x_vertex,
         n0=n0,
         x_segments=x_segments,
+        injective=_injective(seg_keys, vert_keys, full),
     )
 
 
@@ -268,10 +270,17 @@ def _components(n: int, edges: Sequence[tuple[int, int]]) -> int:
 
 
 def is_injective(g: MetricGraph, r: Fraction) -> bool:
-    """True iff the projection at radius r is a topological embedding."""
+    """True iff the projection at radius r is a topological embedding.
+
+    Equal to ``project(g, r).injective``, from the cell keys alone.
+    """
     r = Fraction(r)
-    sub = subdivision(g, r)
-    seg_keys, vert_keys, full = _cell_keys(g, r, sub)
+    return _injective(*_cell_keys(g, r, subdivision(g, r)))
+
+
+def _injective(seg_keys, vert_keys, full) -> bool:
+    """No segment cell collapses into ball X, at most one vertex cell does,
+    and no two cells share a ball."""
     if any(k == full for k in seg_keys):
         return False
     if sum(1 for k in vert_keys if k == full) > 1:
@@ -280,7 +289,7 @@ def is_injective(g: MetricGraph, r: Fraction) -> bool:
     return len(set(all_keys)) == len(all_keys)
 
 
-def euler_bounds_check(g: MetricGraph, q: QuotientGraph, f: Fingerprint) -> dict:
+def euler_bounds_check(g: MetricGraph, f: Fingerprint) -> dict:
     """Check the Euler-characteristic and first-Betti bounds of a level.
 
     Enforced (a violation means the engine is broken, not the input):

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from ballflow import fixtures
+from ballflow import mergetree
 from ballflow.errors import ValidationError
-from ballflow.graph import GraphPoint
+from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
     MergeMatrix,
     build_merge_tree,
@@ -19,6 +20,16 @@ from ballflow.mergetree import (
 from conftest import brute_classes, grid_points
 
 
+def star4():
+    return load_graph(
+        {
+            "name": "star4",
+            "vertices": ["c", "a", "b", "d", "e"],
+            "edges": [{"u": "c", "v": leaf} for leaf in "abde"],
+        }
+    )
+
+
 def tips(g):
     deg = {}
     for u, v in g.edges:
@@ -28,6 +39,22 @@ def tips(g):
 
 
 class TestMergeRadius:
+    def test_ball_cache_never_serves_another_graphs_balls(self):
+        # graphs are built and dropped in turn, so a cache keyed on id(g)
+        # would hand one graph's balls to a later graph that reuses the id
+        p, q = GraphPoint(0, F(1, 2)), GraphPoint(2, F(1, 2))
+        makers = [lambda: fixtures.cycle(4), star4]
+        expected = []
+        for make in makers:
+            mergetree._ball_cache.clear()
+            expected.append(merge_radius(make(), p, q))
+        assert expected == [F(2), F(3, 2)]
+        wrong = 0
+        for i in range(400):
+            wrong += merge_radius(makers[i % 2](), p, q) != expected[i % 2]
+        mergetree._ball_cache.clear()
+        assert wrong == 0
+
     def test_same_point_zero(self, theta_g):
         p = GraphPoint(0, F(1, 2))
         assert merge_radius(theta_g, p, p) == 0

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballflow import fixtures
+from ballflow import fixtures, levelkeys
 from ballflow.balls import closed_ball, full_set, sets_equal
+from ballflow.evolution import timeline_loci
 from ballflow.graph import load_graph
 from ballflow.quotient import (
     cut_offsets,
@@ -197,10 +198,33 @@ class TestInjectivity:
         assert not is_injective(theta_g, theta_g.diameter() + F(1, 4))
 
 
+def level_fields(q):
+    return (q.q_vertices, q.q_edges, q.edge_classes, q.x_vertex, q.n0, q.x_segments, q.injective)
+
+
+@pytest.mark.parametrize("name", ["path", "theta", "c6", "comb5"])
+def test_python_integer_keys_match_int64_keys(name, monkeypatch):
+    """With the int64 guard forced to trip, ball_keys runs on Python
+    integers; every timeline level must come out the same, and the level's
+    injectivity must agree with the key-only is_injective."""
+    g = fixtures.comb(5) if name == "comb5" else fixtures.builtin(name)
+    loci = [r for r, _on_grid in timeline_loci(g)]
+    int64 = {}
+    for r in loci:
+        q = project(g, r)
+        assert q.injective == is_injective(g, r), r
+        int64[r] = (level_fields(q), fingerprint(q))
+    monkeypatch.setattr(levelkeys, "INT64_SAFE", 0)
+    assert isinstance(levelkeys.ball_keys(g, loci[0], [g.vertex_point(0)])[0][0][0], tuple)
+    for r in loci:
+        q = project(g, r)
+        assert (level_fields(q), fingerprint(q)) == int64[r], r
+
+
 class TestEulerBounds:
     def test_report_fields(self, theta_g):
         q = project(theta_g, F(1))
-        rep = euler_bounds_check(theta_g, q, fingerprint(q))
+        rep = euler_bounds_check(theta_g, fingerprint(q))
         assert rep["ok"]
         assert rep["margin_basic"] >= rep["margin_refined"] >= 0
         assert rep["margin_betti"] >= 0
@@ -211,7 +235,7 @@ class TestEulerBounds:
             r = F(1, 4)
             while r <= g.diameter():
                 q = project(g, r)
-                assert euler_bounds_check(g, q, fingerprint(q))["ok"]
+                assert euler_bounds_check(g, fingerprint(q))["ok"]
                 r += F(1, 4)
 
     def test_doubled_margin_can_go_negative(self, path_g):
@@ -219,6 +243,6 @@ class TestEulerBounds:
         # though the enforced bounds hold; this pins down why only the
         # single-count variant is enforced (chi = 1, n0 = 10, |E| = 2)
         q = project(path_g, F(15, 8))
-        rep = euler_bounds_check(path_g, q, fingerprint(q))
+        rep = euler_bounds_check(path_g, fingerprint(q))
         assert rep["ok"]
         assert rep["margin_refined_doubled"] < 0
