@@ -238,9 +238,9 @@ def cmd_merge_tree(args) -> int:
     res = parse_rational(args.resolution)
     pts = mergetree.sample_points(g, g.from_user(res) if args.user_units else res)
     m = mergetree.merge_matrix(g, pts)
-    report = mergetree.ultrametric_check(m)
-    if not report.ok:
-        raise InternalConsistencyError(f"ultrametric violations: {report.violations}")
+    bad = mergetree.ball_check(g, m)
+    if bad:
+        raise InternalConsistencyError(f"merge radii contradict the exact balls at pairs {bad}")
     d = mergetree.dendrogram_from_matrix(m)
     if args.csv is not None:
         rows = ["i,j,point_i,point_j,mu_user"]
@@ -282,6 +282,7 @@ def cmd_selftest(args) -> int:
             quotient.euler_bounds_check(g, e.fingerprint)
         pts = mergetree.sample_points(g, Fraction(1, 2))
         m = mergetree.merge_matrix(g, pts)
+        # the sweep builds an ultrametric; this guards merge_matrix's contract
         rep = mergetree.ultrametric_check(m)
         line = (
             f"{name}: m={format_rational(prof.m)} M={format_rational(prof.M)}"

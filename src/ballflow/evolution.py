@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .graph import MetricGraph
-from .mergetree import merge_radius, sample_points
-from .quotient import Fingerprint, fingerprint, is_injective, project
+from .mergetree import _merge_sweep
+from .quotient import Fingerprint, fingerprint, is_injective, project, subdivision
 
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
@@ -153,28 +153,12 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
 
 def _exact_failure(g: MetricGraph, fail: Fraction) -> Fraction:
     """Minimum pairwise merge radius over the subdivision-vertex and
-    segment-midpoint representatives at the failing radius."""
-    from .quotient import subdivision
-
+    segment-midpoint representatives at the failing radius: the first
+    radius at which the merge sweep joins two of them."""
     sub = subdivision(g, fail)
     reps = {g.canonical_point(p) for p in sub.vertex_cells}
     reps |= {c.midpoint for c in sub.segment_cells}
-    pts = sorted(reps, key=lambda p: (p.edge, p.t))
-    from .balls import sets_equal
-    from .mergetree import _cached_ball
-
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if best is not None and not sets_equal(
-                g, _cached_ball(g, pts[i], best), _cached_ball(g, pts[j], best)
-            ):
-                # balls still differ at the current minimum, so this pair
-                # merges later and cannot improve it
-                continue
-            m = merge_radius(g, pts[i], pts[j])
-            if best is None or m < best:
-                best = m
-    if best is None:
+    if len(reps) < 2:
         raise ValidationError("need at least two representatives")
-    return best
+    r, _ = next(_merge_sweep(g, list(reps)))
+    return r

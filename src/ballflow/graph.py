@@ -26,6 +26,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+# load_graph() refuses more unit edges than this.  diameter() builds its E x E
+# int64 arrays all at once: load_graph + diameter() peaked at 174 MB, 640 MB and
+# 1.43 GB RSS at 1,000, 2,000 and 3,000 unit edges (about 160 * E^2 bytes; 10.7 s
+# at 3,000 on 2 x86-64 cores), so 4,000 needs about 2.5 GB.  No fixture or
+# benchmark graph has more than 200.
+MAX_UNIT_EDGES = 4_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -443,6 +449,11 @@ def load_graph(document) -> MetricGraph:
         parsed.append((u, v, length))
 
     L = lcm(*[length.denominator for _, _, length in parsed])
+    units = sum(int(length * L) for _, _, length in parsed)
+    if units > MAX_UNIT_EDGES:
+        raise ValidationError(
+            f"graph normalizes to {units} unit edges, over the cap of {MAX_UNIT_EDGES}"
+        )
     scale = Fraction(1, L)
 
     vertex_names = [str(v) for v in vertices]

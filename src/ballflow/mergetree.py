@@ -2,10 +2,13 @@
 
 The merge radius of two points is the smallest r at which their closed
 r-balls coincide.  Ball equality is monotone in r (a larger ball is the
-dilation of a smaller one), so each pairwise radius can be found by binary
-search over a finite candidate set: every coincidence of ball boundaries
-solves a linear equation whose denominator divides twice the lcm of the
-two offset denominators.
+dilation of a smaller one), and every merge radius of a point set lies on the
+grid k/den, den = 2 * lcm(2, offset denominators): a coincidence of ball
+boundaries solves a linear equation with such a denominator.  `merge_matrix`
+therefore sweeps that grid once, with one `ball_keys` call per radius for one
+point of each class of equal balls, until one class is left.  Pairwise
+bisection over exact `Fraction` balls (`merge_radius`, `extinction_radius`)
+is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .balls import BallSet, closed_ball, full_set, sets_equal
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
+from .levelkeys import ball_keys
 
 _ball_cache: dict = {}
 _BALL_CACHE_MAX = 200_000
@@ -103,14 +109,61 @@ class MergeMatrix:
         return self.mu[i][j]
 
 
+def _grid_den(pts: list[GraphPoint]) -> int:
+    return 2 * math.lcm(2, *(p.t.denominator for p in pts))
+
+
+def _merge_sweep(g: MetricGraph, pts: list[GraphPoint]):
+    """Yield (r, label) at each grid radius where classes of equal balls about
+    the canonical points merge; label[i] is the least index in i's class."""
+    first: dict[GraphPoint, int] = {}
+    label = np.array([first.setdefault(p, i) for i, p in enumerate(pts)], dtype=np.int64)
+    reps = list(first.values())  # one point per class, ascending
+    if len(reps) < len(pts):
+        yield Fraction(0), label.copy()
+    den = _grid_den(pts)
+    hi = (g.diameter() * den).__ceil__()
+    for k in range(1, hi + 1):
+        if len(reps) < 2:
+            return
+        keys, _ = ball_keys(g, Fraction(k, den), [pts[i] for i in reps])
+        owner: dict = {}
+        for i, key in zip(reps, keys):
+            if (j := owner.setdefault(key, i)) != i:
+                label[label == i] = j
+        if len(owner) < len(reps):
+            reps = list(owner.values())
+            yield Fraction(k, den), label.copy()
+    if len(reps) > 1:
+        raise InternalConsistencyError(
+            f"balls about points {reps} of {g.name} differ at the diameter {Fraction(hi, den)}"
+        )
+
+
 def merge_matrix(g: MetricGraph, points: list[GraphPoint]) -> MergeMatrix:
     pts = [g.canonical_point(p) for p in points]
-    n = len(pts)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mu[i][j] = mu[j][i] = merge_radius(g, pts[i], pts[j])
-    return MergeMatrix(tuple(pts), tuple(tuple(row) for row in mu))
+    mu = np.full((len(pts), len(pts)), Fraction(0), dtype=object)
+    prev = np.arange(len(pts))
+    for r, label in _merge_sweep(g, pts):
+        mu[(label[:, None] == label) & (prev[:, None] != prev)] = r
+        prev = label
+    return MergeMatrix(tuple(pts), tuple(map(tuple, mu.tolist())))
+
+
+def ball_check(g: MetricGraph, m: MergeMatrix) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
+    `Fraction` balls are unequal at mu[i][j] or equal one grid step below it.
+    (The sweep's matrix is an ultrametric by construction.)"""
+    step = Fraction(1, _grid_den(list(m.points)))
+    bad = []
+    for j in range(1, len(m.points)):
+        i = min(range(j), key=lambda i: m.mu[i][j])
+        p, q, r = m.points[i], m.points[j], m.mu[i][j]
+        if not sets_equal(g, closed_ball(g, p, r), closed_ball(g, q, r)) or (
+            r > 0 and sets_equal(g, closed_ball(g, p, r - step), closed_ball(g, q, r - step))
+        ):
+            bad.append((i, j))
+    return tuple(bad)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
 import json
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from ballflow import cli, fixtures
 from ballflow.balls import ball_from_json, closed_ball, sets_equal
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.append(str(PERFBENCH))
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -32,6 +39,27 @@ class TestExitCodes:
         f.write_text('{"vertices": ["a"], "edges": [{"u": "a", "v": "zzz"}]}')
         code, _, err = run(capsys, "info", str(f))
         assert code == 2
+
+    def test_oversized_input_fails_fast(self, tmp_path, capsys):
+        # lcm 100000 turns the unit edge into 100000 pieces
+        f = tmp_path / "big.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "vertices": ["a", "b", "c"],
+                    "edges": [
+                        {"u": "a", "v": "b", "len": "1"},
+                        {"u": "b", "v": "c", "len": "1/100000"},
+                    ],
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "timeline", str(f), "--json")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert "100001 unit edges" in err
+        assert "Traceback" not in err and not out
 
     def test_ok(self, capsys):
         code, out, _ = run(capsys, "info", "builtin:theta")
@@ -118,6 +146,25 @@ class TestSubcommands:
     def test_comb_builtin(self, capsys):
         code, out, _ = run(capsys, "info", "builtin:comb3")
         assert code == 0
+
+
+class TestGoldenOutputs:
+    """The comb5 outputs frozen with the benchmark, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "reference, argv",
+        [
+            ("mergetree-comb5", ("merge-tree", "--resolution", "1/2", "--json")),
+            ("robustness-comb5", ("robustness", "--exact")),
+        ],
+        ids=["mergetree-comb5", "robustness-comb5"],
+    )
+    def test_comb5(self, tmp_path, capsys, reference, argv):
+        f = tmp_path / "comb5.json"
+        f.write_text(json.dumps(workloads.comb_document(5)))
+        code, out, _ = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 0
+        assert out == (PERFBENCH / "reference" / f"{reference}.out").read_text()
 
 
 class TestDeterminism:

@@ -1,8 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from ballflow import fixtures
 from ballflow.evolution import (
+    _exact_failure,
     candidate_grid,
     distinct_types,
     robustness_radius,
@@ -10,7 +14,8 @@ from ballflow.evolution import (
     timeline_loci,
 )
 from ballflow.graph import load_graph
-from ballflow.quotient import fingerprint, project
+from ballflow.mergetree import merge_radius
+from ballflow.quotient import fingerprint, project, subdivision
 
 from conftest import relabeled
 
@@ -135,3 +140,13 @@ class TestRobustness:
 
         assert is_injective(g, res.lower)
         assert not is_injective(g, res.upper)
+
+    @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
+    def test_exact_failure_is_min_pairwise_merge_radius(self, name):
+        g = fixtures.comb(3) if name == "comb3" else fixtures.builtin(name)
+        fail = robustness_radius(g).upper
+        sub = subdivision(g, fail)
+        reps = {g.canonical_point(p) for p in sub.vertex_cells}
+        reps |= {c.midpoint for c in sub.segment_cells}
+        expected = min(merge_radius(g, p, q) for p, q in itertools.combinations(reps, 2))
+        assert _exact_failure(g, fail) == expected

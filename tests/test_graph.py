@@ -4,7 +4,7 @@ import pytest
 
 from ballflow import fixtures
 from ballflow.errors import ValidationError
-from ballflow.graph import GraphPoint, load_graph, parse_rational, format_rational
+from ballflow.graph import MAX_UNIT_EDGES, GraphPoint, load_graph, parse_rational, format_rational
 
 from conftest import ecc_oracle, grid_points
 
@@ -45,6 +45,15 @@ class TestIngestion:
             load_graph(doc(["a", "b"], [("a", "b", 0)]))  # zero length
         with pytest.raises(ValidationError):
             load_graph(doc(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)]))  # disconnected
+
+    def test_unit_edge_cap(self):
+        g = load_graph(doc(["a", "b"], [("a", "b", str(MAX_UNIT_EDGES))]))
+        assert g.num_edges == MAX_UNIT_EDGES
+        with pytest.raises(ValidationError, match=f"{MAX_UNIT_EDGES + 1} unit edges"):
+            load_graph(doc(["a", "b", "c"], [("a", "b", str(MAX_UNIT_EDGES)), ("b", "c", "1")]))
+        # a small denominator multiplies every other length
+        with pytest.raises(ValidationError, match=f"{MAX_UNIT_EDGES + 1} unit edges"):
+            load_graph(doc(["a", "b", "c"], [("a", "b", "1"), ("b", "c", f"1/{MAX_UNIT_EDGES}")]))
 
     def test_loop_and_parallel_edges(self):
         g = load_graph(doc(["a", "b"], [("a", "b", 1), ("a", "b", 1), ("a", "a", 1)]))

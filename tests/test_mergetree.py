@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballflow import fixtures
+from ballflow import cli, fixtures
 from ballflow import mergetree
-from ballflow.errors import ValidationError
+from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
     MergeMatrix,
+    ball_check,
     build_merge_tree,
     extinction_radius,
     merge_matrix,
@@ -93,6 +94,84 @@ class TestMergeRadius:
             closed_ball(theta_g, p, mu - eps),
             closed_ball(theta_g, q, mu - eps),
         )
+
+
+SWEEP_GRAPHS = {
+    "path": fixtures.path,
+    "theta": fixtures.theta,
+    "c6": fixtures.c6,
+    "comb3": lambda: fixtures.comb(3),
+    "tree8s1": lambda: fixtures.random_tree(8, 1),
+    "tree9s2": lambda: fixtures.random_tree(9, 2),
+}
+
+
+def assert_matches_pairwise(g, m):
+    for i, p in enumerate(m.points):
+        assert m.mu[i][i] == 0
+        for j in range(i + 1, len(m.points)):
+            mu = merge_radius(g, p, m.points[j])
+            assert m.mu[i][j] == m.mu[j][i] == mu, (i, j)
+
+
+class TestMergeSweep:
+    """The radius sweep of merge_matrix against pairwise bisection."""
+
+    @pytest.mark.parametrize("step", [F(1, 2), F(1, 4)], ids=["half", "quarter"])
+    @pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
+    def test_matches_pairwise_bisection(self, name, step):
+        g = SWEEP_GRAPHS[name]()
+        pts = sample_points(g, step)
+        m = merge_matrix(g, pts)
+        assert m.points == tuple(g.canonical_point(p) for p in pts)
+        assert_matches_pairwise(g, m)
+
+    def test_duplicate_vertex_and_third_offset(self, theta_g):
+        # vertex u given by two different incidences, and a point at t = 1/3
+        # that refines the common radius grid to twelfths
+        u = theta_g.edges[0][0]
+        e = next(e for e in range(1, theta_g.num_edges) if u in theta_g.edges[e])
+        other = GraphPoint(e, F(0) if theta_g.edges[e][0] == u else F(1))
+        pts = [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2)), other, GraphPoint(3, F(1, 3))]
+        m = merge_matrix(theta_g, pts)
+        assert m.mu[0][2] == m.mu[2][0] == 0
+        assert_matches_pairwise(theta_g, m)
+
+    def test_classes_left_at_diameter_are_an_engine_bug(self, path_g, monkeypatch):
+        monkeypatch.setattr(
+            mergetree, "ball_keys", lambda g, r, pts: ([(i,) for i in range(len(pts))], None)
+        )
+        with pytest.raises(InternalConsistencyError, match="differ at the diameter"):
+            merge_matrix(path_g, sample_points(path_g, F(1, 2)))
+
+
+class TestBallCheck:
+    """The exact-ball check that merge-tree runs on the sweep's matrix."""
+
+    @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
+    def test_passes_on_the_sweep(self, name):
+        g = SWEEP_GRAPHS[name]()
+        assert ball_check(g, merge_matrix(g, sample_points(g, F(1, 4)))) == ()
+
+    def test_flags_a_radius_one_step_off(self, theta_g):
+        # grid den = 2 * lcm(2, 1, 2) = 4
+        m = merge_matrix(theta_g, [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2))])
+        r = m.mu[0][1]
+        assert ball_check(theta_g, m) == ()
+        for wrong in (r - F(1, 4), r + F(1, 4)):
+            mu = ((F(0), wrong), (wrong, F(0)))
+            assert ball_check(theta_g, MergeMatrix(m.points, mu)) == ((0, 1),)
+
+    def test_merge_tree_exits_3_on_a_wrong_matrix(self, monkeypatch, capsys):
+        def late(g, points):
+            m = merge_matrix(g, points)
+            mu = [list(row) for row in m.mu]
+            mu[0][1] = mu[1][0] = mu[0][1] + 1
+            return MergeMatrix(m.points, tuple(map(tuple, mu)))
+
+        monkeypatch.setattr(mergetree, "merge_matrix", late)
+        assert cli.main(["merge-tree", "builtin:path", "--resolution", "1/2"]) == 3
+        assert "contradict the exact balls at pairs ((0, 1)" in capsys.readouterr().err
 
 
 class TestExtinction:
