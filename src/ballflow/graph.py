@@ -10,7 +10,6 @@ eccentricity and potential computations are exact.
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +77,8 @@ class MetricGraph:
         vertex_names: Sequence[str],
         edges: Sequence[tuple[int, int]],
         scale: Fraction,
-        edge_provenance: Sequence[str] | None = None,
+        edge_provenance: Sequence[str],
+        user_segments: Sequence[tuple[int, int, int]],
     ):
         if not edges:
             raise ValidationError("graph has no edges")
@@ -86,9 +86,9 @@ class MetricGraph:
         self.vertex_names = list(vertex_names)
         self.edges = [(int(u), int(v)) for u, v in edges]
         self.scale = Fraction(scale)
-        self.edge_provenance = (
-            list(edge_provenance) if edge_provenance is not None else ["" for _ in edges]
-        )
+        self.edge_provenance = list(edge_provenance)
+        # per unit edge: (user edge index, segment index, segment count)
+        self.user_segments = list(user_segments)
         n = len(self.vertex_names)
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -104,7 +104,6 @@ class MetricGraph:
         self._dist: list[list[int]] | None = None
         self._dist_np: np.ndarray | None = None
         self._diameter: Fraction | None = None
-        self._user_map: list[tuple[int, int, int]] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -337,26 +336,11 @@ class MetricGraph:
     def from_user(self, x: Fraction) -> Fraction:
         return Fraction(x) / self.scale
 
-    def _user_edge_map(self) -> list[tuple[int, int, int]]:
-        """Per internal edge: (user edge index, segment index, segment count),
-        recovered from provenance; standalone edges map to themselves."""
-        if self._user_map is None:
-            pat = re.compile(r"^edge (\d+) .* segment (\d+)/(\d+)$")
-            out = []
-            for i, prov in enumerate(self.edge_provenance):
-                m = pat.match(prov)
-                if m:
-                    out.append((int(m.group(1)), int(m.group(2)) - 1, int(m.group(3))))
-                else:
-                    out.append((i, 0, 1))
-            self._user_map = out
-        return self._user_map
-
     def point_from_user(self, user_edge: int, t_user: Fraction) -> GraphPoint:
         """Point at user-unit offset t along an edge of the input document."""
         segs = [
             (k, i)
-            for i, (e, k, _n) in enumerate(self._user_edge_map())
+            for i, (e, k, _n) in enumerate(self.user_segments)
             if e == user_edge
         ]
         if not segs:
@@ -374,11 +358,11 @@ class MetricGraph:
 
     def point_to_user(self, p: GraphPoint) -> tuple[int, Fraction]:
         """(user edge index, user-unit offset) of a point."""
-        e, k, _n = self._user_edge_map()[p.edge]
+        e, k, _n = self.user_segments[p.edge]
         return e, self.to_user(k + p.t)
 
     def describe_interval(self, edge: int, lo: Fraction, hi: Fraction) -> str:
-        e, k, _n = self._user_edge_map()[edge]
+        e, k, _n = self.user_segments[edge]
         a = format_rational(self.to_user(k + lo))
         b = format_rational(self.to_user(k + hi))
         return f"e{e}@{a}" if lo == hi else f"e{e}[{a}, {b}]"
@@ -459,6 +443,7 @@ def load_graph(document) -> MetricGraph:
     vertex_names = [str(v) for v in vertices]
     new_edges: list[tuple[int, int]] = []
     provenance: list[str] = []
+    segments: list[tuple[int, int, int]] = []
     for eidx, (u, v, length) in enumerate(parsed):
         n_units = length * L
         assert n_units.denominator == 1
@@ -474,7 +459,8 @@ def load_graph(document) -> MetricGraph:
                 f"edge {eidx} ({vertices[u]}-{vertices[v]}, len {format_rational(length)})"
                 f" segment {k + 1}/{n_units}"
             )
-    return MetricGraph(name, vertex_names, new_edges, scale, provenance)
+            segments.append((eidx, k, n_units))
+    return MetricGraph(name, vertex_names, new_edges, scale, provenance, segments)
 
 
 def load_graph_file(path) -> MetricGraph:

@@ -64,7 +64,7 @@ def ball_keys(g: MetricGraph, r: Fraction, points: list[GraphPoint]):
     full_key = (encode(full_row), None)
     for i, p in enumerate(points):
         extra = None
-        if 0 < p.t * S < S:
+        if 0 < t[i] < S:
             e = p.edge
             enc, extra = _center_edge_encoding(
                 S, int(H[i, e]), int(L[i, e]), int(t[i]), R

@@ -14,6 +14,7 @@ is kept as the independent oracle.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,19 +25,15 @@ from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
 from .levelkeys import ball_keys
 
-_ball_cache: dict = {}
-_BALL_CACHE_MAX = 200_000
+# each graph's own {(point, radius): ball} memo, dropped with the graph
+_ball_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _cached_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
-    # keyed on the graph itself (identity hash), which keeps it alive while
-    # its entries exist; an id(g) key can be reused by a later graph
-    key = (g, p, r)
-    hit = _ball_cache.get(key)
+    memo = _ball_cache.setdefault(g, {})
+    hit = memo.get((p, r))
     if hit is None:
-        if len(_ball_cache) >= _BALL_CACHE_MAX:
-            _ball_cache.clear()
-        hit = _ball_cache[key] = closed_ball(g, p, r)
+        hit = memo[p, r] = closed_ball(g, p, r)
     return hit
 
 
@@ -104,9 +101,6 @@ def sample_points(g: MetricGraph, step: Fraction) -> list[GraphPoint]:
 class MergeMatrix:
     points: tuple[GraphPoint, ...]
     mu: tuple[tuple[Fraction, ...], ...]
-
-    def radius(self, i: int, j: int) -> Fraction:
-        return self.mu[i][j]
 
 
 def _grid_den(pts: list[GraphPoint]) -> int:
@@ -226,39 +220,32 @@ def build_merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
 
 
 def dendrogram_from_matrix(m: MergeMatrix) -> Dendrogram:
+    """Read the events off the threshold partitions of the merge radii.
+
+    At each distinct radius r, ascending, a point's cluster is
+    {j : mu[i][j] <= r}, labelled by its least index; the event lists the
+    clusters that grew.  Raises InternalConsistencyError when some `mu <= r`
+    is not an equivalence relation, i.e. when the matrix is not an ultrametric.
+    """
     n = len(m.points)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pairs = sorted(
-        ((m.mu[i][j], i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
+    radii = sorted({r for row in m.mu for r in row})
+    rank = {r: k for k, r in enumerate(radii)}
+    ranks = np.array([[rank[r] for r in row] for row in m.mu], dtype=np.int64)
+    label = np.arange(n)
     events = []
-    idx = 0
-    while idx < len(pairs):
-        r = pairs[idx][0]
-        changed: set[int] = set()
-        while idx < len(pairs) and pairs[idx][0] == r:
-            _, i, j = pairs[idx]
-            idx += 1
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            changed.discard(rj)
-            parent[rj] = ri
-            changed.add(ri)
-        if changed:
-            leaf_of: dict[int, list[int]] = {}
-            for leaf in range(n):
-                leaf_of.setdefault(find(leaf), []).append(leaf)
-            clusters = sorted(
-                (tuple(leaf_of[root]) for root in changed), key=lambda c: c[0]
+    for k, r in enumerate(radii):
+        within = ranks <= k
+        new = within.argmax(axis=1)
+        wrong = np.argwhere(within != (new[:, None] == new))
+        if len(wrong):
+            i, j = wrong[0]
+            raise InternalConsistencyError(
+                f"merge radii are not an ultrametric: mu <= {r} is not an"
+                f" equivalence relation at points {i} and {j}"
             )
-            events.append(MergeEvent(r, tuple(clusters)))
+        grown = sorted(set(new[new != label].tolist()))
+        if grown:
+            clusters = tuple(tuple(np.flatnonzero(new == c).tolist()) for c in grown)
+            events.append(MergeEvent(r, clusters))
+        label = new
     return Dendrogram(m.points, tuple(events))

@@ -36,11 +36,6 @@ class PiecewiseLinear:
         return PiecewiseLinear((ZERO, ONE), (Fraction(y0), Fraction(y1)))
 
     @staticmethod
-    def constant(c) -> "PiecewiseLinear":
-        c = Fraction(c)
-        return PiecewiseLinear((ZERO, ONE), (c, c))
-
-    @staticmethod
     def identity() -> "PiecewiseLinear":
         return PiecewiseLinear.line(ZERO, ONE)
 
@@ -115,12 +110,6 @@ class PiecewiseLinear:
                 x = x0 + (value - y0) * (x1 - x0) / (y1 - y0)
                 raw.append((x, x))
         return merge_intervals(raw)
-
-    def argmin_intervals(self) -> list[tuple[Fraction, Fraction]]:
-        return self.level_intervals(self.min_value())
-
-    def argmax_intervals(self) -> list[tuple[Fraction, Fraction]]:
-        return self.level_intervals(self.max_value())
 
 
 def merge_intervals(

@@ -149,7 +149,7 @@ class TestSubcommands:
 
 
 class TestGoldenOutputs:
-    """The comb5 outputs frozen with the benchmark, byte for byte."""
+    """Outputs frozen with the benchmark, byte for byte."""
 
     @pytest.mark.parametrize(
         "reference, argv",
@@ -165,6 +165,14 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, argv[0], str(f), *argv[1:])
         assert code == 0
         assert out == (PERFBENCH / "reference" / f"{reference}.out").read_text()
+
+    def test_potential_rand40(self, tmp_path, capsys):
+        # pins potential_profile's output before piecewise.py is replaced
+        f = tmp_path / "rand40.json"
+        f.write_text(json.dumps(workloads.random_connected_document()))
+        code, out, _ = run(capsys, "potential", str(f), "--json")
+        assert code == 0
+        assert out == (PERFBENCH / "reference" / "potential-rand40.out").read_text()
 
 
 class TestDeterminism:

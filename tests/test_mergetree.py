@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,7 @@ from ballflow.mergetree import (
     MergeMatrix,
     ball_check,
     build_merge_tree,
+    dendrogram_from_matrix,
     extinction_radius,
     merge_matrix,
     merge_radius,
@@ -55,6 +58,14 @@ class TestMergeRadius:
             wrong += merge_radius(makers[i % 2](), p, q) != expected[i % 2]
         mergetree._ball_cache.clear()
         assert wrong == 0
+
+    def test_ball_cache_lets_a_dropped_graph_go(self):
+        g = fixtures.cycle(4)
+        assert merge_radius(g, GraphPoint(0, F(1, 2)), GraphPoint(2, F(1, 2))) == 2
+        dead = weakref.ref(g)
+        del g
+        gc.collect()
+        assert dead() is None
 
     def test_same_point_zero(self, theta_g):
         p = GraphPoint(0, F(1, 2))
@@ -106,6 +117,15 @@ SWEEP_GRAPHS = {
 }
 
 
+def duplicate_vertex_points(g):
+    """Vertex u of the theta given by two different incidences, and a point
+    at t = 1/3 that refines the common radius grid to twelfths."""
+    u = g.edges[0][0]
+    e = next(e for e in range(1, g.num_edges) if u in g.edges[e])
+    other = GraphPoint(e, F(0) if g.edges[e][0] == u else F(1))
+    return [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2)), other, GraphPoint(3, F(1, 3))]
+
+
 def assert_matches_pairwise(g, m):
     for i, p in enumerate(m.points):
         assert m.mu[i][i] == 0
@@ -127,13 +147,7 @@ class TestMergeSweep:
         assert_matches_pairwise(g, m)
 
     def test_duplicate_vertex_and_third_offset(self, theta_g):
-        # vertex u given by two different incidences, and a point at t = 1/3
-        # that refines the common radius grid to twelfths
-        u = theta_g.edges[0][0]
-        e = next(e for e in range(1, theta_g.num_edges) if u in theta_g.edges[e])
-        other = GraphPoint(e, F(0) if theta_g.edges[e][0] == u else F(1))
-        pts = [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2)), other, GraphPoint(3, F(1, 3))]
-        m = merge_matrix(theta_g, pts)
+        m = merge_matrix(theta_g, duplicate_vertex_points(theta_g))
         assert m.mu[0][2] == m.mu[2][0] == 0
         assert_matches_pairwise(theta_g, m)
 
@@ -218,6 +232,8 @@ class TestUltrametric:
         rep = ultrametric_check(MergeMatrix(pts, mu))
         assert not rep.ok
         assert rep.violations == ((0, 1, 2),)
+        with pytest.raises(InternalConsistencyError, match="not an ultrametric"):
+            dendrogram_from_matrix(MergeMatrix(pts, mu))
 
 
 class TestDendrogram:
@@ -235,14 +251,20 @@ class TestDendrogram:
         with pytest.raises(ValidationError):
             build_merge_tree(path_g, [path_g.vertex_point(0)])
 
-    def test_cuts_match_brute_ball_classes(self, theta_g):
-        pts = [theta_g.canonical_point(p) for p in sample_points(theta_g, F(1, 2))]
-        d = build_merge_tree(theta_g, pts)
-        for r in [F(1, 4), F(1), F(3, 2), F(2), F(5, 2)]:
+    @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3", "duplicate-vertex"])
+    def test_cuts_match_brute_ball_classes(self, name):
+        if name == "duplicate-vertex":
+            g = fixtures.theta()
+            pts = [g.canonical_point(p) for p in duplicate_vertex_points(g)]
+        else:
+            g = SWEEP_GRAPHS[name]()
+            pts = [g.canonical_point(p) for p in sample_points(g, F(1, 2))]
+        d = build_merge_tree(g, pts)
+        # 0, every event radius, the midpoints between them, and past the root
+        radii = [F(0)] + [ev.radius for ev in d.events] + [d.root_radius + 1]
+        for r in sorted(set(radii) | {(a + b) / 2 for a, b in zip(radii, radii[1:])}):
             cut = sorted(tuple(sorted(c)) for c in d.clusters_at(r))
-            brute = sorted(
-                tuple(sorted(c)) for c in brute_classes(theta_g, r, pts)
-            )
+            brute = sorted(tuple(sorted(c)) for c in brute_classes(g, r, pts))
             assert cut == brute, r
 
     def test_root_is_max_eccentricity_of_samples(self, c6_g):
