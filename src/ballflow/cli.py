@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_merge_tree)
 
     sp = sub.add_parser("selftest", help="run invariant checks on built-in fixtures")
-    sp.add_argument("--seed", type=int, default=0, help="rng seed for property checks")
     sp.set_defaults(fn=cmd_selftest)
 
     return ap

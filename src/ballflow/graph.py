@@ -5,6 +5,25 @@ a unit-edge multigraph: all lengths are multiplied by the lcm L of the length
 denominators and every edge is subdivided into length-1 pieces.  The stored
 scale factor 1/L maps internal distances back to user units.  All distance,
 eccentricity and potential computations are exact.
+
+Phi(p), the largest distance from p, is linear on every unit edge between
+the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)
+the distance to a vertex w is min(s + d(u, w), 1 - s + d(v, w)).  Phi(s) is
+the maximum over the edges f of the farthest distance within f, given by
+`eccentricity`: (a + b + 1)/2 for f != e, with a, b the distances to the ends
+of f (|a - b| <= 1, so its other tent terms never bind); for f == e,
+max(left, right) with beta = min(s, b + 1), left = min(a + s, beta,
+(a + beta)/2) and right = min(1 - s, b + 1 - s, (b + 1 - s)/2).  Expanded,
+every term is a minimum of lines of slope -1, 0 or 1 with intercept in
+(1/2)Z, except two pieces that never bind: a + s (slope 0 or 2), as
+a + s >= s >= beta, and 2 - 2s in b + 1 - s = min(d(u, v) + 1, 2 - 2s), as
+2 - 2s >= 1 - s.  So Phi on e is a maximum of minima of such lines, and its
+breakpoints are crossings of two of them, at s = dc/dk with dc in (1/2)Z and
+dk in {1, 2}: in (1/4)Z.  Hence Phi's values at the quarter points, held in
+eighths so that every formula is an integer one, give it exactly.  m and M
+(the diameter) are their extremes, and since a linear piece attains an
+extreme along its whole length or only at an end, Phi equals m (or M) on an
+edge exactly on the runs of quarter points that hold that value.
 """
 
 from __future__ import annotations
@@ -14,23 +33,22 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-# load_graph() refuses more unit edges than this.  diameter() builds its E x E
-# int64 arrays all at once: load_graph + diameter() peaked at 174 MB, 640 MB and
-# 1.43 GB RSS at 1,000, 2,000 and 3,000 unit edges (about 160 * E^2 bytes; 10.7 s
-# at 3,000 on 2 x86-64 cores), so 4,000 needs about 2.5 GB.  No fixture or
-# benchmark graph has more than 200.
+# load_graph() refuses more unit edges than this.  levelkeys.ball_keys' (points x
+# edges) arrays bound memory: project at one radius peaked at 0.30, 1.10 and 2.44
+# GB RSS at 1,000, 2,000 and 3,000 unit edges of a random unit-length graph, where
+# load_graph + diameter() + potential_profile() peaked at 82, 103 and 147 MB (2
+# x86-64 cores).  No fixture or benchmark graph has more than 200.
 MAX_UNIT_EDGES = 4_000
+# entries per (points x edges) array of _quarter_eccentricities' chunks
+_CHUNK_ENTRIES = 1 << 20
 
 
 def parse_rational(text: str) -> Fraction:
@@ -252,80 +270,53 @@ class MetricGraph:
                 best = val
         return best
 
-    # -- potential profile over the whole graph ------------------------------
+    # -- potential and diameter on the quarter grid ---------------------------
 
-    def _edge_potential(self, e: int) -> PiecewiseLinear:
-        """Phi restricted to edge e as an exact piecewise-linear function."""
-        D = self.vertex_distances()
-        eu, ev = self.edges[e]
-        s = PiecewiseLinear.identity()
-        # distance from (e, s) to each vertex, as PL functions of s
-        dists = [
-            pl_min(
-                PiecewiseLinear.line(Fraction(D[eu][w]), Fraction(D[eu][w]) + 1),
-                PiecewiseLinear.line(Fraction(D[ev][w]) + 1, Fraction(D[ev][w])),
+    def _quarter_eccentricities(self) -> np.ndarray:
+        """Phi at the offsets k/4, k = 0..4, of every unit edge, in eighths: an
+        (E, 5) int64 table of `eccentricity`'s formulas (see the module docstring)."""
+        D = self.vertex_distance_matrix()
+        tails, heads = np.array(self.edges, dtype=np.int64).T
+        E = self.num_edges
+        k = np.arange(5, dtype=np.int64)
+        table = np.empty((E, 5), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // (5 * E))
+        for lo in range(0, E, step):
+            own = np.arange(lo, min(lo + step, E))
+            rows = np.arange(len(own))
+            # quarter distances from each point (own edge, k/4) to every vertex
+            dq = np.minimum(
+                k[:, None] + 4 * D[tails[own]][:, None, :],
+                (4 - k)[:, None] + 4 * D[heads[own]][:, None, :],
             )
-            for w in range(self.num_vertices)
-        ]
-        parts: list[PiecewiseLinear] = []
-        for f, (u, v) in enumerate(self.edges):
-            a, b = dists[u], dists[v]
-            if f == e:
-                # within-edge farthest point, split at the moving point s
-                beta = pl_min(s, b + 1)
-                left = pl_min(a + s, beta, (a + beta) / 2)
-                right = pl_min(ONE - s, b + 1 - s, (b + 1 - s) / 2)
-                parts.append(pl_max(left, right))
-            else:
-                parts.append(pl_min(a + 1, b + 1, (a + b + 1) / 2))
-        return pl_max_all(parts)
+            # tent peaks of every other edge; the own column is replaced below
+            peaks = 4 + dq[:, :, tails] + dq[:, :, heads]
+            peaks[rows, :, own] = 0
+            a = dq[rows, :, tails[own]]
+            b = dq[rows, :, heads[own]]
+            beta = np.minimum(k, b + 4)
+            left = np.minimum(np.minimum(2 * (a + k), 2 * beta), a + beta)
+            right = np.minimum(np.minimum(2 * (4 - k), 2 * (b + 4 - k)), b + 4 - k)
+            own_peak = np.where((k > 0) & (k < 4), np.maximum(left, right), 4 + a + b)
+            table[own] = np.maximum(peaks.max(axis=2), own_peak)
+        return table
 
     def potential_profile(self) -> "PotentialProfile":
         """Exact global min m and max M of the potential with solution sets."""
-        profiles = [self._edge_potential(e) for e in range(self.num_edges)]
-        m = min(f.min_value() for f in profiles)
-        M = max(f.max_value() for f in profiles)
-        centers = tuple(tuple(f.level_intervals(m)) for f in profiles)
-        extrema = tuple(tuple(f.level_intervals(M)) for f in profiles)
+        table = self._quarter_eccentricities()
+        m8, M8 = int(table.min()), int(table.max())
+        m, M = Fraction(m8, 8), Fraction(M8, 8)
         if 2 * m < M:
             raise InternalConsistencyError(f"potential min {m} < half of max {M}")
+        rows = table.tolist()
+        centers = tuple(_level_runs(row, m8) for row in rows)
+        extrema = tuple(_level_runs(row, M8) for row in rows)
         return PotentialProfile(m=m, M=M, centers=centers, extrema=extrema)
 
-    # -- diameter ------------------------------------------------------------
-
     def diameter(self) -> Fraction:
-        """Exact diameter.
-
-        For unit-edge graphs the pairwise max-min of the four endpoint
-        routings over a pair of edges is attained at quarter-rational offsets
-        (all crossing lines have half-integer constants and slopes +-1), so
-        evaluating the routing minimum on the 5x5 quarter grid per edge pair
-        is exact.  Same-edge pairs via routings alone are capped at 1 <= diam,
-        hence harmless.
-        """
+        """Exact diameter: the largest eccentricity, read off the quarter grid."""
         if self._diameter is None:
-            D4 = 4 * self.vertex_distance_matrix()
-            tails = np.array([u for u, _ in self.edges], dtype=np.int64)
-            heads = np.array([v for _, v in self.edges], dtype=np.int64)
-            A = D4[np.ix_(tails, tails)]
-            B = D4[np.ix_(tails, heads)]
-            C = D4[np.ix_(heads, tails)]
-            E = D4[np.ix_(heads, heads)]
-            best = 0
-            for s in range(5):
-                for sp in range(5):
-                    val = np.minimum.reduce(
-                        [
-                            A + s + sp,
-                            B + s + (4 - sp),
-                            C + (4 - s) + sp,
-                            E + (8 - s - sp),
-                        ]
-                    )
-                    m = int(val.max())
-                    if m > best:
-                        best = m
-            self._diameter = Fraction(best, 4)
+            self._diameter = Fraction(int(self._quarter_eccentricities().max()), 8)
         return self._diameter
 
     # -- conversions ---------------------------------------------------------
@@ -383,6 +374,15 @@ class MetricGraph:
                 f"  {self.edge_provenance[i]}"
             )
         return lines
+
+
+def _level_runs(row: list[int], value: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The runs of consecutive quarter points where one edge's row holds
+    `value`, as closed offset intervals."""
+    ks = [k for k, y in enumerate(row) if y == value]
+    starts = [k for k in ks if k - 1 not in ks]
+    ends = [k for k in ks if k + 1 not in ks]
+    return tuple((Fraction(lo, 4), Fraction(hi, 4)) for lo, hi in zip(starts, ends))
 
 
 @dataclass(frozen=True)

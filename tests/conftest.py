@@ -14,7 +14,8 @@ import pytest
 
 from ballflow import fixtures
 from ballflow.balls import BallSet, closed_ball, sets_equal
-from ballflow.graph import GraphPoint, MetricGraph
+from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
+from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,49 @@ def grid_points(g: MetricGraph, k: int) -> list[GraphPoint]:
 def ecc_oracle(g: MetricGraph, p: GraphPoint, k: int = 32) -> Fraction:
     """Max distance from p to a dense sample; within 1/k of the truth."""
     return max(g.point_distance(p, q) for q in grid_points(g, k))
+
+
+def _edge_potential_oracle(g: MetricGraph, e: int) -> PiecewiseLinear:
+    """Phi restricted to edge e as an exact piecewise-linear function, built
+    from `eccentricity`'s formulas with breakpoints found by exact crossing."""
+    D = g.vertex_distances()
+    eu, ev = g.edges[e]
+    s = PiecewiseLinear.identity()
+    one = Fraction(1)
+    # distance from (e, s) to each vertex, as PL functions of s
+    dists = [
+        pl_min(
+            PiecewiseLinear.line(Fraction(D[eu][w]), Fraction(D[eu][w]) + 1),
+            PiecewiseLinear.line(Fraction(D[ev][w]) + 1, Fraction(D[ev][w])),
+        )
+        for w in range(g.num_vertices)
+    ]
+    parts: list[PiecewiseLinear] = []
+    for f, (u, v) in enumerate(g.edges):
+        a, b = dists[u], dists[v]
+        if f == e:
+            # within-edge farthest point, split at the moving point s
+            beta = pl_min(s, b + 1)
+            left = pl_min(a + s, beta, (a + beta) / 2)
+            right = pl_min(one - s, b + 1 - s, (b + 1 - s) / 2)
+            parts.append(pl_max(left, right))
+        else:
+            parts.append(pl_min(a + 1, b + 1, (a + b + 1) / 2))
+    return pl_max_all(parts)
+
+
+def potential_oracle(g: MetricGraph) -> PotentialProfile:
+    """potential_profile by exact piecewise-linear envelopes, one per edge,
+    with no assumption about where their breakpoints lie."""
+    profiles = [_edge_potential_oracle(g, e) for e in range(g.num_edges)]
+    m = min(f.min_value() for f in profiles)
+    M = max(f.max_value() for f in profiles)
+    return PotentialProfile(
+        m=m,
+        M=M,
+        centers=tuple(tuple(f.level_intervals(m)) for f in profiles),
+        extrema=tuple(tuple(f.level_intervals(M)) for f in profiles),
+    )
 
 
 def brute_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]) -> list[list[int]]:

@@ -9,6 +9,8 @@ import pytest
 from ballflow import cli, fixtures
 from ballflow.balls import ball_from_json, closed_ball, sets_equal
 
+from conftest import relabeled
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.append(str(PERFBENCH))
 import workloads  # noqa: E402
@@ -140,7 +142,7 @@ class TestSubcommands:
         assert radii == ["3/2", "2"]
 
     def test_selftest(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--seed", "1")
+        code, out, _ = run(capsys, "selftest")
         assert code == 0
 
     def test_comb_builtin(self, capsys):
@@ -167,12 +169,65 @@ class TestGoldenOutputs:
         assert out == (PERFBENCH / "reference" / f"{reference}.out").read_text()
 
     def test_potential_rand40(self, tmp_path, capsys):
-        # pins potential_profile's output before piecewise.py is replaced
+        # pins the output of the quarter-grid potential kernel
         f = tmp_path / "rand40.json"
         f.write_text(json.dumps(workloads.random_connected_document()))
         code, out, _ = run(capsys, "potential", str(f), "--json")
         assert code == 0
         assert out == (PERFBENCH / "reference" / "potential-rand40.out").read_text()
+
+
+def _doc(edges, name="g"):
+    vertices = sorted({v for u, w, _ in edges for v in (u, w)})
+    return {"name": name, "vertices": vertices, "edges": [{"u": u, "v": v, "len": l} for u, v, l in edges]}
+
+
+METAMORPHIC_DOCS = {
+    # lengths (1, 1, 2) on a triangle
+    "triangle": _doc([("a", "b", "1"), ("b", "c", "1"), ("c", "a", "2")]),
+    # lengths 1, 3/2, 1/3 and 2 with a loop of length 1/2
+    "mixed-loop": _doc(
+        [("a", "d", "1"), ("a", "b", "3/2"), ("b", "c", "1/3"), ("c", "a", "2"), ("b", "b", "1/2")]
+    ),
+    "tree": _doc([("a", "b", "1"), ("b", "c", "1/2"), ("b", "d", "3/4"), ("d", "e", "2")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_DOCS))
+class TestMetamorphicPotential:
+    """User-unit m and M depend only on the metric space."""
+
+    @staticmethod
+    def extremes(tmp_path, capsys, document) -> tuple[F, F]:
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "potential", str(f), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        return F(doc["m"]), F(doc["M"])
+
+    def test_scaling_lengths_scales_m_and_M(self, tmp_path, capsys, name):
+        document = METAMORPHIC_DOCS[name]
+        scaled = dict(document, edges=[dict(e, len=str(3 * F(e["len"]))) for e in document["edges"]])
+        m, M = self.extremes(tmp_path, capsys, document)
+        assert self.extremes(tmp_path, capsys, scaled) == (3 * m, 3 * M)
+
+    def test_splitting_an_edge_keeps_m_and_M(self, tmp_path, capsys, name):
+        document = METAMORPHIC_DOCS[name]
+        first, *rest = document["edges"]
+        assert first["len"] == "1"
+        split = dict(
+            document,
+            vertices=document["vertices"] + ["mid"],
+            edges=[dict(first, v="mid", len="1/3"), dict(first, u="mid", len="2/3")] + rest,
+        )
+        assert self.extremes(tmp_path, capsys, split) == self.extremes(tmp_path, capsys, document)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relabeling_keeps_m_and_M(self, tmp_path, capsys, name, seed):
+        document = METAMORPHIC_DOCS[name]
+        moved = relabeled(document, seed)
+        assert self.extremes(tmp_path, capsys, moved) == self.extremes(tmp_path, capsys, document)
 
 
 class TestDeterminism:

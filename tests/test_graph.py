@@ -6,7 +6,7 @@ from ballflow import fixtures
 from ballflow.errors import ValidationError
 from ballflow.graph import MAX_UNIT_EDGES, GraphPoint, load_graph, parse_rational, format_rational
 
-from conftest import ecc_oracle, grid_points
+from conftest import ecc_oracle, grid_points, potential_oracle
 
 
 def doc(vertices, edges, name="g"):
@@ -15,6 +15,19 @@ def doc(vertices, edges, name="g"):
         "vertices": vertices,
         "edges": [{"u": u, "v": v, "len": l} for u, v, l in edges],
     }
+
+
+# lengths 3/2, 1/3 and 2 on a triangle plus a loop of length 1/2 (scale 1/6)
+MIXED_LOOP_DOC = doc(
+    ["a", "b", "c"],
+    [("a", "b", "3/2"), ("b", "c", "1/3"), ("c", "a", "2"), ("b", "b", "1/2")],
+    name="mixed-loop",
+)
+
+# a unit edge with a unit loop at one end: points inside the edge have
+# eccentricity below 1, so a kernel that used the tent peak (1) on a point's own
+# edge would be wrong here, while the other graphs below do not catch it
+LOLLIPOP_DOC = doc(["a", "b"], [("a", "b", "1"), ("a", "a", "1")], name="lollipop")
 
 
 class TestIngestion:
@@ -154,7 +167,28 @@ class TestPotentialProfile:
             g = fixtures.random_connected(6, 2, seed)
             prof = g.potential_profile()
             assert 2 * prof.m >= prof.M
-            assert prof.M == g.diameter() or prof.M <= g.diameter()
+            assert prof.M == g.diameter() == potential_oracle(g).M
+
+    @pytest.mark.parametrize(
+        "make",
+        [fixtures.path, fixtures.c4, fixtures.c6, fixtures.theta, lambda: fixtures.comb(3)]
+        + [lambda s=s: fixtures.random_connected(8, 4, s) for s in range(5)]
+        + [lambda s=s: fixtures.random_tree(10, s) for s in range(5)]
+        + [lambda: load_graph(MIXED_LOOP_DOC), lambda: load_graph(LOLLIPOP_DOC)],
+        ids=["path", "c4", "c6", "theta", "comb3"]
+        + [f"random_connected-8-4-{s}" for s in range(5)]
+        + [f"random_tree-10-{s}" for s in range(5)]
+        + ["mixed-loop", "lollipop"],
+    )
+    def test_matches_piecewise_oracle(self, make):
+        g = make()
+        oracle = potential_oracle(g)
+        prof = g.potential_profile()
+        assert prof.m == oracle.m
+        assert prof.M == oracle.M
+        assert prof.centers == oracle.centers
+        assert prof.extrema == oracle.extrema
+        assert g.diameter() == oracle.M
 
 
 class TestDiameter:
@@ -173,4 +207,4 @@ class TestDiameter:
             )
             assert brute <= g.diameter() <= brute + F(1, 4)
             # eccentricity max must equal the diameter exactly
-            assert g.diameter() == g.potential_profile().M
+            assert g.diameter() == potential_oracle(g).M
