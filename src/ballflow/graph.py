@@ -41,11 +41,11 @@ from .errors import InternalConsistencyError, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# load_graph() refuses more unit edges than this.  levelkeys.ball_keys' (points x
-# edges) arrays bound memory: project at one radius peaked at 0.30, 1.10 and 2.44
-# GB RSS at 1,000, 2,000 and 3,000 unit edges of a random unit-length graph, where
-# load_graph + diameter() + potential_profile() peaked at 82, 103 and 147 MB (2
-# x86-64 cores).  No fixture or benchmark graph has more than 200.
+# load_graph() refuses more unit edges than this.  Memory grows as E^2: the vertex
+# distance matrix and levelkeys' int8 key rows (points x edges).  project at radius
+# 3/2 peaked at 68, 193, 356 and 585 MB RSS at 971, 2,028, 2,901 and 3,967 unit
+# edges of a random unit-length graph (2 x86-64 cores).  No fixture or benchmark
+# graph has more than 200.
 MAX_UNIT_EDGES = 4_000
 # entries per (points x edges) array of _quarter_eccentricities' chunks
 _CHUNK_ENTRIES = 1 << 20
@@ -119,8 +119,7 @@ class MetricGraph:
             else:
                 self._incidence[u].append((i, 1))
         self._check_connected()
-        self._dist: list[list[int]] | None = None
-        self._dist_np: np.ndarray | None = None
+        self._dist: np.ndarray | None = None
         self._diameter: Fraction | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -184,8 +183,9 @@ class MetricGraph:
 
     # -- vertex distances --------------------------------------------------
 
-    def vertex_distances(self) -> list[list[int]]:
-        """All-pairs graph distance on unit edges (BFS per vertex)."""
+    def vertex_distance_matrix(self) -> np.ndarray:
+        """All-pairs graph distance on unit edges, as a (V, V) int64 matrix
+        filled one BFS row at a time."""
         if self._dist is None:
             n = self.num_vertices
             adj: list[list[int]] = [[] for _ in range(n)]
@@ -193,7 +193,7 @@ class MetricGraph:
                 if u != v:
                     adj[u].append(v)
                     adj[v].append(u)
-            dist = []
+            dist = np.empty((n, n), dtype=np.int64)
             for s in range(n):
                 row = [-1] * n
                 row[s] = 0
@@ -204,21 +204,16 @@ class MetricGraph:
                         if row[w] < 0:
                             row[w] = row[u] + 1
                             dq.append(w)
-                dist.append(row)
+                dist[s] = row
             self._dist = dist
         return self._dist
-
-    def vertex_distance_matrix(self) -> np.ndarray:
-        if self._dist_np is None:
-            self._dist_np = np.array(self.vertex_distances(), dtype=np.int64)
-        return self._dist_np
 
     def point_vertex_distances(self, p: GraphPoint) -> list[Fraction]:
         """Exact distance from p to every vertex."""
         p = self.canonical_point(p)
-        D = self.vertex_distances()
+        D = self.vertex_distance_matrix()
         u, v = self.edges[p.edge]
-        du, dv = D[u], D[v]
+        du, dv = D[u].tolist(), D[v].tolist()
         t, s = p.t, ONE - p.t
         return [min(t + du[w], s + dv[w]) for w in range(self.num_vertices)]
 
@@ -228,17 +223,12 @@ class MetricGraph:
         """Exact geodesic distance between two points."""
         p = self.canonical_point(p)
         q = self.canonical_point(q)
-        D = self.vertex_distances()
         pu, pv = self.edges[p.edge]
         qu, qv = self.edges[q.edge]
+        uu, uv, vu, vv = self.vertex_distance_matrix()[[pu, pu, pv, pv], [qu, qv, qu, qv]].tolist()
         tp, sp = p.t, ONE - p.t
         tq, sq = q.t, ONE - q.t
-        best = min(
-            tp + D[pu][qu] + tq,
-            tp + D[pu][qv] + sq,
-            sp + D[pv][qu] + tq,
-            sp + D[pv][qv] + sq,
-        )
+        best = min(tp + uu + tq, tp + uv + sq, sp + vu + tq, sp + vv + sq)
         if p.edge == q.edge:
             best = min(best, abs(tp - tq))
         return best

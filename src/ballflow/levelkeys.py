@@ -1,107 +1,121 @@
-"""Bulk ball-equality keys at a fixed radius, on a scaled-integer grid.
+"""Classes of equal closed balls at a fixed radius, on a scaled-integer grid.
 
-All offsets at one radius share a common denominator S, so coverage
-endpoints are integers times 1/S and a ball is determined by the pair
-(reach-from-tail, reach-from-head) per edge plus one within-edge interval
-on the center's edge.  The encoding below is injective on set values, so
-two keys are equal iff the balls are equal as subsets.  Arithmetic is
-integer throughout, hence exact: numpy int64 while an exact-range guard
-holds, otherwise the same code on object arrays of Python integers.  Keys
-are the raw int64 bytes of a row, or the row as a tuple of Python integers.
+Points come as an integer cell array, one row (edge, offset * S) per point,
+where S is a common denominator with R = r * S an integer.  All coverage
+endpoints are then integers, and each ball becomes one row of integers:
+
+* per edge, its part [0, h] u [l, S] as (h, l), with h = -1 or l = S + 1
+  for an uncovered side and (S, 0) for the whole edge;
+* on the centre's own edge, the union with [t - R, t + R], encoded the same
+  way, or as (-2, -2) when a middle component is left; the 4 trailing
+  columns then hold (h, l, lo, hi), and are -3 in every other row.
+
+A middle component can only lie on the centre's edge, which the (-2, -2)
+marks, so the encoding is injective on sets: rows are equal iff balls are.
+Rows are built in chunks of points from the point-to-vertex distances, in
+the narrowest signed integer type that holds every intermediate, and stored
+in the narrowest one that holds [-3, S + 1] (int8 for the timeline's
+S = 32).  Equal rows are grouped exactly, with no hash, by `np.unique` on a
+`np.void` view of the rows.  Past an exact-range guard the same code runs on
+object arrays of Python integers, grouped by a dict of row tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .graph import GraphPoint, MetricGraph
+from .errors import InternalConsistencyError
+from .graph import _CHUNK_ENTRIES, MetricGraph
 
 INT64_SAFE = 1 << 60
+_NO_MIDDLE = -3
 
 
-def ball_keys(g: MetricGraph, r: Fraction, points: list[GraphPoint]):
-    """Keys for closed balls of radius r about the given (canonical) points.
+def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
+    """Classes of equal closed balls of radius r about the points `cells`,
+    an (P, 2) integer array of rows (edge, offset * S).
 
-    Returns (keys, full_key): equal keys iff equal balls; full_key is the key
-    of the whole graph.
+    Returns (labels, full): labels[i] is the least j with ball(j) == ball(i),
+    and full[i] is True iff ball(i) is the whole graph.
     """
-    r = Fraction(r)
-    S = lcm(r.denominator, *[p.t.denominator for p in points]) if points else r.denominator
-    R = int(r * S)
+    rows = key_rows(g, r, cells, S)
     E = g.num_edges
-    tails = np.fromiter((u for u, _ in g.edges), dtype=np.int64, count=E)
-    heads = np.fromiter((v for _, v in g.edges), dtype=np.int64, count=E)
+    full = (rows[:, :E] == S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
+    if rows.dtype == object:
+        first: dict = {}
+        labels = [first.setdefault(tuple(row), i) for i, row in enumerate(rows.tolist())]
+        return np.array(labels, dtype=np.int64), full
+    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, index, inverse = np.unique(void, return_index=True, return_inverse=True)
+    return index[inverse], full
+
+
+def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
+    """The (P, 2E + 4) rows of the module docstring, one per cell."""
+    r = Fraction(r)
+    E = g.num_edges
+    P = len(cells)
+    if (r * S).denominator != 1:
+        raise InternalConsistencyError(
+            f"{g.name}: radius {r} is off the 1/{S} grid of the cells"
+        )
+    R = int(r * S)
+    cells = np.asarray(cells).reshape(P, 2)
+    off = np.flatnonzero(
+        (cells[:, 0] < 0) | (cells[:, 0] >= E) | (cells[:, 1] < 0) | (cells[:, 1] > S)
+    )
+    if len(off):
+        raise InternalConsistencyError(
+            f"{g.name}: cells {off[:8].tolist()} lie off the graph at radius {r}"
+        )
+    tails, heads = np.array(g.edges, dtype=np.int64).T
     D = g.vertex_distance_matrix()
+    # every intermediate below lies within +-bound
     bound = S * (int(D.max()) + 2) + R
     if bound < INT64_SAFE:
-        dtype, encode = np.int64, np.ndarray.tobytes
+        work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
+        narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
     else:
-        dtype, encode = object, lambda row: tuple(row.ravel().tolist())
-        D = D.astype(object)
-
-    P = len(points)
-    t = np.fromiter((int(p.t * S) for p in points), dtype=dtype, count=P)
-    pe = np.fromiter((p.edge for p in points), dtype=np.int64, count=P)
-    SD = S * D
-    # distance from each point to each vertex, scaled by S
-    dp = np.minimum(t[:, None] + SD[tails[pe]], (S - t)[:, None] + SD[heads[pe]])
-    H = R - dp[:, tails]  # covered [0, H] where H >= 0
-    L = (S - R) + dp[:, heads]  # covered [L, S] where L <= S
-    enc_h = np.where(H < 0, -1, np.minimum(H, S))
-    enc_l = np.where(L > S, S + 1, np.maximum(L, 0))
-    full = (enc_h >= enc_l) | (enc_h == S) | (enc_l == 0)
-    enc_h = np.where(full, S, enc_h)
-    enc_l = np.where(full, 0, enc_l)
-
-    rows = np.stack([enc_h, enc_l], axis=2)  # (P, E, 2)
-    keys = []
-    full_row = np.empty((E, 2), dtype=dtype)
-    full_row[:, 0] = S
-    full_row[:, 1] = 0
-    full_key = (encode(full_row), None)
-    for i, p in enumerate(points):
-        extra = None
-        if 0 < t[i] < S:
-            e = p.edge
-            enc, extra = _center_edge_encoding(
-                S, int(H[i, e]), int(L[i, e]), int(t[i]), R
-            )
-            rows[i, e, 0] = enc[0]
-            rows[i, e, 1] = enc[1]
-            if extra is not None:
-                extra = (e, extra)
-        keys.append((encode(rows[i]), extra))
-    return keys, full_key
+        work = narrow = object
+    SD = S * D.astype(work)
+    rows = np.empty((P, 2 * E + 4), dtype=narrow)
+    rows[:, 2 * E :] = _NO_MIDDLE
+    step = max(1, _CHUNK_ENTRIES // max(E, g.num_vertices))
+    for lo in range(0, P, step):
+        e = cells[lo : lo + step, 0].astype(np.int64)
+        t = cells[lo : lo + step, 1].astype(work)
+        # distance from each point to each vertex, scaled by S
+        dp = np.minimum(t[:, None] + SD[tails[e]], (S - t)[:, None] + SD[heads[e]])
+        h = rows[lo : lo + step, :E]
+        l = rows[lo : lo + step, E : 2 * E]
+        np.clip(R - dp[:, tails], -1, S, out=h, casting="unsafe")
+        np.clip((S - R) + dp[:, heads], 0, S + 1, out=l, casting="unsafe")
+        whole = (h >= l) | (h == S) | (l == 0)
+        h[whole] = S
+        l[whole] = 0
+        inner = np.flatnonzero((t > 0) & (t < S))
+        ce = e[inner]
+        h[inner, ce], l[inner, ce], rows[lo + inner, 2 * E :] = _center_edge(
+            S, R, t[inner], h[inner, ce], l[inner, ce]
+        )
+    return rows
 
 
-def _center_edge_encoding(S: int, H: int, L: int, t: int, R: int):
-    """Canonical encoding of [0,H] u [L,S] u [t-R, t+R] on the center's edge."""
-    ivs = []
-    if H >= 0:
-        ivs.append((0, min(H, S)))
-    ivs.append((max(t - R, 0), min(t + R, S)))
-    if L <= S:
-        ivs.append((max(L, 0), S))
-    ivs.sort()
-    merged = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    if merged == [(0, S)]:
-        return (S, 0), None
-    if len(merged) == 1:
-        a, b = merged[0]
-        if a == 0:
-            return (b, S + 1), None
-        if b == S:
-            return (-1, a), None
-    if len(merged) == 2 and merged[0][0] == 0 and merged[1][1] == S:
-        return (merged[0][1], merged[1][0]), None
-    # a middle component exists; pinned encoding cannot express it
-    return (-2, -2), tuple(merged)
+def _center_edge(S: int, R: int, t, h, l):
+    """[0, h] u [l, S] u [t - R, t + R] on the centre's edge, for arrays of
+    centres t and side encodings (h, l): returns the merged (h, l) pair, or
+    (-2, -2) and the 4 trailing columns when a middle component is left."""
+    lo = np.maximum(t - R, 0)
+    hi = np.minimum(t + R, S)
+    joins_left = (lo == 0) | ((h >= 0) & (lo <= h))
+    joins_right = (hi == S) | ((l <= S) & (hi >= l))
+    middle = ~joins_left & ~joins_right
+    mh = np.where(joins_left, np.maximum(h, hi), h)
+    ml = np.where(joins_right, np.minimum(l, lo), l)
+    whole = mh >= ml
+    mh = np.where(whole, S, np.where(middle, -2, mh))
+    ml = np.where(whole, 0, np.where(middle, -2, ml))
+    extra = np.where(middle[:, None], np.stack([h, l, lo, hi], axis=1), _NO_MIDDLE)
+    return mh, ml, extra

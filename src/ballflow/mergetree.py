@@ -112,25 +112,25 @@ def _merge_sweep(g: MetricGraph, pts: list[GraphPoint]):
     the canonical points merge; label[i] is the least index in i's class."""
     first: dict[GraphPoint, int] = {}
     label = np.array([first.setdefault(p, i) for i, p in enumerate(pts)], dtype=np.int64)
-    reps = list(first.values())  # one point per class, ascending
+    reps = np.array(list(first.values()), dtype=np.int64)  # one point per class, ascending
     if len(reps) < len(pts):
         yield Fraction(0), label.copy()
     den = _grid_den(pts)
+    cells = np.array([(p.edge, int(p.t * den)) for p in pts], dtype=np.int64)
     hi = (g.diameter() * den).__ceil__()
     for k in range(1, hi + 1):
         if len(reps) < 2:
             return
-        keys, _ = ball_keys(g, Fraction(k, den), [pts[i] for i in reps])
-        owner: dict = {}
-        for i, key in zip(reps, keys):
-            if (j := owner.setdefault(key, i)) != i:
-                label[label == i] = j
-        if len(owner) < len(reps):
-            reps = list(owner.values())
+        same, _full = ball_keys(g, Fraction(k, den), cells[reps], den)
+        if (same < np.arange(len(reps))).any():
+            to = np.arange(len(pts))
+            to[reps] = reps[same]
+            label = to[label]
+            reps = reps[same == np.arange(len(reps))]
             yield Fraction(k, den), label.copy()
     if len(reps) > 1:
         raise InternalConsistencyError(
-            f"balls about points {reps} of {g.name} differ at the diameter {Fraction(hi, den)}"
+            f"balls about points {reps.tolist()} of {g.name} differ at the diameter {Fraction(hi, den)}"
         )
 
 

@@ -9,16 +9,19 @@ multi-member classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .canon import canonical_multigraph_code, smooth_multigraph
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import ball_keys
+from .levelkeys import INT64_SAFE, ball_keys
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -66,33 +69,25 @@ def cut_offsets(r: Fraction) -> list[Fraction]:
 
 
 def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
+    """The cells of the level at r as points and segments, vertices first."""
     r = Fraction(r)
-    if r <= 0:
-        raise ValidationError(f"subdivision radius must be positive, got {r}")
-    cuts = cut_offsets(r)
-    vertex_cells: list[GraphPoint] = [g.vertex_point(v) for v in range(g.num_vertices)]
-    segment_cells: list[SegmentCell] = []
-    for e in range(g.num_edges):
-        u, v = g.edges[e]
-        boundary_ids = [u]
-        for c in cuts:
-            vertex_cells.append(GraphPoint(e, c))
-            boundary_ids.append(len(vertex_cells) - 1)
-        boundary_ids.append(v)
-        offsets = [ZERO] + cuts + [ONE]
-        for k in range(len(offsets) - 1):
-            segment_cells.append(
-                SegmentCell(e, offsets[k], offsets[k + 1], boundary_ids[k], boundary_ids[k + 1])
-            )
-    return Subdivision(r, tuple(vertex_cells), tuple(segment_cells))
+    c = _cells(g, r)
+    V = g.num_vertices
+    cuts = [GraphPoint(e, Fraction(t, c.S)) for e, t in c.vertex[V:].tolist()]
+    segments = zip(*(a.tolist() for a in (c.edge, c.lo, c.hi, c.tail_cell, c.head_cell)))
+    return Subdivision(
+        r,
+        tuple([g.vertex_point(v) for v in range(V)] + cuts),
+        tuple(SegmentCell(e, Fraction(lo, c.S), Fraction(hi, c.S), a, b) for e, lo, hi, a, b in segments),
+    )
 
 
 @dataclass(frozen=True)
 class QuotientGraph:
     """The level at radius r as a multigraph of cell classes."""
 
+    graph: MetricGraph = field(repr=False, compare=False)
     radius: Fraction
-    sub: Subdivision
     q_vertices: tuple[tuple[int, ...], ...]  # vertex-cell ids per class
     q_edges: tuple[tuple[int, int], ...]  # endpoint q-vertex ids per edge class
     edge_classes: tuple[tuple[int, ...], ...]  # segment-cell ids per edge class
@@ -100,6 +95,11 @@ class QuotientGraph:
     n0: int  # number of ball-X segment cells
     x_segments: tuple[int, ...]  # the ball-X segment-cell ids
     injective: bool  # the projection at this radius is an embedding
+
+    @cached_property
+    def sub(self) -> Subdivision:
+        """The cells that the ids above index, built on first use."""
+        return subdivision(self.graph, self.radius)
 
     @property
     def num_vertices(self) -> int:
@@ -132,73 +132,107 @@ class Fingerprint:
     is_point: bool
 
 
-def _cell_keys(g: MetricGraph, r: Fraction, sub: Subdivision):
-    points = [c.midpoint for c in sub.segment_cells] + list(sub.vertex_cells)
-    keys, full = ball_keys(g, r, points)
-    nseg = len(sub.segment_cells)
-    return keys[:nseg], keys[nseg:], full
+class _Cells(NamedTuple):
+    """The subdivision's cells as integer arrays, offsets times S, in
+    `subdivision`'s order and with its cell ids."""
+
+    S: int
+    vertex: np.ndarray  # (vertex cells, 2): (edge, offset); a vertex at any incident end
+    edge: np.ndarray  # per segment cell: its edge, end offsets and end cell ids
+    lo: np.ndarray
+    hi: np.ndarray
+    tail_cell: np.ndarray
+    head_cell: np.ndarray
+
+
+def _cells(g: MetricGraph, r: Fraction) -> _Cells:
+    if r <= 0:
+        raise ValidationError(f"subdivision radius must be positive, got {r}")
+    # midpoints and quarter points of the cuts' 1/lcm(2, den r) grid lie on 1/S
+    S = 4 * lcm(2, r.denominator)
+    cuts = [int(c * S) for c in cut_offsets(r)]
+    n, E, V = len(cuts), g.num_edges, g.num_vertices
+    dtype = np.int64 if S < INT64_SAFE else object
+    tails, heads = np.array(g.edges, dtype=np.int64).T
+    edges = np.arange(E)
+    vertex = np.empty((V + n * E, 2), dtype=dtype)
+    vertex[heads, 0], vertex[heads, 1] = edges, S
+    vertex[tails, 0], vertex[tails, 1] = edges, 0
+    vertex[V:, 0] = np.repeat(edges, n)
+    vertex[V:, 1] = np.tile(np.array(cuts, dtype=dtype), E)
+    bounds = np.array([0, *cuts, S], dtype=dtype)
+    edge = np.repeat(edges, n + 1)
+    k = np.tile(np.arange(n + 1), E)
+    return _Cells(
+        S,
+        vertex,
+        edge,
+        np.tile(bounds[:-1], E),
+        np.tile(bounds[1:], E),
+        np.where(k == 0, tails[edge], V + edge * n + k - 1),
+        np.where(k == n, heads[edge], V + edge * n + k),
+    )
+
+
+def _level(g: MetricGraph, r: Fraction):
+    """The cells and the ball classes of their representatives: the vertex
+    cells, then the segment midpoints."""
+    c = _cells(g, r)
+    mid = np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)
+    labels, full = ball_keys(g, r, np.concatenate([c.vertex, mid]), c.S)
+    return c, labels, full
+
+
+def _classes(ids: np.ndarray, labels: np.ndarray):
+    """The ids grouped by equal label, as tuples ordered by least member,
+    and each id's group number."""
+    if not len(ids):
+        return ids, []
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    number = np.argsort(np.argsort(first))[inverse]
+    flat = ids[np.argsort(number, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(number)).tolist()
+    return number, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     r = Fraction(r)
-    sub = subdivision(g, r)
-    seg_keys, vert_keys, full = _cell_keys(g, r, sub)
+    c, labels, full = _level(g, r)
+    nv = len(c.vertex)
+    seg_full = full[nv:]
+    x_segments = np.flatnonzero(seg_full)
+    seg_ids = np.flatnonzero(~seg_full)
+    _, seg_classes = _classes(seg_ids, labels[nv:][seg_ids])
+    _check_orientation(g, r, c, seg_classes)
 
-    x_segments = tuple(i for i, k in enumerate(seg_keys) if k == full)
-    n0 = len(x_segments)
-
-    seg_groups: dict = {}
-    for i, k in enumerate(seg_keys):
-        if k == full:
-            continue
-        seg_groups.setdefault(k, []).append(i)
-
-    vert_groups: dict = {}
-    for i, k in enumerate(vert_keys):
-        vert_groups.setdefault(k, []).append(i)
-
-    # deterministic class order: by smallest member
-    seg_classes = sorted(seg_groups.values(), key=lambda cls: cls[0])
-    vert_classes = sorted(
-        (cls for k, cls in vert_groups.items() if k != full), key=lambda cls: cls[0]
-    )
-    x_vertex_cells = tuple(vert_groups.get(full, []))
-
-    _check_orientation(g, r, sub, seg_classes)
-
-    q_vertices: list[tuple[int, ...]] = [tuple(cls) for cls in vert_classes]
+    vert_ids = np.flatnonzero(~full[:nv])
+    vert_number, vert_classes = _classes(vert_ids, labels[vert_ids])
+    x_vertex_cells = tuple(np.flatnonzero(full[:nv]).tolist())
+    q_vertices = list(vert_classes)
+    cell_to_q = np.empty(nv, dtype=np.int64)
+    cell_to_q[vert_ids] = vert_number
     x_vertex = None
-    if n0 > 0 or x_vertex_cells:
+    if len(x_segments) or x_vertex_cells:
         x_vertex = len(q_vertices)
         q_vertices.append(x_vertex_cells)
+        cell_to_q[list(x_vertex_cells)] = x_vertex
 
-    cell_to_q = {}
-    for qid, cls in enumerate(q_vertices):
-        for cid in cls:
-            cell_to_q[cid] = qid
-    if x_vertex is not None:
-        for cid in x_vertex_cells:
-            cell_to_q[cid] = x_vertex
-
-    q_edges = []
-    for cls in seg_classes:
-        rep = sub.segment_cells[cls[0]]
-        q_edges.append((cell_to_q[rep.tail_cell], cell_to_q[rep.head_cell]))
-
+    reps = [cls[0] for cls in seg_classes]
+    q_edges = zip(cell_to_q[c.tail_cell[reps]].tolist(), cell_to_q[c.head_cell[reps]].tolist())
     return QuotientGraph(
+        graph=g,
         radius=r,
-        sub=sub,
         q_vertices=tuple(q_vertices),
         q_edges=tuple(q_edges),
-        edge_classes=tuple(tuple(cls) for cls in seg_classes),
+        edge_classes=tuple(seg_classes),
         x_vertex=x_vertex,
-        n0=n0,
-        x_segments=x_segments,
-        injective=_injective(seg_keys, vert_keys, full),
+        n0=len(x_segments),
+        x_segments=tuple(x_segments.tolist()),
+        injective=_injective(labels, full, nv),
     )
 
 
-def _check_orientation(g, r, sub, seg_classes) -> None:
+def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> None:
     """Resolve the gluing direction inside multi-member segment classes.
 
     For every member, the quarter-point ball must match either the
@@ -208,24 +242,21 @@ def _check_orientation(g, r, sub, seg_classes) -> None:
     multi = [cls for cls in seg_classes if len(cls) > 1]
     if not multi:
         return
-    wanted: list[GraphPoint] = []
-    index: dict[int, int] = {}
-    for cls in multi:
-        for i in cls:
-            c = sub.segment_cells[i]
-            index[i] = len(wanted)
-            wanted.append(c.quarter)
-            wanted.append(c.three_quarter)
-    keys, _full = ball_keys(g, r, wanted)
-    for cls in multi:
-        rep_q = keys[index[cls[0]]]
-        for i in cls[1:]:
-            kq, k3q = keys[index[i]], keys[index[i] + 1]
-            if kq != rep_q and k3q != rep_q:
-                raise InternalConsistencyError(
-                    f"segment class at radius {r} has no consistent gluing "
-                    f"orientation (cells {cls[0]} and {i})"
-                )
+    members = np.array([i for cls in multi for i in cls])
+    sizes = [len(cls) for cls in multi]
+    lead = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)  # position of each class's lead
+    lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
+    quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
+    three_quarter = np.stack([edge, lo + 3 * (hi - lo) // 4], axis=1)
+    labels, _full = ball_keys(g, r, np.concatenate([quarter, three_quarter]), c.S)
+    kq, k3q = labels[: len(members)], labels[len(members) :]
+    bad = np.flatnonzero((kq != kq[lead]) & (k3q != kq[lead]))
+    if len(bad):
+        i = bad[0]
+        raise InternalConsistencyError(
+            f"{g.name}: segment class at radius {r} has no consistent gluing "
+            f"orientation (segment cells {members[lead[i]]} and {members[i]})"
+        )
 
 
 def fingerprint(q: QuotientGraph) -> Fingerprint:
@@ -272,21 +303,16 @@ def _components(n: int, edges: Sequence[tuple[int, int]]) -> int:
 def is_injective(g: MetricGraph, r: Fraction) -> bool:
     """True iff the projection at radius r is a topological embedding.
 
-    Equal to ``project(g, r).injective``, from the cell keys alone.
+    Equal to ``project(g, r).injective``, from the cell classes alone.
     """
-    r = Fraction(r)
-    return _injective(*_cell_keys(g, r, subdivision(g, r)))
+    c, labels, full = _level(g, Fraction(r))
+    return _injective(labels, full, len(c.vertex))
 
 
-def _injective(seg_keys, vert_keys, full) -> bool:
-    """No segment cell collapses into ball X, at most one vertex cell does,
-    and no two cells share a ball."""
-    if any(k == full for k in seg_keys):
-        return False
-    if sum(1 for k in vert_keys if k == full) > 1:
-        return False
-    all_keys = seg_keys + vert_keys
-    return len(set(all_keys)) == len(all_keys)
+def _injective(labels: np.ndarray, full: np.ndarray, nv: int) -> bool:
+    """No segment cell collapses into ball X and no two cells share a ball
+    (so at most one vertex cell is ball X)."""
+    return not full[nv:].any() and bool((labels == np.arange(len(labels))).all())
 
 
 def euler_bounds_check(g: MetricGraph, f: Fingerprint) -> dict:

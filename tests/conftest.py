@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ballflow import fixtures
-from ballflow.balls import BallSet, closed_ball, sets_equal
+from ballflow.balls import BallSet, closed_ball, full_set, sets_equal
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
@@ -50,7 +50,7 @@ def ecc_oracle(g: MetricGraph, p: GraphPoint, k: int = 32) -> Fraction:
 def _edge_potential_oracle(g: MetricGraph, e: int) -> PiecewiseLinear:
     """Phi restricted to edge e as an exact piecewise-linear function, built
     from `eccentricity`'s formulas with breakpoints found by exact crossing."""
-    D = g.vertex_distances()
+    D = g.vertex_distance_matrix().tolist()
     eu, ev = g.edges[e]
     s = PiecewiseLinear.identity()
     one = Fraction(1)
@@ -163,3 +163,47 @@ def relabeled(g_doc: dict, perm_seed: int) -> dict:
     ]
     rng.shuffle(edges)
     return {"name": g_doc.get("name", "g") + "-relabeled", "vertices": shuffled, "edges": edges}
+
+
+def center_edge_oracle(S: int, H: int, L: int, t: int, R: int):
+    """[0,H] u [L,S] u [t-R, t+R] on the centre's edge by an explicit merge of
+    sorted intervals, in the older per-point key encoding: the pair (h, l) of
+    `levelkeys`, or ((-2, -2), merged intervals) when a middle component is left."""
+    ivs = []
+    if H >= 0:
+        ivs.append((0, min(H, S)))
+    ivs.append((max(t - R, 0), min(t + R, S)))
+    if L <= S:
+        ivs.append((max(L, 0), S))
+    ivs.sort()
+    merged = []
+    for a, b in ivs:
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    if merged == [(0, S)]:
+        return (S, 0), None
+    if len(merged) == 1:
+        a, b = merged[0]
+        if a == 0:
+            return (b, S + 1), None
+        if b == S:
+            return (-1, a), None
+    if len(merged) == 2 and merged[0][0] == 0 and merged[1][1] == S:
+        return (merged[0][1], merged[1][0]), None
+    return (-2, -2), tuple(merged)
+
+
+def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):
+    """(labels, full) of exact `Fraction` balls: labels[i] is the least j whose
+    ball equals ball i (coverages are canonical), full[i] whether ball i is X."""
+    X = full_set(g).coverage
+    first: dict = {}
+    labels, full = [], []
+    for i, p in enumerate(pts):
+        cov = closed_ball(g, p, r).coverage
+        labels.append(first.setdefault(cov, i))
+        full.append(cov == X)
+    return labels, full

@@ -176,6 +176,13 @@ class TestGoldenOutputs:
         assert code == 0
         assert out == (PERFBENCH / "reference" / "potential-rand40.out").read_text()
 
+    def test_timeline_big200(self, tmp_path, capsys):
+        f = tmp_path / "big200.json"
+        f.write_text(json.dumps(workloads.big200_document()))
+        code, out, _ = run(capsys, "timeline", str(f), "--json")
+        assert code == 0
+        assert out == (PERFBENCH / "reference" / "timeline-big200.out").read_text()
+
 
 def _doc(edges, name="g"):
     vertices = sorted({v for u, w, _ in edges for v in (u, w)})
@@ -190,6 +197,8 @@ METAMORPHIC_DOCS = {
         [("a", "d", "1"), ("a", "b", "3/2"), ("b", "c", "1/3"), ("c", "a", "2"), ("b", "b", "1/2")]
     ),
     "tree": _doc([("a", "b", "1"), ("b", "c", "1/2"), ("b", "d", "3/4"), ("d", "e", "2")]),
+    # lengths (1, 1, 2) on three parallel edges
+    "theta112": _doc([("a", "b", "1"), ("a", "b", "1"), ("a", "b", "2")]),
 }
 
 
@@ -228,6 +237,55 @@ class TestMetamorphicPotential:
         document = METAMORPHIC_DOCS[name]
         moved = relabeled(document, seed)
         assert self.extremes(tmp_path, capsys, moved) == self.extremes(tmp_path, capsys, document)
+
+
+def split_first_edge(document):
+    """The document with its first edge cut at a third of its length."""
+    first, *rest = document["edges"]
+    third = F(first["len"]) / 3
+    return dict(
+        document,
+        vertices=document["vertices"] + ["cut"],
+        edges=[dict(first, v="cut", len=str(third)), dict(first, u="cut", len=str(2 * third))] + rest,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_DOCS))
+class TestMetamorphicTimeline:
+    """User-unit critical times and the number of distinct types depend only
+    on the metric space."""
+
+    @staticmethod
+    def timeline(tmp_path, capsys, document) -> dict:
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "timeline", str(f), "--json")
+        assert code == 0
+        return json.loads(out)
+
+    def test_scaling_lengths_scales_critical_times(self, tmp_path, capsys, name):
+        document = METAMORPHIC_DOCS[name]
+        scaled = dict(document, edges=[dict(e, len=str(3 * F(e["len"]))) for e in document["edges"]])
+        base = self.timeline(tmp_path, capsys, document)
+        times = [F(x) for x in base["critical_times_user"]]
+        assert [F(x) for x in self.timeline(tmp_path, capsys, scaled)["critical_times_user"]] == [
+            3 * x for x in times
+        ]
+        if name == "theta112":
+            assert (times, base["distinct_type_count"]) == ([F(1), F(3, 2)], 3)
+
+    def test_splitting_an_edge_keeps_critical_times_and_types(self, tmp_path, capsys, name):
+        document = METAMORPHIC_DOCS[name]
+        base = self.timeline(tmp_path, capsys, document)
+        split = self.timeline(tmp_path, capsys, split_first_edge(document))
+        for key in ("critical_times_user", "distinct_type_count"):
+            assert split[key] == base[key], key
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relabeling_keeps_the_timeline(self, tmp_path, capsys, name, seed):
+        document = METAMORPHIC_DOCS[name]
+        moved = relabeled(document, seed)
+        assert self.timeline(tmp_path, capsys, moved) == self.timeline(tmp_path, capsys, document)
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import random
 import weakref
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ballflow import cli, fixtures
@@ -152,8 +153,9 @@ class TestMergeSweep:
         assert_matches_pairwise(theta_g, m)
 
     def test_classes_left_at_diameter_are_an_engine_bug(self, path_g, monkeypatch):
+        # every ball distinct at every radius
         monkeypatch.setattr(
-            mergetree, "ball_keys", lambda g, r, pts: ([(i,) for i in range(len(pts))], None)
+            mergetree, "ball_keys", lambda g, r, cells, S: (np.arange(len(cells)), None)
         )
         with pytest.raises(InternalConsistencyError, match="differ at the diameter"):
             merge_matrix(path_g, sample_points(path_g, F(1, 2)))
