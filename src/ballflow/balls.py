@@ -6,10 +6,19 @@ Dilation of an interval union reduces to balls about interval endpoints:
 the distance from any point to a closed interval inside an edge is attained
 at an interval endpoint (every path into the edge enters through an endpoint
 of the edge and meets the interval first at its boundary) or is zero.
+
+`closed_ball(g, p, r)` computes in integer units of 1/L, L = lcm(den r,
+den p.t).  Vertex distances are integers, so every distance from p to a
+vertex, r minus it, and every endpoint of the ball's intervals (r - d(p, u),
+1 - (r - d(p, v)), p.t - r, p.t + r, 0 and 1) lies in (1/L)Z.  Scaling by L turns
+each comparison and each clip of the `Fraction` construction into the same
+comparison of Python integers, which cannot overflow, so the ball is exact;
+a `Fraction` is built only for the endpoints of partly covered edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -23,6 +32,9 @@ ONE = Fraction(1)
 
 Interval = tuple[Fraction, Fraction]
 Coverage = tuple[tuple[Interval, ...], ...]
+
+# the row of every edge a ball covers whole, shared between balls
+_FULL_ROW: tuple[Interval, ...] = ((ZERO, ONE),)
 
 
 @dataclass(frozen=True)
@@ -87,29 +99,50 @@ def empty_set(g: MetricGraph) -> BallSet:
 
 
 def full_set(g: MetricGraph) -> BallSet:
-    return BallSet(tuple(((ZERO, ONE),) for _ in range(g.num_edges)))
+    return BallSet(tuple(_FULL_ROW for _ in range(g.num_edges)))
 
 
 def closed_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
-    """The closed ball about p: per-edge sublevel set of the tent envelope."""
+    """The closed ball about p, computed in integer units of 1/L."""
     r = Fraction(r)
     if r < 0:
         raise ValidationError(f"negative radius {r}")
     p = g.canonical_point(p)
-    dp = g.point_vertex_distances(p)
-    per_edge: list[list[Interval]] = []
+    L = math.lcm(r.denominator, p.t.denominator)
+    R = r.numerator * (L // r.denominator)
+    T = p.t.numerator * (L // p.t.denominator)
+    D = g.vertex_distance_matrix()
+    u0, v0 = g.edges[p.edge]
+    # reach[w] = (r - d(p, w)) * L, through the tail or the head of p's edge
+    via_u, via_v = R - T, R - L + T
+    reach = [max(via_u - L * a, via_v - L * b) for a, b in zip(D[u0].tolist(), D[v0].tolist())]
+    cov: list[tuple[Interval, ...]] = []
     for e, (u, v) in enumerate(g.edges):
-        ivs: list[Interval] = []
-        reach_u = r - dp[u]
-        if reach_u >= 0:
-            ivs.append((ZERO, reach_u))
-        reach_v = r - dp[v]
-        if reach_v >= 0:
-            ivs.append((ONE - reach_v, ONE))
+        ru, rv = reach[u], reach[v]
         if e == p.edge:
-            ivs.append((p.t - r, p.t + r))
-        per_edge.append(ivs)
-    return BallSet(make_coverage(g, per_edge), meta=(p, r))
+            cov.append(_centre_row(L, ru, rv, T, R))
+        elif ru + rv >= L:
+            # the two end intervals meet; reaches of adjacent vertices differ
+            # by at most L, so this also holds whenever ru >= L or rv >= L
+            cov.append(_FULL_ROW)
+        elif rv < 0:
+            cov.append(((ZERO, Fraction(ru, L)),) if ru >= 0 else ())
+        elif ru < 0:
+            cov.append(((Fraction(L - rv, L), ONE),))
+        else:
+            cov.append(((ZERO, Fraction(ru, L)), (Fraction(L - rv, L), ONE)))
+    return BallSet(tuple(cov), meta=(p, r))
+
+
+def _centre_row(L: int, ru: int, rv: int, T: int, R: int) -> tuple[Interval, ...]:
+    """[0, ru] u [L - rv, L] u [T - R, T + R] clipped to [0, L] and merged,
+    as a row of offsets in [0, 1]."""
+    ivs = [(max(T - R, 0), min(T + R, L))]
+    if ru >= 0:
+        ivs.append((0, min(ru, L)))
+    if rv >= 0:
+        ivs.append((max(L - rv, 0), L))
+    return tuple((Fraction(a, L), Fraction(b, L)) for a, b in merge_intervals(ivs))
 
 
 def sets_equal(g: MetricGraph, A: BallSet, B: BallSet) -> bool:

@@ -102,7 +102,11 @@ def cmd_potential(args) -> int:
 
 def cmd_ball(args) -> int:
     g = _load(args.graph)
-    p = g.point_from_user(int(args.edge), parse_rational(args.t))
+    try:
+        edge = int(args.edge)
+    except ValueError:
+        raise ValidationError(f"edge index must be an integer, got {args.edge!r}") from None
+    p = g.point_from_user(edge, parse_rational(args.t))
     r = _internal_radius(g, args.radius)
     B = closed_ball(g, p, r)
     doc = ball_to_json(g, B, user_units=args.user_units)
@@ -240,7 +244,13 @@ def cmd_merge_tree(args) -> int:
     m = mergetree.merge_matrix(g, pts)
     bad = mergetree.ball_check(g, m)
     if bad:
-        raise InternalConsistencyError(f"merge radii contradict the exact balls at pairs {bad}")
+        i, j = bad[0]
+        r = m.mu[i][j]
+        raise InternalConsistencyError(
+            f"merge radii contradict the exact balls at pairs {bad} of {g.name}; first"
+            f" {_pt_str(g, m.points[i])} and {_pt_str(g, m.points[j])} with mu_user"
+            f" {format_rational(g.to_user(r))} (internal {format_rational(r)})"
+        )
     d = mergetree.dendrogram_from_matrix(m)
     if args.csv is not None:
         rows = ["i,j,point_i,point_j,mu_user"]

@@ -146,8 +146,10 @@ def merge_matrix(g: MetricGraph, points: list[GraphPoint]) -> MergeMatrix:
 
 def ball_check(g: MetricGraph, m: MergeMatrix) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
-    `Fraction` balls are unequal at mu[i][j] or equal one grid step below it.
-    (The sweep's matrix is an ultrametric by construction.)"""
+    interval balls (`closed_ball`) are unequal at mu[i][j] or equal one grid
+    step below it.  It never reads `ball_keys` rows, so it checks the sweep
+    by an independent route.  (The sweep's matrix is an ultrametric by
+    construction.)"""
     step = Fraction(1, _grid_den(list(m.points)))
     bad = []
     for j in range(1, len(m.points)):

@@ -1,8 +1,10 @@
 """Shared helpers: fixture graphs and independent brute-force oracles.
 
 The oracles deliberately avoid the fast integer-key machinery: everything
-here goes through Fraction-based closed_ball / sets_equal / point_distance
-so that engine results are checked by a second, independent route.
+here goes through the exact interval balls of closed_ball / sets_equal /
+point_distance, never `levelkeys` rows, so that engine results are checked
+by a second, independent route.  closed_ball itself is checked against
+closed_ball_oracle, its construction in `Fraction` arithmetic on every edge.
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ import numpy as np
 import pytest
 
 from ballflow import fixtures
-from ballflow.balls import BallSet, closed_ball, full_set, sets_equal
+from ballflow.balls import BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
+from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +94,29 @@ def potential_oracle(g: MetricGraph) -> PotentialProfile:
         centers=tuple(tuple(f.level_intervals(m)) for f in profiles),
         extrema=tuple(tuple(f.level_intervals(M)) for f in profiles),
     )
+
+
+def closed_ball_oracle(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
+    """The closed ball about p: per-edge sublevel set of the tent envelope,
+    in `Fraction` arithmetic on every edge."""
+    r = Fraction(r)
+    if r < 0:
+        raise ValidationError(f"negative radius {r}")
+    p = g.canonical_point(p)
+    dp = g.point_vertex_distances(p)
+    per_edge: list[list[Interval]] = []
+    for e, (u, v) in enumerate(g.edges):
+        ivs: list[Interval] = []
+        reach_u = r - dp[u]
+        if reach_u >= 0:
+            ivs.append((ZERO, reach_u))
+        reach_v = r - dp[v]
+        if reach_v >= 0:
+            ivs.append((ONE - reach_v, ONE))
+        if e == p.edge:
+            ivs.append((p.t - r, p.t + r))
+        per_edge.append(ivs)
+    return BallSet(make_coverage(g, per_edge), meta=(p, r))
 
 
 def brute_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]) -> list[list[int]]:

@@ -21,7 +21,7 @@ from ballflow.balls import (
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint
 
-from conftest import grid_points, hausdorff_oracle
+from conftest import closed_ball_oracle, grid_points, hausdorff_oracle
 
 
 def rand_point(g, rng):
@@ -32,7 +32,34 @@ def rand_ball(g, rng):
     return closed_ball(g, rand_point(g, rng), F(rng.randrange(0, 17), 8))
 
 
+ORACLE_GRAPHS = {
+    "path": fixtures.path,
+    "theta": fixtures.theta,
+    "c6": fixtures.c6,
+    "comb3": lambda: fixtures.comb(3),
+    # two unit loops and a pair of parallel unit edges
+    "rand6+4s21": lambda: fixtures.random_connected(6, 4, 21),
+}
+
+
 class TestClosedBall:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_matches_fraction_oracle(self, name):
+        # coverage and meta, Fraction for Fraction, against the per-edge
+        # Fraction construction
+        g = ORACLE_GRAPHS[name]()
+        tiny = F(1, 10**20)
+        centres = [g.vertex_point(v) for v in range(g.num_vertices)]
+        for e in range(g.num_edges):
+            centres += [GraphPoint(e, t) for t in (F(1, 3), F(2, 3), F(1, 4), F(3, 4), tiny, 1 - tiny)]
+        diam = g.diameter()
+        radii = {F(0), tiny, 2 * tiny, F(1, 3), F(7, 10), F(5, 6), F(1, 2) + tiny}
+        radii |= {F(k, 4) for k in range(1, 4 * diam.__ceil__() + 1)}
+        radii |= {diam - tiny, diam, diam + F(1, 3), 2 * diam}
+        for p in centres:
+            for r in sorted(radii):
+                assert repr(closed_ball(g, p, r)) == repr(closed_ball_oracle(g, p, r)), (p, r)
+
     def test_zero_radius_is_singleton(self, path_g):
         b = closed_ball(path_g, GraphPoint(0, F(1, 4)), F(0))
         assert b.coverage[0] == ((F(1, 4), F(1, 4)),)

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ import pytest
 
 from ballflow import cli, fixtures
 from ballflow.balls import ball_from_json, closed_ball, sets_equal
+from ballflow.graph import load_graph
 
 from conftest import relabeled
 
@@ -35,6 +37,12 @@ class TestExitCodes:
     def test_bad_radius(self, capsys):
         code, _, err = run(capsys, "project", "builtin:theta", "--radius", "-1")
         assert code == 2
+
+    def test_bad_edge_index(self, capsys):
+        code, out, err = run(capsys, "ball", "builtin:theta", "--edge", "x", "--t", "0", "--radius", "1")
+        assert code == 2
+        assert "edge index must be an integer, got 'x'" in err
+        assert "Traceback" not in err and not out
 
     def test_malformed_document(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
@@ -286,6 +294,64 @@ class TestMetamorphicTimeline:
         document = METAMORPHIC_DOCS[name]
         moved = relabeled(document, seed)
         assert self.timeline(tmp_path, capsys, moved) == self.timeline(tmp_path, capsys, document)
+
+
+def relabeled_vertices(document, seed):
+    """The same document with its vertices renamed and listed in another
+    order; edges keep their order and orientation, so user points keep
+    their names."""
+    rng = random.Random(seed)
+    names = list(document["vertices"])
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    mapping = dict(zip(names, (f"x{k}" for k in range(len(names)))))
+    return dict(
+        document,
+        vertices=[mapping[v] for v in shuffled],
+        edges=[dict(e, u=mapping[e["u"]], v=mapping[e["v"]]) for e in document["edges"]],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_DOCS))
+class TestMetamorphicMergeTree:
+    """User-unit merge radii of corresponding sample points depend only on
+    the metric space; samples are taken at a third of a unit edge."""
+
+    @staticmethod
+    def merge_radii(tmp_path, capsys, document, resolution, shrink=1) -> dict:
+        """{frozenset of two user point names: mu_user}, with user offsets
+        divided by `shrink` in the names."""
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(document))
+        code, out, _ = run(
+            capsys, "merge-tree", str(f), "--user-units", "--resolution", str(resolution), "--csv"
+        )
+        assert code == 0
+
+        def point(text):
+            edge, t = text.strip("()").split("@")
+            return edge, F(t) / shrink
+
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        return {frozenset((point(a), point(b))): F(mu) for _, _, a, b, mu in rows}
+
+    def test_scaling_lengths_scales_merge_radii(self, tmp_path, capsys, name):
+        document = METAMORPHIC_DOCS[name]
+        rho = load_graph(document).scale / 3
+        scaled = dict(document, edges=[dict(e, len=str(3 * F(e["len"]))) for e in document["edges"]])
+        base = self.merge_radii(tmp_path, capsys, document, rho)
+        moved = self.merge_radii(tmp_path, capsys, scaled, 3 * rho, shrink=3)
+        assert len(base) > 1
+        assert moved == {pair: 3 * mu for pair, mu in base.items()}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relabeling_vertices_keeps_merge_radii(self, tmp_path, capsys, name, seed):
+        document = METAMORPHIC_DOCS[name]
+        rho = load_graph(document).scale / 3
+        moved = relabeled_vertices(document, seed)
+        assert self.merge_radii(tmp_path, capsys, moved, rho) == self.merge_radii(
+            tmp_path, capsys, document, rho
+        )
 
 
 class TestDeterminism:

@@ -187,7 +187,10 @@ class TestBallCheck:
 
         monkeypatch.setattr(mergetree, "merge_matrix", late)
         assert cli.main(["merge-tree", "builtin:path", "--resolution", "1/2"]) == 3
-        assert "contradict the exact balls at pairs ((0, 1)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "contradict the exact balls at pairs ((0, 1)" in err
+        # the graph, both points of the first bad pair and their radius
+        assert "of path; first (e0@0) and (e0@1) with mu_user 3 (internal 3)" in err
 
 
 class TestExtinction:
