@@ -5,54 +5,99 @@ degree-2 vertices, two levels are homeomorphic iff their smoothed
 multigraphs are isomorphic.  Canonical labeling is individualization plus
 color refinement with full backtracking; smoothed quotients have few
 essential vertices, so this is fast in practice.
+
+The initial coloring is each vertex's BFS distance profile (its sorted
+distances to all vertices, -1 for unreachable) with its sorted edge
+multiplicities and loop count.  All n searches run as one frontier expansion:
+each vertex holds the set of sources that have reached it as bits packed
+into uint64 words, and one hop ORs the neighbours' frontier sets over the
+half-edge list with `np.bitwise_or.reduceat`.  A sorted profile is
+-1 repeated u times, one 0, then h repeated c_h times, where c_h is the
+number of sources first reached at hop h, so comparing sorted profiles
+lexicographically is comparing (-u, -c_1, -c_2, ...): the profiles are
+ranked from the per-hop popcounts without an n x n distance matrix.
+
+The search over individualized vertices runs on an explicit stack, so a
+level with thousands of twin vertices does not hit Python's recursion
+limit.  Codes are memoized by value on (n, edges), in a bounded
+`functools.lru_cache` that holds no graph: a timeline meets the same
+smoothed multigraph at many levels.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def refine_colors(n: int, adj: list[dict[int, int]], loops: list[int], colors: list[int]) -> list[int]:
     """Equitable refinement: split color classes by loop count and the
     multiset of (neighbor color, edge multiplicity) pairs."""
     while True:
-        signatures = []
-        for v in range(n):
-            sig = (
-                colors[v],
-                loops[v],
-                tuple(sorted((colors[w], m) for w, m in adj[v].items())),
-            )
-            signatures.append(sig)
-        order = sorted(set(signatures))
-        remap = {sig: i for i, sig in enumerate(order)}
+        signatures = [
+            (colors[v], loops[v], tuple(sorted((colors[w], m) for w, m in adj[v].items())))
+            for v in range(n)
+        ]
+        remap = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new_colors = [remap[s] for s in signatures]
         if new_colors == colors:
             return colors
         colors = new_colors
 
 
-def _twin_representatives(
-    adj: list[dict[int, int]], loops: list[int], cell: list[int]
-) -> list[int]:
+def _twin_representatives(adj: list[dict[int, int]], loops: list[int], cell: list[int]) -> list[int]:
     """One vertex per twin class of a cell.  Two vertices are twins when
     swapping them is an automorphism (identical rows up to each other), so
     individualizing both explores identical subtrees."""
     reps: list[int] = []
     for v in cell:
-        is_dup = False
-        for u in reps:
-            if loops[u] != loops[v] or adj[u].get(v, 0) != adj[v].get(u, 0):
-                continue
-            ru = {w: m for w, m in adj[u].items() if w != v}
-            rv = {w: m for w, m in adj[v].items() if w != u}
-            if ru == rv:
-                is_dup = True
-                break
-        if not is_dup:
+        if not any(
+            loops[u] == loops[v]
+            and adj[u].get(v, 0) == adj[v].get(u, 0)
+            and {w: m for w, m in adj[u].items() if w != v} == {w: m for w, m in adj[v].items() if w != u}
+            for u in reps
+        ):
             reps.append(v)
     return reps
+
+
+def _distance_ranks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Each vertex's rank among the distinct sorted BFS distance profiles of
+    the underlying simple graph (equal profiles, equal ranks)."""
+    e = np.array([(a, b) for a, b in edges if a != b], dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.concatenate([e[:, 1], e[:, 0]])[order]
+    starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]]) if len(src) else src
+    v = np.arange(n)
+    reached = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    reached[v, v // 64] = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
+    frontier, keys = reached, []
+    while len(src):
+        new = np.zeros_like(reached)
+        new[src[starts]] = np.bitwise_or.reduceat(frontier[dst], starts, axis=0)
+        new &= ~reached
+        if not new.any():
+            break
+        reached = reached | new
+        keys.append(-_POPCOUNT[new.view(np.uint8)].sum(axis=1))
+        frontier = new
+    unreached = n - _POPCOUNT[reached.view(np.uint8)].sum(axis=1)
+    _, rank = np.unique(np.stack([-unreached, *keys], axis=1), axis=0, return_inverse=True)
+    return rank.ravel().tolist()
+
+
+def _individualized(colors: list[int], target: int, reps: list[int]):
+    """The colorings that give each of reps its own color strictly below
+    its former cell `target`."""
+    for v in reps:
+        yield [c + (1 if c > target or (c == target and w != v) else 0)
+               for w, c in enumerate(colors)]
 
 
 def canonical_multigraph_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
@@ -61,6 +106,11 @@ def canonical_multigraph_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
     edges are unordered pairs (i, j) with multiplicity given by repetition;
     i == j is a loop.  Degree-0 vertices count.
     """
+    return _canonical_code(n, tuple(map(tuple, edges)))
+
+
+@lru_cache(maxsize=256)
+def _canonical_code(n: int, edges: tuple[tuple[int, int], ...]) -> str:
     if n == 0:
         return "V0|"
     adj: list[dict[int, int]] = [defaultdict(int) for _ in range(n)]
@@ -73,67 +123,40 @@ def canonical_multigraph_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
             adj[j][i] += 1
     adj = [dict(a) for a in adj]
 
-    # initial invariant: BFS distance profile plus incident multiplicities,
-    # computed on the underlying simple graph; cuts the search tree sharply
-    # on levels with many essential vertices
-    profiles = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for v in queue:
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        profiles.append(
-            (tuple(sorted(dist)), tuple(sorted(adj[s].values())), loops[s])
-        )
+    # initial invariant: BFS distance profile plus incident multiplicities;
+    # cuts the search tree sharply on levels with many essential vertices
+    ranks = _distance_ranks(n, edges)
+    profiles = [(ranks[s], tuple(sorted(adj[s].values())), loops[s]) for s in range(n)]
     remap = {p: i for i, p in enumerate(sorted(set(profiles)))}
     initial = [remap[p] for p in profiles]
 
-    best: list[tuple] = [None]
-
-    def encode(perm_pos: list[int]) -> tuple:
-        # perm_pos[v] = canonical index of v
-        items = []
-        for v in range(n):
-            for w, m in adj[v].items():
-                if v < w:
-                    a, b = sorted((perm_pos[v], perm_pos[w]))
-                    items.append((a, b, m))
-        for v in range(n):
-            if loops[v]:
-                items.append((perm_pos[v], perm_pos[v], -loops[v]))
+    def encode(pos: list[int]) -> tuple:
+        # pos[v] = canonical index of v
+        items = [(*sorted((pos[v], pos[w])), m) for v in range(n) for w, m in adj[v].items() if v < w]
+        items += [(pos[v], pos[v], -loops[v]) for v in range(n) if loops[v]]
         return tuple(sorted(items))
 
-    def search(colors: list[int]):
+    best = None
+    stack = [iter([initial])]  # depth-first: the colorings still to visit per level
+    while stack:
+        colors = next(stack[-1], None)
+        if colors is None:
+            stack.pop()
+            continue
         colors = refine_colors(n, adj, loops, colors)
         cells = defaultdict(list)
         for v, c in enumerate(colors):
             cells[c].append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = c
-                break
+        target = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
         if target is None:
-            perm_pos = colors  # discrete: colors are a permutation of 0..n-1
-            code = encode(perm_pos)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
-        for v in _twin_representatives(adj, loops, cells[target]):
-            branched = [c + (1 if c > target or (c == target and w != v) else 0)
-                        for w, c in enumerate(colors)]
-            # give v its own color strictly below its former cell
-            search(branched)
+            code = encode(colors)  # discrete: colors are a permutation of 0..n-1
+            if best is None or code < best:
+                best = code
+            continue
+        reps = _twin_representatives(adj, loops, cells[target])
+        stack.append(_individualized(colors, target, reps))
 
-    search(initial)
-    code = best[0]
-    edge_part = ",".join(
-        f"{a}-{b}x{m}" if m > 0 else f"{a}-{a}L{-m}" for a, b, m in code
-    )
+    edge_part = ",".join(f"{a}-{b}x{m}" if m > 0 else f"{a}-{a}L{-m}" for a, b, m in best)
     return f"V{n}|{edge_part}"
 
 
@@ -147,66 +170,42 @@ def smooth_multigraph(
     edges; components that are pure cycles become one vertex with a loop;
     isolated vertices survive as degree-0 vertices.  kept_vertex_ids maps
     smoothed indices back to original ids (-1 for synthetic cycle vertices).
+
+    Works on half-edges: half-edge h sits at ends[h], and h ^ 1 is the other
+    half of its edge.  Leaving by h and arriving by h ^ 1 at a degree-2
+    vertex, a walk goes on by that vertex's other half-edge; pointer doubling
+    takes every half-edge to the last one of its walk.  Each chain is walked
+    from both of its essential ends, so the sorted chain records come in
+    equal pairs.  The walks that never stop are the pure cycles, two
+    orientations each, counted by their least half-edge (min-label doubling).
     """
-    degree = [0] * num_vertices
-    half_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-    for idx, (a, b) in enumerate(edges):
-        degree[a] += 1
-        degree[b] += 1
-        half_edges[a].append((idx, 0))
-        half_edges[b].append((idx, 1))
+    ends = np.array(edges, dtype=np.int64).reshape(-1)
+    halves = np.arange(len(ends))
+    degree = np.bincount(ends, minlength=num_vertices)
+    essential = np.flatnonzero(degree != 2)
+    new_id = np.cumsum(degree != 2) - 1
 
-    essential = [v for v in range(num_vertices) if degree[v] != 2]
-    new_id = {v: i for i, v in enumerate(essential)}
-    kept = list(essential)
-    smoothed: list[tuple[int, int]] = []
-    used: set[tuple[int, int]] = set()
+    # the two half-edges at each degree-2 vertex, paired
+    by_vertex = np.argsort(ends, kind="stable")
+    first = (np.cumsum(degree) - degree)[degree == 2]
+    pair = halves.copy()
+    pair[by_vertex[first]] = by_vertex[first + 1]
+    pair[by_vertex[first + 1]] = by_vertex[first]
 
-    def other_end(idx: int, side: int) -> int:
-        a, b = edges[idx]
-        return b if side == 0 else a
+    through = degree[ends[halves ^ 1]] == 2
+    step = np.where(through, pair[halves ^ 1], halves)
+    least = halves
+    for _ in range(len(ends).bit_length()):
+        least = np.minimum(least, least[step])
+        step = step[step]
 
-    for v in essential:
-        for idx, side in half_edges[v]:
-            if (idx, side) in used:
-                continue
-            used.add((idx, side))
-            w = other_end(idx, side)
-            cur_idx, cur_side = idx, side
-            while degree[w] == 2:
-                # exactly two half-edge slots at w; leave through the other one
-                slots = [h for h in half_edges[w] if h != (cur_idx, 1 - cur_side)]
-                nxt_idx, nxt_side = slots[0]
-                used.add((cur_idx, 1 - cur_side))
-                used.add((nxt_idx, nxt_side))
-                cur_idx, cur_side = nxt_idx, nxt_side
-                w = other_end(cur_idx, cur_side)
-            used.add((cur_idx, 1 - cur_side))
-            a, b = sorted((new_id[v], new_id[w]))
-            smoothed.append((a, b))
+    start = np.flatnonzero(degree[ends] != 2)
+    a, b = new_id[ends[start]], new_id[ends[step[start] ^ 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = np.lexsort((hi, lo))[::2]
+    cycles = int(np.count_nonzero(through[step] & (least == halves))) // 2
 
-    # components that are pure cycles (every vertex degree 2)
-    touched = set()
-    for idx, side in used:
-        a, b = edges[idx]
-        touched.add(a)
-        touched.add(b)
-    visited = set(touched)
-    for v in range(num_vertices):
-        if degree[v] == 2 and v not in visited:
-            # walk the cycle, marking it
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                x = frontier.pop()
-                for idx, side in half_edges[x]:
-                    y = other_end(idx, side)
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            visited |= comp
-            cid = len(kept)
-            kept.append(-1)
-            smoothed.append((cid, cid))
-
-    return len(kept), sorted(smoothed), kept
+    kept = essential.tolist() + [-1] * cycles
+    cids = range(len(essential), len(kept))
+    smoothed = list(zip(lo[keep].tolist(), hi[keep].tolist())) + [(c, c) for c in cids]
+    return len(kept), smoothed, kept

@@ -159,7 +159,7 @@ def _fp_doc(f: quotient.Fingerprint) -> dict:
 def _project_dot(q: quotient.QuotientGraph, f: quotient.Fingerprint) -> str:
     from .canon import smooth_multigraph
 
-    n_sm, sm_edges, kept = smooth_multigraph(q.num_vertices, list(q.q_edges))
+    n_sm, sm_edges, kept = smooth_multigraph(q.num_vertices, q.q_edges)
     lines = ["graph level {"]
     for i in range(n_sm):
         orig = kept[i]

@@ -263,10 +263,10 @@ def fingerprint(q: QuotientGraph) -> Fingerprint:
     V = q.num_vertices
     E = q.num_edges
     chi = V - E
-    b0 = _components(V, q.q_edges)
+    n_sm, sm_edges, _kept = smooth_multigraph(V, q.q_edges)
+    b0 = _components(n_sm, sm_edges)  # smoothing keeps the components
     b1 = E - V + b0
     is_point = E == 0 and V == 1
-    n_sm, sm_edges, _kept = smooth_multigraph(V, list(q.q_edges))
     degs = [0] * n_sm
     for a, b in sm_edges:
         degs[a] += 1

@@ -4,18 +4,24 @@ The oracles deliberately avoid the fast integer-key machinery: everything
 here goes through the exact interval balls of closed_ball / sets_equal /
 point_distance, never `levelkeys` rows, so that engine results are checked
 by a second, independent route.  closed_ball itself is checked against
-closed_ball_oracle, its construction in `Fraction` arithmetic on every edge.
+closed_ball_oracle, its construction in `Fraction` arithmetic on every edge,
+and the array-based smoothing and canonical code of `canon` against
+smooth_oracle and canonical_code_oracle, their chain walk and per-vertex
+Python BFS with recursive search.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from ballflow import fixtures
 from ballflow.balls import BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
+from ballflow.canon import _twin_representatives, refine_colors
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
@@ -236,3 +242,162 @@ def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):
         labels.append(first.setdefault(cov, i))
         full.append(cov == X)
     return labels, full
+
+
+def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:
+    """`canon.canonical_multigraph_code` by one Python BFS per vertex and a
+    recursive search: a string equal for two multigraphs iff they are isomorphic.
+
+    edges are unordered pairs (i, j) with multiplicity given by repetition;
+    i == j is a loop.  Degree-0 vertices count.
+    """
+    if n == 0:
+        return "V0|"
+    adj: list[dict[int, int]] = [defaultdict(int) for _ in range(n)]
+    loops = [0] * n
+    for i, j in edges:
+        if i == j:
+            loops[i] += 1
+        else:
+            adj[i][j] += 1
+            adj[j][i] += 1
+    adj = [dict(a) for a in adj]
+
+    # initial invariant: BFS distance profile plus incident multiplicities,
+    # computed on the underlying simple graph; cuts the search tree sharply
+    # on levels with many essential vertices
+    profiles = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        for v in queue:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        profiles.append(
+            (tuple(sorted(dist)), tuple(sorted(adj[s].values())), loops[s])
+        )
+    remap = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    initial = [remap[p] for p in profiles]
+
+    best: list[tuple] = [None]
+
+    def encode(perm_pos: list[int]) -> tuple:
+        # perm_pos[v] = canonical index of v
+        items = []
+        for v in range(n):
+            for w, m in adj[v].items():
+                if v < w:
+                    a, b = sorted((perm_pos[v], perm_pos[w]))
+                    items.append((a, b, m))
+        for v in range(n):
+            if loops[v]:
+                items.append((perm_pos[v], perm_pos[v], -loops[v]))
+        return tuple(sorted(items))
+
+    def search(colors: list[int]):
+        colors = refine_colors(n, adj, loops, colors)
+        cells = defaultdict(list)
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = c
+                break
+        if target is None:
+            perm_pos = colors  # discrete: colors are a permutation of 0..n-1
+            code = encode(perm_pos)
+            if best[0] is None or code < best[0]:
+                best[0] = code
+            return
+        for v in _twin_representatives(adj, loops, cells[target]):
+            branched = [c + (1 if c > target or (c == target and w != v) else 0)
+                        for w, c in enumerate(colors)]
+            # give v its own color strictly below its former cell
+            search(branched)
+
+    search(initial)
+    code = best[0]
+    edge_part = ",".join(
+        f"{a}-{b}x{m}" if m > 0 else f"{a}-{a}L{-m}" for a, b, m in code
+    )
+    return f"V{n}|{edge_part}"
+
+
+def smooth_oracle(
+    num_vertices: int, edges: Sequence[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """`canon.smooth_multigraph` by walking the chains half-edge by half-edge:
+    suppress degree-2 vertices of a multigraph.
+
+    Returns (n_smoothed, smoothed_edges, kept_vertex_ids): essential vertices
+    (degree != 2) survive; chains of degree-2 vertices collapse to single
+    edges; components that are pure cycles become one vertex with a loop;
+    isolated vertices survive as degree-0 vertices.  kept_vertex_ids maps
+    smoothed indices back to original ids (-1 for synthetic cycle vertices).
+    """
+    degree = [0] * num_vertices
+    half_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for idx, (a, b) in enumerate(edges):
+        degree[a] += 1
+        degree[b] += 1
+        half_edges[a].append((idx, 0))
+        half_edges[b].append((idx, 1))
+
+    essential = [v for v in range(num_vertices) if degree[v] != 2]
+    new_id = {v: i for i, v in enumerate(essential)}
+    kept = list(essential)
+    smoothed: list[tuple[int, int]] = []
+    used: set[tuple[int, int]] = set()
+
+    def other_end(idx: int, side: int) -> int:
+        a, b = edges[idx]
+        return b if side == 0 else a
+
+    for v in essential:
+        for idx, side in half_edges[v]:
+            if (idx, side) in used:
+                continue
+            used.add((idx, side))
+            w = other_end(idx, side)
+            cur_idx, cur_side = idx, side
+            while degree[w] == 2:
+                # exactly two half-edge slots at w; leave through the other one
+                slots = [h for h in half_edges[w] if h != (cur_idx, 1 - cur_side)]
+                nxt_idx, nxt_side = slots[0]
+                used.add((cur_idx, 1 - cur_side))
+                used.add((nxt_idx, nxt_side))
+                cur_idx, cur_side = nxt_idx, nxt_side
+                w = other_end(cur_idx, cur_side)
+            used.add((cur_idx, 1 - cur_side))
+            a, b = sorted((new_id[v], new_id[w]))
+            smoothed.append((a, b))
+
+    # components that are pure cycles (every vertex degree 2)
+    touched = set()
+    for idx, side in used:
+        a, b = edges[idx]
+        touched.add(a)
+        touched.add(b)
+    visited = set(touched)
+    for v in range(num_vertices):
+        if degree[v] == 2 and v not in visited:
+            # walk the cycle, marking it
+            comp = {v}
+            frontier = [v]
+            while frontier:
+                x = frontier.pop()
+                for idx, side in half_edges[x]:
+                    y = other_end(idx, side)
+                    if y not in comp:
+                        comp.add(y)
+                        frontier.append(y)
+            visited |= comp
+            cid = len(kept)
+            kept.append(-1)
+            smoothed.append((cid, cid))
+
+    return len(kept), sorted(smoothed), kept

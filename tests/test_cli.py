@@ -18,6 +18,39 @@ sys.path.append(str(PERFBENCH))
 import workloads  # noqa: E402
 
 
+# `project --dot` output, frozen before smoothing was vectorised
+C6_HALF_DOT = """graph level {
+  n0 [label="cycle"];
+  n0 -- n0;
+  graph [label="b0=1 b1=1 code=V1|0-0L1"];
+}
+"""
+KITE_DOT = """graph level {
+  n0 [label="1"];
+  n1 [label="1"];
+  n2 [label="1"];
+  n3 [label="1"];
+  n4 [label="3"];
+  n5 [label="1"];
+  n6 [label="3"];
+  n7 [label="1"];
+  n8 [label="1"];
+  n9 [label="X"];
+  n0 -- n4;
+  n0 -- n6;
+  n0 -- n8;
+  n1 -- n6;
+  n2 -- n4;
+  n3 -- n9;
+  n4 -- n5;
+  n4 -- n9;
+  n6 -- n7;
+  n6 -- n9;
+  graph [label="b0=1 b1=1 code=V10|0-2x1,0-3x1,0-4x1,0-5x1,1-2x1,1-3x1,1-6x1,1-7x1,2-8x1,3-9x1"];
+}
+"""
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -120,7 +153,21 @@ class TestSubcommands:
             capsys, "project", "builtin:c6", "--radius", "1/2", "--dot"
         )
         assert code == 0
-        assert dot.startswith("graph")
+        assert dot == C6_HALF_DOT
+
+    def test_project_dot_maps_smoothed_vertices_back(self, capsys, tmp_path):
+        # the triangle with a loop and two pendant edges at r = 7/4: a level
+        # whose smoothed vertices include the collapsed X vertex
+        doc = {
+            "name": "kite",
+            "vertices": ["a", "b", "c", "d", "e"],
+            "edges": [{"u": u, "v": v} for u, v in ("ab", "bc", "ca", "ad", "be", "cc")],
+        }
+        path = tmp_path / "kite.json"
+        path.write_text(json.dumps(doc))
+        code, dot, _ = run(capsys, "project", str(path), "--radius", "7/4", "--dot")
+        assert code == 0
+        assert dot == KITE_DOT
 
     def test_timeline_csv(self, capsys):
         code, out, _ = run(capsys, "timeline", "builtin:theta", "--csv")
