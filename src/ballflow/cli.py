@@ -68,34 +68,19 @@ def cmd_info(args) -> int:
 def cmd_potential(args) -> int:
     g = _load(args.graph)
     prof = g.potential_profile()
+    if args.json is not None:
+        doc = {"m": format_rational(g.to_user(prof.m)), "M": format_rational(g.to_user(prof.M))}
+        for key, per_edge in (("centers", prof.centers), ("extrema", prof.extrema)):
+            doc[key] = [[list(map(format_rational, iv)) for iv in ivs] for ivs in per_edge]
+        _emit(json.dumps(doc, indent=2), args.json)
+        return 0
     lines = [
         f"m: {_fmt(g.to_user(prof.m), args.approx)}",
         f"M: {_fmt(g.to_user(prof.M), args.approx)}",
     ]
-
-    def region_lines(label, per_edge):
+    for label, per_edge in (("center", prof.centers), ("extremum", prof.extrema)):
         for e, ivs in enumerate(per_edge):
-            for lo, hi in ivs:
-                desc = g.describe_interval(e, lo, hi)
-                lines.append(f"{label}: {desc}")
-
-    region_lines("center", prof.centers)
-    region_lines("extremum", prof.extrema)
-    if args.json is not None:
-        doc = {
-            "m": format_rational(g.to_user(prof.m)),
-            "M": format_rational(g.to_user(prof.M)),
-            "centers": [
-                [[format_rational(lo), format_rational(hi)] for lo, hi in ivs]
-                for ivs in prof.centers
-            ],
-            "extrema": [
-                [[format_rational(lo), format_rational(hi)] for lo, hi in ivs]
-                for ivs in prof.extrema
-            ],
-        }
-        _emit(json.dumps(doc, indent=2), args.json)
-        return 0
+            lines += [f"{label}: {g.describe_interval(e, lo, hi)}" for lo, hi in ivs]
     _emit("\n".join(lines), None)
     return 0
 
@@ -128,8 +113,8 @@ def cmd_project(args) -> int:
         "radius_internal": format_rational(r),
         "injective": q.injective,
         "cells": {
-            "vertex_cells": len(q.sub.vertex_cells),
-            "segment_cells": len(q.sub.segment_cells),
+            "vertex_cells": sum(map(len, q.q_vertices)),
+            "segment_cells": sum(map(len, q.edge_classes)) + q.n0,
         },
         "classes": {
             "q_vertices": [list(cls) for cls in q.q_vertices],
@@ -241,28 +226,27 @@ def cmd_merge_tree(args) -> int:
     g = _load(args.graph)
     res = parse_rational(args.resolution)
     pts = mergetree.sample_points(g, g.from_user(res) if args.user_units else res)
-    m = mergetree.merge_matrix(g, pts)
-    bad = mergetree.ball_check(g, m)
+    d = mergetree.merge_tree(g, pts)
+    bad = mergetree.ball_check(g, d)
     if bad:
         i, j = bad[0]
-        r = m.mu[i][j]
+        r = next(ev.radius for ev in d.events if any({i, j} <= set(c) for c in ev.clusters))
         raise InternalConsistencyError(
             f"merge radii contradict the exact balls at pairs {bad} of {g.name}; first"
-            f" {_pt_str(g, m.points[i])} and {_pt_str(g, m.points[j])} with mu_user"
+            f" {_pt_str(g, d.points[i])} and {_pt_str(g, d.points[j])} with mu_user"
             f" {format_rational(g.to_user(r))} (internal {format_rational(r)})"
         )
-    d = mergetree.dendrogram_from_matrix(m)
+    names = [_pt_str(g, p) for p in d.points]
     if args.csv is not None:
-        rows = ["i,j,point_i,point_j,mu_user"]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                rows.append(
-                    f"{i},{j},{_pt_str(g, m.points[i])},{_pt_str(g, m.points[j])},"
-                    f"{format_rational(g.to_user(m.mu[i][j]))}"
-                )
+        mu = d.matrix().mu
+        rows = ["i,j,point_i,point_j,mu_user"] + [
+            f"{i},{j},{names[i]},{names[j]},{format_rational(g.to_user(mu[i][j]))}"
+            for i in range(len(names))
+            for j in range(i + 1, len(names))
+        ]
         _emit("\n".join(rows), args.csv)
     doc = {
-        "points": [_pt_str(g, p) for p in m.points],
+        "points": names,
         "events": [
             {
                 "radius_user": format_rational(g.to_user(ev.radius)),
@@ -290,9 +274,10 @@ def cmd_selftest(args) -> int:
         tl = evolution.timeline(g)
         for e in tl.entries:
             quotient.euler_bounds_check(g, e.fingerprint)
-        pts = mergetree.sample_points(g, Fraction(1, 2))
-        m = mergetree.merge_matrix(g, pts)
-        # the sweep builds an ultrametric; this guards merge_matrix's contract
+        pts = [g.canonical_point(p) for p in mergetree.sample_points(g, Fraction(1, 2))]
+        # the sweep's tree against the pairwise route: bisection on exact balls
+        mu = tuple(tuple(mergetree.merge_radius(g, p, q) for q in pts) for p in pts)
+        m = mergetree.MergeMatrix(tuple(pts), mu)
         rep = mergetree.ultrametric_check(m)
         line = (
             f"{name}: m={format_rational(prof.m)} M={format_rational(prof.M)}"
@@ -300,6 +285,8 @@ def cmd_selftest(args) -> int:
         )
         print(line)
         ok = ok and rep.ok
+        if rep.ok and mergetree.dendrogram_from_matrix(m) != mergetree.build_merge_tree(g, pts):
+            raise InternalConsistencyError(f"selftest: {name}'s merge tree differs from merge_radius")
     if not ok:
         raise InternalConsistencyError("selftest ultrametric check failed")
     print("selftest: all fixtures passed")

@@ -4,11 +4,13 @@ The merge radius of two points is the smallest r at which their closed
 r-balls coincide.  Ball equality is monotone in r (a larger ball is the
 dilation of a smaller one), and every merge radius of a point set lies on the
 grid k/den, den = 2 * lcm(2, offset denominators): a coincidence of ball
-boundaries solves a linear equation with such a denominator.  `merge_matrix`
+boundaries solves a linear equation with such a denominator.  `merge_tree`
 therefore sweeps that grid once, with one `ball_keys` call per radius for one
-point of each class of equal balls, until one class is left.  Pairwise
-bisection over exact `Fraction` balls (`merge_radius`, `extinction_radius`)
-is kept as the independent oracle.
+point of each class of equal balls, until one class is left; each radius
+where classes merge is one event of the dendrogram, and the merge-radius
+matrix and `ball_check` read the events.  Pairwise bisection over exact
+`Fraction` balls (`merge_radius`, `extinction_radius`), `ultrametric_check`
+and `dendrogram_from_matrix` are kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -134,34 +136,6 @@ def _merge_sweep(g: MetricGraph, pts: list[GraphPoint]):
         )
 
 
-def merge_matrix(g: MetricGraph, points: list[GraphPoint]) -> MergeMatrix:
-    pts = [g.canonical_point(p) for p in points]
-    mu = np.full((len(pts), len(pts)), Fraction(0), dtype=object)
-    prev = np.arange(len(pts))
-    for r, label in _merge_sweep(g, pts):
-        mu[(label[:, None] == label) & (prev[:, None] != prev)] = r
-        prev = label
-    return MergeMatrix(tuple(pts), tuple(map(tuple, mu.tolist())))
-
-
-def ball_check(g: MetricGraph, m: MergeMatrix) -> tuple[tuple[int, int], ...]:
-    """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
-    interval balls (`closed_ball`) are unequal at mu[i][j] or equal one grid
-    step below it.  It never reads `ball_keys` rows, so it checks the sweep
-    by an independent route.  (The sweep's matrix is an ultrametric by
-    construction.)"""
-    step = Fraction(1, _grid_den(list(m.points)))
-    bad = []
-    for j in range(1, len(m.points)):
-        i = min(range(j), key=lambda i: m.mu[i][j])
-        p, q, r = m.points[i], m.points[j], m.mu[i][j]
-        if not sets_equal(g, closed_ball(g, p, r), closed_ball(g, q, r)) or (
-            r > 0 and sets_equal(g, closed_ball(g, p, r - step), closed_ball(g, q, r - step))
-        ):
-            bad.append((i, j))
-    return tuple(bad)
-
-
 @dataclass(frozen=True)
 class UltrametricReport:
     ok: bool
@@ -212,42 +186,95 @@ class Dendrogram:
     def root_radius(self) -> Fraction:
         return self.events[-1].radius if self.events else Fraction(0)
 
+    def matrix(self) -> MergeMatrix:
+        """mu[i][j]: the radius of the first event that puts i and j together."""
+        n = len(self.points)
+        mu = np.full((n, n), Fraction(0), dtype=object)
+        prev = label = np.arange(n)
+        for ev in self.events:
+            label = label.copy()
+            for c in ev.clusters:
+                label[list(c)] = c[0]
+            mu[(label[:, None] == label) & (prev[:, None] != prev)] = ev.radius
+            prev = label
+        return MergeMatrix(self.points, tuple(map(tuple, mu.tolist())))
+
+
+def _events(n: int, partitions) -> tuple[MergeEvent, ...]:
+    """An event for each (r, label) partition of range(n), label[i] the least
+    index in i's class: the classes whose label changed, if any."""
+    prev = np.arange(n)
+    events = []
+    for r, label in partitions:
+        grown = sorted(set(label[label != prev].tolist()))
+        if grown:
+            clusters = tuple(tuple(np.flatnonzero(label == c).tolist()) for c in grown)
+            events.append(MergeEvent(r, clusters))
+        prev = label
+    return tuple(events)
+
+
+def merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
+    """The merge sweep's dendrogram of the canonical points; its partitions
+    are nested by construction, each relabelling the classes of the last."""
+    pts = [g.canonical_point(p) for p in points]
+    return Dendrogram(tuple(pts), _events(len(pts), _merge_sweep(g, pts)))
+
 
 def build_merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
     """Single-linkage dendrogram of the pairwise merge radii, with all merges
     at a common radius grouped into one event."""
     if len(points) < 2:
         raise ValidationError("merge tree needs at least 2 points")
-    return dendrogram_from_matrix(merge_matrix(g, points))
+    return merge_tree(g, points)
+
+
+def merge_matrix(g: MetricGraph, points: list[GraphPoint]) -> MergeMatrix:
+    return merge_tree(g, points).matrix()
+
+
+def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
+    interval balls (`closed_ball`) are unequal at their merge radius or equal
+    one grid step below it.  By the ultrametric property, i is the least
+    member of the first cluster that holds j and an earlier point.  It never
+    reads `ball_keys` rows, so it checks the sweep by an independent route."""
+    step = Fraction(1, _grid_den(d.points))
+    joins: dict[int, tuple[int, Fraction]] = {}
+    for ev in d.events:
+        for c in ev.clusters:
+            for j in c[1:]:
+                joins.setdefault(j, (c[0], ev.radius))
+    bad = []
+    for j, (i, r) in sorted(joins.items()):
+        p, q = d.points[i], d.points[j]
+        if not sets_equal(g, closed_ball(g, p, r), closed_ball(g, q, r)) or (
+            r > 0 and sets_equal(g, closed_ball(g, p, r - step), closed_ball(g, q, r - step))
+        ):
+            bad.append((i, j))
+    return tuple(bad)
 
 
 def dendrogram_from_matrix(m: MergeMatrix) -> Dendrogram:
-    """Read the events off the threshold partitions of the merge radii.
-
-    At each distinct radius r, ascending, a point's cluster is
-    {j : mu[i][j] <= r}, labelled by its least index; the event lists the
-    clusters that grew.  Raises InternalConsistencyError when some `mu <= r`
-    is not an equivalence relation, i.e. when the matrix is not an ultrametric.
-    """
-    n = len(m.points)
+    """The oracle route: at each distinct radius r, ascending, a point's
+    cluster is {j : mu[i][j] <= r}, labelled by its least index.  Raises
+    InternalConsistencyError when some `mu <= r` is not an equivalence
+    relation, i.e. when the matrix is not an ultrametric."""
     radii = sorted({r for row in m.mu for r in row})
     rank = {r: k for k, r in enumerate(radii)}
     ranks = np.array([[rank[r] for r in row] for row in m.mu], dtype=np.int64)
-    label = np.arange(n)
-    events = []
-    for k, r in enumerate(radii):
-        within = ranks <= k
-        new = within.argmax(axis=1)
-        wrong = np.argwhere(within != (new[:, None] == new))
-        if len(wrong):
-            i, j = wrong[0]
-            raise InternalConsistencyError(
-                f"merge radii are not an ultrametric: mu <= {r} is not an"
-                f" equivalence relation at points {i} and {j}"
-            )
-        grown = sorted(set(new[new != label].tolist()))
-        if grown:
-            clusters = tuple(tuple(np.flatnonzero(new == c).tolist()) for c in grown)
-            events.append(MergeEvent(r, clusters))
-        label = new
-    return Dendrogram(m.points, tuple(events))
+
+    def partitions():
+        for k, r in enumerate(radii):
+            within = ranks <= k
+            label = within.argmax(axis=1)
+            wrong = np.argwhere(within != (label[:, None] == label))
+            if len(wrong):
+                i, j = wrong[0]
+                raise InternalConsistencyError(
+                    f"merge radii are not an ultrametric: mu <= {r} is not an"
+                    f" equivalence relation at points {i} and {j}"
+                )
+            yield r, label
+
+    return Dendrogram(m.points, _events(len(m.points), partitions()))

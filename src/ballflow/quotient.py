@@ -9,9 +9,8 @@ multi-member classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -86,7 +85,6 @@ def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
 class QuotientGraph:
     """The level at radius r as a multigraph of cell classes."""
 
-    graph: MetricGraph = field(repr=False, compare=False)
     radius: Fraction
     q_vertices: tuple[tuple[int, ...], ...]  # vertex-cell ids per class
     q_edges: tuple[tuple[int, int], ...]  # endpoint q-vertex ids per edge class
@@ -96,11 +94,6 @@ class QuotientGraph:
     x_segments: tuple[int, ...]  # the ball-X segment-cell ids
     injective: bool  # the projection at this radius is an embedding
 
-    @cached_property
-    def sub(self) -> Subdivision:
-        """The cells that the ids above index, built on first use."""
-        return subdivision(self.graph, self.radius)
-
     @property
     def num_vertices(self) -> int:
         return len(self.q_vertices)
@@ -108,17 +101,6 @@ class QuotientGraph:
     @property
     def num_edges(self) -> int:
         return len(self.q_edges)
-
-    def cell_partition(self) -> list[set[int]]:
-        """Partition of all cell ids (vertex cells first, then segment cells
-        offset by the vertex-cell count) into identification classes."""
-        nv = len(self.sub.vertex_cells)
-        parts = [set(cls) for cls in self.q_vertices]
-        if self.x_vertex is not None:
-            parts[self.x_vertex] |= {nv + s for s in self.x_segments}
-        for cls in self.edge_classes:
-            parts.append({nv + s for s in cls})
-        return parts
 
 
 @dataclass(frozen=True)
@@ -220,7 +202,6 @@ def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     reps = [cls[0] for cls in seg_classes]
     q_edges = zip(cell_to_q[c.tail_cell[reps]].tolist(), cell_to_q[c.head_cell[reps]].tolist())
     return QuotientGraph(
-        graph=g,
         radius=r,
         q_vertices=tuple(q_vertices),
         q_edges=tuple(q_edges),

@@ -141,6 +141,19 @@ def brute_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]) -> list[li
     return classes
 
 
+def cell_partition(sub, q) -> list[set[int]]:
+    """Partition of all cell ids of `sub`, the level's subdivision (vertex
+    cells first, then segment cells offset by the vertex-cell count), into
+    the identification classes of the quotient q."""
+    nv = len(sub.vertex_cells)
+    parts = [set(cls) for cls in q.q_vertices]
+    if q.x_vertex is not None:
+        parts[q.x_vertex] |= {nv + s for s in q.x_segments}
+    for cls in q.edge_classes:
+        parts.append({nv + s for s in cls})
+    return parts
+
+
 def _sample_scaled(A: BallSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample coverage at step 1/k; offsets returned as ints in 0..k."""
     es, ts = [], []

@@ -29,9 +29,9 @@ from ballflow.mergetree import (
     sample_points,
     ultrametric_check,
 )
-from ballflow.quotient import fingerprint, is_injective, project
+from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import brute_classes, hausdorff_oracle
+from conftest import brute_classes, cell_partition, hausdorff_oracle
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:
@@ -154,10 +154,11 @@ def test_criterion_3_theta_fixture():
     # exact ball comparisons only and compare with the engine's.
     r = F(1)
     q = project(g, r)
-    nv = len(q.sub.vertex_cells)
+    sub = subdivision(g, q.radius)
+    nv = len(sub.vertex_cells)
     X = full_set(g)
 
-    vert_balls = [closed_ball(g, p, r) for p in q.sub.vertex_cells]
+    vert_balls = [closed_ball(g, p, r) for p in sub.vertex_cells]
 
     def seg_profile(sc):
         span = sc.hi - sc.lo
@@ -166,7 +167,7 @@ def test_criterion_3_theta_fixture():
             for j in range(1, 8)
         ]
 
-    profiles = [seg_profile(sc) for sc in q.sub.segment_cells]
+    profiles = [seg_profile(sc) for sc in sub.segment_cells]
 
     def lists_equal(a, b):
         return all(sets_equal(g, x, y) for x, y in zip(a, b))
@@ -206,7 +207,7 @@ def test_criterion_3_theta_fixture():
         sorted(c for c in cells if find(c) == root)
         for root in {find(c) for c in cells}
     )
-    engine = sorted(sorted(part) for part in q.cell_partition())
+    engine = sorted(sorted(part) for part in cell_partition(sub, q))
     oracle_ok = brute == engine
     ok = inj and b1_before == 2 and b1_at_one == 1 and types == 3 and oracle_ok
     report(

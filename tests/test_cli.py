@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ballflow import cli, fixtures
+from ballflow import cli, fixtures, mergetree
 from ballflow.balls import ball_from_json, closed_ball, sets_equal
+from ballflow.evolution import timeline_loci
 from ballflow.graph import load_graph
+from ballflow.quotient import subdivision
 
 from conftest import relabeled
 
@@ -155,6 +158,21 @@ class TestSubcommands:
         assert code == 0
         assert dot == C6_HALF_DOT
 
+    @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
+    def test_project_cell_counts_match_the_subdivision(self, capsys, name):
+        # the counts come from the classes; the subdivision is the oracle
+        g = cli._load(f"builtin:{name}")
+        for r, _ in timeline_loci(g):
+            code, out, _ = run(
+                capsys, "project", f"builtin:{name}", "--radius", str(g.to_user(r)), "--json"
+            )
+            sub = subdivision(g, r)
+            assert code == 0
+            assert json.loads(out)["cells"] == {
+                "vertex_cells": len(sub.vertex_cells),
+                "segment_cells": len(sub.segment_cells),
+            }, r
+
     def test_project_dot_maps_smoothed_vertices_back(self, capsys, tmp_path):
         # the triangle with a loop and two pendant edges at r = 7/4: a level
         # whose smoothed vertices include the collapsed X vertex
@@ -237,6 +255,89 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "timeline", str(f), "--json")
         assert code == 0
         assert out == (PERFBENCH / "reference" / "timeline-big200.out").read_text()
+
+
+THETA_THIRD_DOC = {
+    "points": [
+        "(e0@0)", "(e0@1)", "(e2@1)", "(e3@1)", "(e0@1/3)", "(e0@2/3)", "(e1@1/3)",
+        "(e1@2/3)", "(e2@1/3)", "(e2@2/3)", "(e3@1/3)", "(e3@2/3)", "(e4@1/3)", "(e4@2/3)",
+    ],
+    "events": [
+        {"radius_user": "1", "clusters": [[4, 6], [5, 7]]},
+        {"radius_user": "2", "clusters": [list(range(14))]},
+    ],
+    "root_radius_user": "2",
+}
+LOOP_DOC = {"name": "loop", "vertices": ["a"], "edges": [{"u": "a", "v": "a"}]}
+
+
+class TestPinnedOutputs:
+    """Outputs captured before merge trees were read off the sweep's
+    partitions and before `potential` built its text only for text output."""
+
+    def test_comb5_quarter_csv(self, capsys):
+        code, out, _ = run(capsys, "merge-tree", "builtin:comb5", "--resolution", "1/4", "--csv")
+        assert code == 0
+        assert out.count("\n") == 1 + 189 * 188 // 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0c446f60f5eaee749c17fd7451501f103b0f3b1f49513052879512de7779d1db"
+        )
+
+    def test_theta_third_json(self, capsys):
+        # offsets in thirds make the merge grid 1/12
+        code, out, _ = run(capsys, "merge-tree", "builtin:theta", "--resolution", "1/3", "--json")
+        assert code == 0
+        assert out == json.dumps(THETA_THIRD_DOC, indent=2) + "\n"
+
+    def test_one_vertex_loop(self, tmp_path, capsys):
+        f = tmp_path / "loop.json"
+        f.write_text(json.dumps(LOOP_DOC))
+        argv = ("merge-tree", str(f), "--resolution", "1")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = {"points": ["(e0@0)"], "events": [], "root_radius_user": "0"}
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert run(capsys, *argv, "--csv") == (0, "i,j,point_i,point_j,mu_user\n", "")
+
+    def test_potential_path_text(self, capsys):
+        assert run(capsys, "potential", "builtin:path") == (
+            0,
+            "m: 1\nM: 2\ncenter: e0@1\ncenter: e1@0\nextremum: e0@0\nextremum: e1@1\n",
+            "",
+        )
+
+
+class TestMergeTreeRoute:
+    """`merge-tree` reads everything off one merge sweep."""
+
+    ARGV = ("merge-tree", "builtin:comb5", "--resolution", "1/4")
+
+    def test_json_takes_no_matrix_route(self, monkeypatch, capsys):
+        code, expected, _ = run(capsys, *self.ARGV, "--json")
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("the matrix route ran")
+
+        for name in ("dendrogram_from_matrix", "merge_matrix", "ultrametric_check", "MergeMatrix"):
+            monkeypatch.setattr(mergetree, name, refuse)
+        assert run(capsys, *self.ARGV, "--json") == (0, expected, "")
+
+    def test_csv_and_json_share_one_sweep(self, monkeypatch, capsys, tmp_path):
+        calls = []
+        ball_keys = mergetree.ball_keys
+
+        def counted(*args):
+            calls.append(args[1])
+            return ball_keys(*args)
+
+        monkeypatch.setattr(mergetree, "ball_keys", counted)
+        run(capsys, *self.ARGV, "--json")
+        alone = len(calls)
+        calls.clear()
+        code, _, _ = run(capsys, *self.ARGV, "--csv", str(tmp_path / "mu.csv"), "--json")
+        assert code == 0
+        assert len(calls) == alone > 0
 
 
 def _doc(edges, name="g"):

@@ -11,6 +11,8 @@ from ballflow import mergetree
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
+    Dendrogram,
+    MergeEvent,
     MergeMatrix,
     ball_check,
     build_merge_tree,
@@ -18,6 +20,7 @@ from ballflow.mergetree import (
     extinction_radius,
     merge_matrix,
     merge_radius,
+    merge_tree,
     sample_points,
     ultrametric_check,
 )
@@ -161,31 +164,70 @@ class TestMergeSweep:
             merge_matrix(path_g, sample_points(path_g, F(1, 2)))
 
 
+def pairwise_matrix(g, points):
+    """The merge-radius matrix by pairwise bisection on exact balls."""
+    pts = tuple(g.canonical_point(p) for p in points)
+    return MergeMatrix(pts, tuple(tuple(merge_radius(g, p, q) for q in pts) for p in pts))
+
+
+class TestSweepTree:
+    """The sweep's events against the threshold partitions of the pairwise
+    merge radii."""
+
+    @pytest.mark.parametrize("name", list(SWEEP_GRAPHS) + ["duplicate-vertex"])
+    def test_equals_the_pairwise_oracle(self, name):
+        if name == "duplicate-vertex":
+            g = fixtures.theta()
+            pts = duplicate_vertex_points(g)
+        else:
+            g = SWEEP_GRAPHS[name]()
+            pts = sample_points(g, F(1, 2))
+        assert build_merge_tree(g, pts) == dendrogram_from_matrix(pairwise_matrix(g, pts))
+
+
 class TestBallCheck:
-    """The exact-ball check that merge-tree runs on the sweep's matrix."""
+    """The exact-ball check that merge-tree runs on the sweep's tree."""
 
     @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
     def test_passes_on_the_sweep(self, name):
         g = SWEEP_GRAPHS[name]()
-        assert ball_check(g, merge_matrix(g, sample_points(g, F(1, 4)))) == ()
+        assert ball_check(g, build_merge_tree(g, sample_points(g, F(1, 4)))) == ()
 
     def test_flags_a_radius_one_step_off(self, theta_g):
         # grid den = 2 * lcm(2, 1, 2) = 4
-        m = merge_matrix(theta_g, [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2))])
-        r = m.mu[0][1]
-        assert ball_check(theta_g, m) == ()
-        for wrong in (r - F(1, 4), r + F(1, 4)):
-            mu = ((F(0), wrong), (wrong, F(0)))
-            assert ball_check(theta_g, MergeMatrix(m.points, mu)) == ((0, 1),)
+        d = build_merge_tree(theta_g, [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2))])
+        (ev,) = d.events
+        assert ball_check(theta_g, d) == ()
+        for wrong in (ev.radius - F(1, 4), ev.radius + F(1, 4)):
+            moved = Dendrogram(d.points, (MergeEvent(wrong, ev.clusters),))
+            assert ball_check(theta_g, moved) == ((0, 1),)
+
+    @pytest.mark.parametrize("name", ["path", "theta", "comb3"])
+    def test_flags_exactly_the_joins_of_a_moved_event(self, name):
+        g = SWEEP_GRAPHS[name]()
+        d = build_merge_tree(g, sample_points(g, F(1, 2)))
+        step = F(1, 4)  # grid den = 2 * lcm(2, 2) = 4
+        mu = d.matrix().mu
+        # j's first nearest earlier point, as ball_check picked it off the matrix
+        nearest = {j: min(range(j), key=lambda i: mu[i][j]) for j in range(1, len(mu))}
+        for k, ev in enumerate(d.events):
+            joins = sorted((i, j) for j, i in nearest.items() if mu[i][j] == ev.radius)
+            assert joins, (name, ev.radius)
+            for wrong in (ev.radius - step, ev.radius + step):
+                events = list(d.events)
+                events[k] = MergeEvent(wrong, ev.clusters)
+                moved = Dendrogram(d.points, tuple(events))
+                assert sorted(ball_check(g, moved)) == joins, (name, ev.radius, wrong)
 
     def test_merge_tree_exits_3_on_a_wrong_matrix(self, monkeypatch, capsys):
+        # the root event of path at step 1/2 comes one unit late: point 1
+        # first joins point 0 there, at 3 instead of 2
         def late(g, points):
-            m = merge_matrix(g, points)
-            mu = [list(row) for row in m.mu]
-            mu[0][1] = mu[1][0] = mu[0][1] + 1
-            return MergeMatrix(m.points, tuple(map(tuple, mu)))
+            d = merge_tree(g, points)
+            *head, root = d.events
+            return Dendrogram(d.points, (*head, MergeEvent(root.radius + 1, root.clusters)))
 
-        monkeypatch.setattr(mergetree, "merge_matrix", late)
+        monkeypatch.setattr(mergetree, "merge_tree", late)
         assert cli.main(["merge-tree", "builtin:path", "--resolution", "1/2"]) == 3
         err = capsys.readouterr().err
         assert "contradict the exact balls at pairs ((0, 1)" in err

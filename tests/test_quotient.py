@@ -16,7 +16,7 @@ from ballflow.quotient import (
     subdivision,
 )
 
-from conftest import relabeled
+from conftest import cell_partition, relabeled
 
 
 def cell_reps(sub):
@@ -82,16 +82,17 @@ class TestProjectionAgainstBruteForce:
         X = full_set(g)
         for r in radii:
             q = project(g, r)
-            reps = cell_reps(q.sub)
+            sub = subdivision(g, q.radius)
+            reps = cell_reps(sub)
             balls = [closed_ball(g, p, r) for p in reps]
-            nv = len(q.sub.vertex_cells)
-            for part in q.cell_partition():
+            parts = cell_partition(sub, q)
+            for part in parts:
                 ids = sorted(part)
                 # within a class all representative balls agree
                 for i in ids[1:]:
                     assert sets_equal(g, balls[ids[0]], balls[i]), (name, r, ids)
                 # the collapsed region is exactly the ball-X cells
-                if q.x_vertex is not None and ids[0] in q.cell_partition()[q.x_vertex]:
+                if q.x_vertex is not None and ids[0] in parts[q.x_vertex]:
                     for i in ids:
                         assert sets_equal(g, balls[i], X)
             # distinct vertex classes carry distinct balls
@@ -104,9 +105,10 @@ class TestProjectionAgainstBruteForce:
         g = fixtures.random_tree(8, seed=3)
         for r in [F(1, 2), F(9, 8), g.diameter() / 2, g.diameter()]:
             q = project(g, r)
-            reps = cell_reps(q.sub)
+            sub = subdivision(g, q.radius)
+            reps = cell_reps(sub)
             balls = [closed_ball(g, p, r) for p in reps]
-            for part in q.cell_partition():
+            for part in cell_partition(sub, q):
                 ids = sorted(part)
                 for i in ids[1:]:
                     assert sets_equal(g, balls[ids[0]], balls[i]), r
@@ -114,8 +116,9 @@ class TestProjectionAgainstBruteForce:
     def test_segment_orientation_brute(self, theta_g):
         for r in [F(1), F(5, 4), F(3, 2)]:
             q = project(theta_g, r)
+            sub = subdivision(theta_g, q.radius)
             for cls in q.edge_classes:
-                cells = [q.sub.segment_cells[i] for i in cls]
+                cells = [sub.segment_cells[i] for i in cls]
                 lead = cells[0]
                 bq = closed_ball(theta_g, lead.quarter, r)
                 b3 = closed_ball(theta_g, lead.three_quarter, r)
