@@ -43,8 +43,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 # load_graph() refuses more unit edges than this.  Memory grows as E^2: the vertex
 # distance matrix and levelkeys' int8 key rows (points x edges).  project at radius
-# 3/2 peaked at 68, 193, 356 and 585 MB RSS at 971, 2,028, 2,901 and 3,967 unit
-# edges of a random unit-length graph (2 x86-64 cores).  No fixture or benchmark
+# 3/2 peaked at 72, 107, 197 and 331 MB RSS at 971, 2,028, 2,901 and 3,967 unit
+# edges of random_connected graphs (2 x86-64 cores).  No fixture or benchmark
 # graph has more than 200.
 MAX_UNIT_EDGES = 4_000
 # entries per (points x edges) array of _quarter_eccentricities' chunks
@@ -120,7 +120,7 @@ class MetricGraph:
                 self._incidence[u].append((i, 1))
         self._check_connected()
         self._dist: np.ndarray | None = None
-        self._diameter: Fraction | None = None
+        self._phi8: np.ndarray | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -264,7 +264,10 @@ class MetricGraph:
 
     def _quarter_eccentricities(self) -> np.ndarray:
         """Phi at the offsets k/4, k = 0..4, of every unit edge, in eighths: an
-        (E, 5) int64 table of `eccentricity`'s formulas (see the module docstring)."""
+        (E, 5) read-only int64 table of `eccentricity`'s formulas (see the module
+        docstring), computed once per graph."""
+        if self._phi8 is not None:
+            return self._phi8
         D = self.vertex_distance_matrix()
         tails, heads = np.array(self.edges, dtype=np.int64).T
         E = self.num_edges
@@ -289,6 +292,8 @@ class MetricGraph:
             right = np.minimum(np.minimum(2 * (4 - k), 2 * (b + 4 - k)), b + 4 - k)
             own_peak = np.where((k > 0) & (k < 4), np.maximum(left, right), 4 + a + b)
             table[own] = np.maximum(peaks.max(axis=2), own_peak)
+        table.flags.writeable = False
+        self._phi8 = table
         return table
 
     def potential_profile(self) -> "PotentialProfile":
@@ -305,9 +310,7 @@ class MetricGraph:
 
     def diameter(self) -> Fraction:
         """Exact diameter: the largest eccentricity, read off the quarter grid."""
-        if self._diameter is None:
-            self._diameter = Fraction(int(self._quarter_eccentricities().max()), 8)
-        return self._diameter
+        return Fraction(int(self._quarter_eccentricities().max()), 8)
 
     # -- conversions ---------------------------------------------------------
 

@@ -37,19 +37,16 @@ def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
     """Classes of equal closed balls of radius r about the points `cells`,
     an (P, 2) integer array of rows (edge, offset * S).
 
-    Returns (labels, full): labels[i] is the least j with ball(j) == ball(i),
-    and full[i] is True iff ball(i) is the whole graph.
+    Returns labels: labels[i] is the least j with ball(j) == ball(i).
     """
     rows = key_rows(g, r, cells, S)
-    E = g.num_edges
-    full = (rows[:, :E] == S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
     if rows.dtype == object:
         first: dict = {}
         labels = [first.setdefault(tuple(row), i) for i, row in enumerate(rows.tolist())]
-        return np.array(labels, dtype=np.int64), full
+        return np.array(labels, dtype=np.int64)
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, index, inverse = np.unique(void, return_index=True, return_inverse=True)
-    return index[inverse], full
+    return index[inverse]
 
 
 def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:

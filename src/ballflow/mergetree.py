@@ -123,7 +123,7 @@ def _merge_sweep(g: MetricGraph, pts: list[GraphPoint]):
     for k in range(1, hi + 1):
         if len(reps) < 2:
             return
-        same, _full = ball_keys(g, Fraction(k, den), cells[reps], den)
+        same = ball_keys(g, Fraction(k, den), cells[reps], den)
         if (same < np.arange(len(reps))).any():
             to = np.arange(len(pts))
             to[reps] = reps[same]

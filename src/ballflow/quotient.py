@@ -5,6 +5,22 @@ Identification of cells is all-or-nothing per open segment cell, so the
 quotient is computed from one representative ball per cell (the midpoint),
 with quarter-point representatives fixing the gluing orientation inside
 multi-member classes.
+
+A level keys only the balls whose class it cannot tell otherwise:
+
+* B(p, r) = X iff Phi(p) <= r, and Phi is linear between quarter points
+  (proof in `graph`), so the full cells, the class X, come from exact
+  integer interpolation of the quarter-point table.  A full segment has
+  full ends (Phi is continuous), so X's least cell is a vertex cell.
+* The other vertex cells are keyed in one `ball_keys` call.
+* If two open segment cells have equal midpoint balls they are identified
+  whole, and as p -> B(p, r) is 1-Lipschitz into the Hausdorff metric, so
+  are their ends: their unordered pairs of endpoint classes (X for a full
+  end) are equal.  A segment cell identified with a vertex cell has both
+  ends in that cell's class.  So a non-full midpoint is keyed only when its
+  pair is shared with another non-full segment, or when both ends lie in
+  one class other than X, whose least cell joins the call.  Any other
+  non-full midpoint has a ball of its own.
 """
 
 from __future__ import annotations
@@ -157,12 +173,42 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
 
 
 def _level(g: MetricGraph, r: Fraction):
-    """The cells and the ball classes of their representatives: the vertex
-    cells, then the segment midpoints."""
+    """The cells, and per cell (vertex cells, then segment midpoints) the
+    least cell with an equal ball and whether that ball is X."""
     c = _cells(g, r)
-    mid = np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)
-    labels, full = ball_keys(g, r, np.concatenate([c.vertex, mid]), c.S)
+    nv = len(c.vertex)
+    points = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
+    full = _full(g, r, points, c.S)
+    labels = np.arange(len(full))
+    labels[full] = np.argmax(full)
+    open_v = np.flatnonzero(~full[:nv])
+    if len(open_v):
+        labels[open_v] = open_v[ball_keys(g, r, c.vertex[open_v], c.S)]
+    # unordered pairs of endpoint classes of the open segments; full ends carry X's label
+    seg = np.flatnonzero(~full[nv:])
+    a, b = labels[c.tail_cell[seg]], labels[c.head_cell[seg]]
+    pairs = np.minimum(a, b) * nv + np.maximum(a, b)
+    _, pair, count = np.unique(pairs, return_inverse=True, return_counts=True)
+    loop = (a == b) & ~full[a]
+    keyed = seg[(count[pair] > 1) | loop]
+    ids = np.concatenate([np.unique(a[loop]), nv + keyed])
+    if len(keyed):
+        labels[nv + keyed] = ids[ball_keys(g, r, points[ids], c.S)][-len(keyed) :]
     return c, labels, full
+
+
+def _full(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
+    """Whether Phi <= r, i.e. the ball is X, at each cell (edge, offset * S):
+    8q * Phi interpolated between the quarter-point table's eighths, q = S / 4."""
+    T = g._quarter_eccentricities()
+    q, bound = S // 4, int(2 * S * r)  # bound = 8q * r
+    if max(int(T.max()) * q, bound) >= INT64_SAFE:
+        T = T.astype(object)
+    e, t = cells[:, 0].astype(np.int64), cells[:, 1]
+    k = np.minimum(t // q, 3)
+    f = t - k * q
+    k = k.astype(np.int64)
+    return T[e, k] * (q - f) + T[e, k + 1] * f <= bound
 
 
 def _classes(ids: np.ndarray, labels: np.ndarray):
@@ -229,7 +275,7 @@ def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> N
     lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
     quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
     three_quarter = np.stack([edge, lo + 3 * (hi - lo) // 4], axis=1)
-    labels, _full = ball_keys(g, r, np.concatenate([quarter, three_quarter]), c.S)
+    labels = ball_keys(g, r, np.concatenate([quarter, three_quarter]), c.S)
     kq, k3q = labels[: len(members)], labels[len(members) :]
     bad = np.flatnonzero((kq != kq[lead]) & (k3q != kq[lead]))
     if len(bad):

@@ -7,7 +7,8 @@ by a second, independent route.  closed_ball itself is checked against
 closed_ball_oracle, its construction in `Fraction` arithmetic on every edge,
 and the array-based smoothing and canonical code of `canon` against
 smooth_oracle and canonical_code_oracle, their chain walk and per-vertex
-Python BFS with recursive search.
+Python BFS with recursive search.  level_oracle is the one-pass level that
+keys every cell's ball, against which the level's selective keying is checked.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from ballflow import fixtures
+from ballflow import fixtures, quotient
 from ballflow.balls import BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
 from ballflow.canon import _twin_representatives, refine_colors
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
+from ballflow.levelkeys import ball_keys, key_rows
+from ballflow.mergetree import MergeMatrix, merge_radius
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
 ZERO = Fraction(0)
@@ -141,6 +144,13 @@ def brute_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]) -> list[li
     return classes
 
 
+def pairwise_matrix(g: MetricGraph, points) -> MergeMatrix:
+    """The merge-radius matrix by pairwise bisection on exact balls, which is
+    not an ultrametric by construction."""
+    pts = tuple(g.canonical_point(p) for p in points)
+    return MergeMatrix(pts, tuple(tuple(merge_radius(g, p, q) for q in pts) for p in pts))
+
+
 def cell_partition(sub, q) -> list[set[int]]:
     """Partition of all cell ids of `sub`, the level's subdivision (vertex
     cells first, then segment cells offset by the vertex-cell count), into
@@ -255,6 +265,16 @@ def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):
         labels.append(first.setdefault(cov, i))
         full.append(cov == X)
     return labels, full
+
+
+def level_oracle(g: MetricGraph, r: Fraction):
+    """`quotient._level` by keying every vertex cell and segment midpoint in
+    one `ball_keys` call, with X read off the key rows: (cells, labels, full)."""
+    c = quotient._cells(g, r)
+    cells = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
+    rows, E = key_rows(g, r, cells, c.S), g.num_edges
+    full = (rows[:, :E] == c.S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
+    return c, ball_keys(g, r, cells, c.S), full
 
 
 def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:

@@ -24,14 +24,13 @@ from ballflow.evolution import candidate_grid, distinct_types, timeline
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
     build_merge_tree,
-    merge_matrix,
     merge_radius,
     sample_points,
     ultrametric_check,
 )
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import brute_classes, cell_partition, hausdorff_oracle
+from conftest import brute_classes, cell_partition, hausdorff_oracle, pairwise_matrix
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:
@@ -400,8 +399,7 @@ def test_criterion_10_ultrametric():
     detail = []
     for g in graphs:
         pts = [g.canonical_point(p) for p in sample_points(g, F(1, 4))]
-        m = merge_matrix(g, pts)
-        if not ultrametric_check(m).ok:
+        if not ultrametric_check(pairwise_matrix(g, pts)).ok:
             ok = False
             detail.append(f"{g.name}: triangle violation")
             continue

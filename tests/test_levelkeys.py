@@ -9,9 +9,10 @@ import pytest
 from ballflow import fixtures, levelkeys, quotient
 from ballflow.errors import InternalConsistencyError
 from ballflow.evolution import timeline_loci
-from ballflow.graph import GraphPoint
+from ballflow.graph import GraphPoint, load_graph
 
-from conftest import center_edge_oracle, coverage_classes
+from conftest import center_edge_oracle, coverage_classes, level_oracle
+from test_acceptance import big_graph
 
 GRAPHS = {
     "path": fixtures.path,
@@ -58,14 +59,89 @@ def level_points(g, r):
     return cells, c.S, [GraphPoint(int(e), F(int(t), c.S)) for e, t in cells]
 
 
+def level_radii(g):
+    """Every timeline locus of g, and three radii off its 1/8 grid."""
+    return [r for r, _on_grid in timeline_loci(g)] + [F(1, 3), F(5, 12), F(7, 10)]
+
+
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_classes_match_fraction_balls(name):
     g = GRAPHS[name]()
-    radii = [r for r, _on_grid in timeline_loci(g)] + [F(1, 3), F(5, 12), F(7, 10)]
-    for r in radii:
+    for r in level_radii(g):
         cells, S, pts = level_points(g, r)
-        labels, full = levelkeys.ball_keys(g, r, cells, S)
-        assert (labels.tolist(), full.tolist()) == coverage_classes(g, r, pts), r
+        labels = levelkeys.ball_keys(g, r, cells, S)
+        assert labels.tolist() == coverage_classes(g, r, pts)[0], r
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_phi_full_matches_fraction_balls(name):
+    """A cell's ball is X iff the interpolated quarter-point table gives
+    Phi <= r, at vertex cells, midpoints, quarter and three-quarter points."""
+    g = GRAPHS[name]()
+    for r in level_radii(g):
+        cells, S, pts = level_points(g, r)
+        assert quotient._full(g, r, cells, S).tolist() == coverage_classes(g, r, pts)[1], r
+
+
+def kite():
+    """A triangle with a loop, a doubled edge and two pendant edges."""
+    edges = ("ab", "ab", "bc", "ca", "ad", "be", "cc")
+    return load_graph(
+        {"name": "kite", "vertices": list("abcde"), "edges": [{"u": u, "v": v} for u, v in edges]}
+    )
+
+
+LEVEL_GRAPHS = {
+    "big200": big_graph,
+    "comb5": lambda: fixtures.comb(5),
+    "comb3": lambda: fixtures.comb(3),
+    "theta": fixtures.theta,
+    "c6": fixtures.c6,
+    "path": fixtures.path,
+    "cycle5": lambda: fixtures.cycle(5),
+    "kite": kite,
+    **{
+        f"rand{n}+{m}s{s}": (lambda n=n, m=m, s=s: fixtures.random_connected(n, m, s))
+        for n, m, s in [
+            (4, 1, 0), (4, 1, 1), (6, 2, 2), (6, 3, 3), (8, 2, 4), (8, 4, 5),
+            (10, 3, 6), (10, 5, 7), (12, 4, 8), (12, 6, 9), (16, 5, 10), (20, 8, 11),
+        ]
+    },
+    **{
+        f"tree{n}s{s}": (lambda n=n, s=s: fixtures.random_tree(n, s))
+        for n, s in [(5, 0), (6, 1), (8, 2), (10, 3), (14, 4)]
+    },
+}
+
+
+def assert_level_matches_oracle(g, r, want=None):
+    c, labels, full = quotient._level(g, r)
+    _, want_labels, want_full = want or level_oracle(g, r)
+    assert labels.tolist() == want_labels.tolist(), r
+    assert full.tolist() == want_full.tolist(), r
+    nv = len(c.vertex)
+    assert quotient._injective(labels, full, nv) == quotient._injective(want_labels, want_full, nv), r
+
+
+@pytest.mark.parametrize("name", list(LEVEL_GRAPHS))
+def test_level_matches_one_pass_oracle(name):
+    """Keying only the balls whose class is unknown gives the labels, X cells
+    and injectivity of keying every vertex cell and midpoint."""
+    g = LEVEL_GRAPHS[name]()
+    for r in level_radii(g):
+        assert_level_matches_oracle(g, r)
+
+
+@pytest.mark.parametrize("name", ["theta", "kite", "comb3", "rand8+4s5"])
+def test_level_on_python_integers_matches_oracle(name, monkeypatch):
+    g = LEVEL_GRAPHS[name]()
+    radii = level_radii(g)
+    want = {r: level_oracle(g, r) for r in radii}
+    monkeypatch.setattr(quotient, "INT64_SAFE", 0)
+    monkeypatch.setattr(levelkeys, "INT64_SAFE", 0)
+    assert quotient._cells(g, radii[0]).vertex.dtype == object
+    for r in radii:
+        assert_level_matches_oracle(g, r, want[r])
 
 
 def test_rows_are_int8_on_the_timeline_grid():
@@ -88,12 +164,14 @@ class TestErrorContext:
     def test_orientation_failure(self, theta_g, monkeypatch):
         real = quotient.ball_keys
         c = quotient._cells(theta_g, F(1))
+        # the quarter and three-quarter points of the level's segment cells
+        segments = zip(c.edge.tolist(), c.lo.tolist(), (c.hi - c.lo).tolist())
+        quarters = {(e, lo + k * w // 4) for e, lo, w in segments for k in (1, 3)}
 
         def scrambled(g, r, cells, S):
-            labels, full = real(g, r, cells, S)
-            if len(cells) == len(c.vertex) + len(c.edge):
-                return labels, full  # the level's own cells
-            return np.arange(len(cells)), full  # quarter points: every ball distinct
+            if all(tuple(cell) in quarters for cell in cells.tolist()):
+                return np.arange(len(cells))  # the orientation check's call: every ball distinct
+            return real(g, r, cells, S)
 
         monkeypatch.setattr(quotient, "ball_keys", scrambled)
         with pytest.raises(
@@ -106,7 +184,8 @@ class TestErrorContext:
 
 def test_project_memory_is_bounded():
     """On 1,373 unit edges the kernel before chunked int8 rows traced a
-    519 MB peak in `project` at r = 3/2; this one traces about 58 MB."""
+    519 MB peak in `project` at r = 3/2; keying every cell's ball in int8
+    rows traced about 58 MB, and keying only the unknown ones about 35 MB."""
     g = fixtures.random_connected(700, 300, 1)
     assert g.num_edges == 1373
     g.vertex_distance_matrix()

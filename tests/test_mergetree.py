@@ -25,7 +25,7 @@ from ballflow.mergetree import (
     ultrametric_check,
 )
 
-from conftest import brute_classes, grid_points
+from conftest import brute_classes, grid_points, pairwise_matrix
 
 
 def star4():
@@ -158,16 +158,10 @@ class TestMergeSweep:
     def test_classes_left_at_diameter_are_an_engine_bug(self, path_g, monkeypatch):
         # every ball distinct at every radius
         monkeypatch.setattr(
-            mergetree, "ball_keys", lambda g, r, cells, S: (np.arange(len(cells)), None)
+            mergetree, "ball_keys", lambda g, r, cells, S: np.arange(len(cells))
         )
         with pytest.raises(InternalConsistencyError, match="differ at the diameter"):
             merge_matrix(path_g, sample_points(path_g, F(1, 2)))
-
-
-def pairwise_matrix(g, points):
-    """The merge-radius matrix by pairwise bisection on exact balls."""
-    pts = tuple(g.canonical_point(p) for p in points)
-    return MergeMatrix(pts, tuple(tuple(merge_radius(g, p, q) for q in pts) for p in pts))
 
 
 class TestSweepTree:
@@ -265,8 +259,7 @@ class TestUltrametric:
     def test_holds_on_fixtures(self):
         for name in ["path", "theta", "c6"]:
             g = fixtures.builtin(name)
-            m = merge_matrix(g, sample_points(g, F(1, 2)))
-            assert ultrametric_check(m).ok, name
+            assert ultrametric_check(pairwise_matrix(g, sample_points(g, F(1, 2)))).ok, name
 
     def test_negative_control(self):
         # 1-2-3 chain distances violate the strong triangle inequality
