@@ -2,7 +2,8 @@
 
 Radii and coordinates on the command line are in user units and converted
 through the graph's scale factor.  All output is exact reduced-fraction
-strings; --approx appends decimal columns without replacing them.
+strings; --approx (potential and robustness) appends decimal columns
+without replacing them.
 
 Exit codes: 0 success, 2 invalid input, 3 internal-consistency failure.
 """
@@ -24,8 +25,11 @@ def _load(graph_arg: str) -> MetricGraph:
     if graph_arg.startswith("builtin:"):
         name = graph_arg.split(":", 1)[1]
         if name.startswith("comb"):
-            teeth = name[4:]
-            return fixtures.comb(int(teeth) if teeth else 5)
+            teeth = name[4:] or "5"
+            # comb(n) normalizes to 3 * 2^(n - 1) - 1 unit edges: 6,143 at n = 12
+            if not teeth.isdigit() or not 1 <= int(teeth) <= 11:
+                raise ValidationError(f"builtin comb takes 1 to 11 teeth, got {name!r}")
+            return fixtures.comb(int(teeth))
         try:
             return fixtures.builtin(name)
         except KeyError:
@@ -293,9 +297,10 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _add_common(sp, json_opt=False, csv_opt=False, dot_opt=False):
+def _add_common(sp, approx_opt=False, json_opt=False, csv_opt=False, dot_opt=False):
     sp.add_argument("graph", help="graph JSON file, or builtin:<name>")
-    sp.add_argument("--approx", action="store_true", help="append decimal approximations")
+    if approx_opt:
+        sp.add_argument("--approx", action="store_true", help="append decimal approximations")
     if json_opt:
         sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     if csv_opt:
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_info)
 
     sp = sub.add_parser("potential", help="eccentricity range, centers, extrema")
-    _add_common(sp, json_opt=True)
+    _add_common(sp, approx_opt=True, json_opt=True)
     sp.set_defaults(fn=cmd_potential)
 
     sp = sub.add_parser("ball", help="closed ball about a point")
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_timeline)
 
     sp = sub.add_parser("robustness", help="embedding-radius bracket")
-    _add_common(sp)
+    _add_common(sp, approx_opt=True)
     sp.add_argument("--exact", action="store_true", help="refine via merge radii")
     sp.set_defaults(fn=cmd_robustness)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
-from .quotient import Fingerprint, fingerprint, is_injective, project, subdivision
+from .quotient import Fingerprint, _cells, fingerprint, is_injective, project
 
 QUARTER = Fraction(1, 4)
 EIGHTH = Fraction(1, 8)
@@ -154,11 +154,8 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
 def _exact_failure(g: MetricGraph, fail: Fraction) -> Fraction:
     """Minimum pairwise merge radius over the subdivision-vertex and
     segment-midpoint representatives at the failing radius: the first
-    radius at which the merge sweep joins two of them."""
-    sub = subdivision(g, fail)
-    reps = {g.canonical_point(p) for p in sub.vertex_cells}
-    reps |= {c.midpoint for c in sub.segment_cells}
-    if len(reps) < 2:
-        raise ValidationError("need at least two representatives")
-    r, _ = next(_merge_sweep(g, list(reps)))
+    radius at which the merge sweep joins two of them.  The level's cell
+    rows give each point once: a vertex by one incident end."""
+    c = _cells(g, fail)
+    r, _ = next(_merge_sweep(g, c.representatives(), c.S))
     return r

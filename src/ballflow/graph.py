@@ -394,11 +394,15 @@ class PotentialProfile:
 def load_graph(document) -> MetricGraph:
     """Build the normalized unit-edge graph from a graph-description document.
 
-    Accepts a dict, a JSON string, or a path-like from which JSON is read via
-    load_graph_file.  Lengths are positive rationals; default length "1".
+    Accepts a dict or a JSON string; `load_graph_file` reads a file.
+    Vertex names are strings or numbers.  Lengths are positive rationals;
+    default length "1".
     """
     if isinstance(document, str):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValidationError("graph document must be a JSON object")
     name = document.get("name", "graph")
@@ -408,12 +412,16 @@ def load_graph(document) -> MetricGraph:
         raise ValidationError("document must list vertices")
     if not isinstance(edges_doc, list) or not edges_doc:
         raise ValidationError("document must list at least one edge")
+    if not all(isinstance(v, (str, int, float)) for v in vertices):
+        raise ValidationError(f"vertex names must be strings or numbers, got {vertices}")
     if len(set(vertices)) != len(vertices):
         raise ValidationError("duplicate vertex names")
     index = {str(v): i for i, v in enumerate(vertices)}
 
     parsed = []
     for item in edges_doc:
+        if not isinstance(item, dict):
+            raise ValidationError(f"edge must be an object, got {item!r}")
         try:
             u = index[str(item["u"])]
             v = index[str(item["v"])]

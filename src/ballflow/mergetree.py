@@ -3,14 +3,38 @@
 The merge radius of two points is the smallest r at which their closed
 r-balls coincide.  Ball equality is monotone in r (a larger ball is the
 dilation of a smaller one), and every merge radius of a point set lies on the
-grid k/den, den = 2 * lcm(2, offset denominators): a coincidence of ball
-boundaries solves a linear equation with such a denominator.  `merge_tree`
-therefore sweeps that grid once, with one `ball_keys` call per radius for one
-point of each class of equal balls, until one class is left; each radius
-where classes merge is one event of the dendrogram, and the merge-radius
-matrix and `ball_check` read the events.  Pairwise bisection over exact
-`Fraction` balls (`merge_radius`, `extinction_radius`), `ultrametric_check`
-and `dendrogram_from_matrix` are kept as the independent oracle.
+grid k/den, den = lcm(2, offset denominators).  `merge_tree` therefore sweeps
+that grid once, with one `ball_keys` call per radius for one point of each
+class of equal balls, until one class is left; each radius where classes
+merge is one event of the dendrogram, and the merge-radius matrix and
+`ball_check` read the events.  Pairwise bisection over exact balls
+(`merge_radius`, `extinction_radius`, on the grid of twice that den),
+`ultrametric_check` and `dendrogram_from_matrix` are kept as the independent
+oracle.
+
+Proof of the grid.  Let p lie at offset t on its edge; every offset of the
+set lies on (1/den)Z, and so does 1/2.  For every vertex w,
+d(p, w) = min(t + d(tail, w), 1 - t + d(head, w)) lies in +-t + Z.  The
+`levelkeys` row of B(p, r) changes form only at these radii:
+
+* a reach r - d(p, w) crossing 0 or 1: r in +-t + Z;
+* the two end intervals of an edge (u, v) meeting, at
+  r = (1 + d(p, u) + d(p, v)) / 2, with d(p, u) + d(p, v) in {+-2t, 0} + Z;
+* on p's own edge, the centre interval [t - r, t + r] reaching 0 or 1
+  (r = t or 1 - t), or an end interval: r = (t + d(p, u)) / 2 at the tail u,
+  r = (1 - t + d(p, v)) / 2 at the head v.
+
+Each of these lies in (1/2)Z, (1/2)Z + t or (1/2)Z - t, so on (1/den)Z.
+Between two consecutive grid radii every coordinate of a row is either a
+clipped constant or an unclipped end strictly inside the edge: r - d or
+t + r (slope +1, the upper ends) and 1 - r + d or t - r (slope -1, the
+lower ends).  In one column of two rows, two unclipped ends have equal
+slopes, so they are equal on the whole open interval or nowhere in it, and
+a clipped constant never equals an unclipped end there.  So row equality,
+i.e. ball equality, is constant on each open interval.  As B(p, a) is the
+intersection of the B(p, r), r > a, the radii of equality form a closed
+half-line [a, oo); were a inside an open interval, equality would hold just
+below it too.  So every merge radius a is a grid point.
 """
 
 from __future__ import annotations
@@ -26,6 +50,14 @@ from .balls import BallSet, closed_ball, full_set, sets_equal
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
 from .levelkeys import ball_keys
+
+# Cap on the points of `sample_points`.  The cost grows about as the square
+# of the point count: `merge-tree builtin:path --csv`, which writes one row
+# per pair, took 1.4 s, 6.0 s and 31 s with 59, 145 and 498 MB peak RSS at
+# 501, 1,001 and 2,001 points, and `--json` alone 9.3 s and 614 MB at 4,001
+# (2 x86-64 cores).  The largest sample of the tests and the benchmark is
+# 753 points (comb5 at step 1/16).
+MAX_SAMPLE_POINTS = 2_000
 
 # each graph's own {(point, radius): ball} memo, dropped with the graph
 _ball_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -92,6 +124,11 @@ def sample_points(g: MetricGraph, step: Fraction) -> list[GraphPoint]:
     if step <= 0 or 1 % step != 0:
         raise ValidationError(f"step must be a positive divisor of 1, got {step}")
     n = int(1 / step)
+    count = g.num_vertices + g.num_edges * (n - 1)
+    if count > MAX_SAMPLE_POINTS:
+        raise ValidationError(
+            f"step {step} samples {count} points, over the cap of {MAX_SAMPLE_POINTS}"
+        )
     pts = [g.vertex_point(v) for v in range(g.num_vertices)]
     for e in range(g.num_edges):
         for k in range(1, n):
@@ -105,27 +142,25 @@ class MergeMatrix:
     mu: tuple[tuple[Fraction, ...], ...]
 
 
-def _grid_den(pts: list[GraphPoint]) -> int:
-    return 2 * math.lcm(2, *(p.t.denominator for p in pts))
-
-
-def _merge_sweep(g: MetricGraph, pts: list[GraphPoint]):
+def _merge_sweep(g: MetricGraph, cells, S: int):
     """Yield (r, label) at each grid radius where classes of equal balls about
-    the canonical points merge; label[i] is the least index in i's class."""
-    first: dict[GraphPoint, int] = {}
-    label = np.array([first.setdefault(p, i) for i, p in enumerate(pts)], dtype=np.int64)
+    the points `cells`, integer rows (edge, offset * S) that give each point
+    by one row only, merge; label[i] is the least index in i's class."""
+    first: dict[tuple, int] = {}
+    label = np.array([first.setdefault(tuple(c), i) for i, c in enumerate(cells.tolist())], dtype=np.int64)
     reps = np.array(list(first.values()), dtype=np.int64)  # one point per class, ascending
-    if len(reps) < len(pts):
+    if len(reps) < len(cells):
         yield Fraction(0), label.copy()
-    den = _grid_den(pts)
-    cells = np.array([(p.edge, int(p.t * den)) for p in pts], dtype=np.int64)
+    m = S // math.gcd(S, *cells[:, 1].tolist())  # the offsets' least common denominator
+    den = math.lcm(2, m)
+    cells = np.stack([cells[:, 0], cells[:, 1] // (S // m) * (den // m)], axis=1)
     hi = (g.diameter() * den).__ceil__()
     for k in range(1, hi + 1):
         if len(reps) < 2:
             return
         same = ball_keys(g, Fraction(k, den), cells[reps], den)
         if (same < np.arange(len(reps))).any():
-            to = np.arange(len(pts))
+            to = np.arange(len(cells))
             to[reps] = reps[same]
             label = to[label]
             reps = reps[same == np.arange(len(reps))]
@@ -218,7 +253,9 @@ def merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
     """The merge sweep's dendrogram of the canonical points; its partitions
     are nested by construction, each relabelling the classes of the last."""
     pts = [g.canonical_point(p) for p in points]
-    return Dendrogram(tuple(pts), _events(len(pts), _merge_sweep(g, pts)))
+    S = math.lcm(*(p.t.denominator for p in pts))
+    cells = np.array([(p.edge, int(p.t * S)) for p in pts], dtype=np.int64).reshape(-1, 2)
+    return Dendrogram(tuple(pts), _events(len(pts), _merge_sweep(g, cells, S)))
 
 
 def build_merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
@@ -236,10 +273,10 @@ def merge_matrix(g: MetricGraph, points: list[GraphPoint]) -> MergeMatrix:
 def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
     interval balls (`closed_ball`) are unequal at their merge radius or equal
-    one grid step below it.  By the ultrametric property, i is the least
+    half a sweep step below it.  By the ultrametric property, i is the least
     member of the first cluster that holds j and an earlier point.  It never
     reads `ball_keys` rows, so it checks the sweep by an independent route."""
-    step = Fraction(1, _grid_den(d.points))
+    step = Fraction(1, 2 * math.lcm(2, *(p.t.denominator for p in d.points)))
     joins: dict[int, tuple[int, Fraction]] = {}
     for ev in d.events:
         for c in ev.clusters:

@@ -16,11 +16,24 @@ A level keys only the balls whose class it cannot tell otherwise:
 * If two open segment cells have equal midpoint balls they are identified
   whole, and as p -> B(p, r) is 1-Lipschitz into the Hausdorff metric, so
   are their ends: their unordered pairs of endpoint classes (X for a full
-  end) are equal.  A segment cell identified with a vertex cell has both
-  ends in that cell's class.  So a non-full midpoint is keyed only when its
-  pair is shared with another non-full segment, or when both ends lie in
-  one class other than X, whose least cell joins the call.  Any other
-  non-full midpoint has a ball of its own.
+  end) are equal.  Likewise a segment cell identified with a vertex cell
+  has both ends in that cell's class, and by the lemma below that class is
+  X, so the segment is full.  So a non-full midpoint is keyed, with the
+  other non-full midpoints only, when its pair is shared with another
+  non-full segment; any other non-full midpoint has a ball of its own.
+
+Lemma: let a and b, at offsets x < y on an edge e, have B(a, r) = B(b, r)
+= B != X, and let m be their midpoint.  Then B(m, r) != B.  If m is not in
+B, B(m, r), which holds m, differs from B.  Otherwise, as m - x = y - m,
+either both a and b reach m along [x, y], or both reach it only through
+the far end of e, passing over the other's side of [x, y]; either way B
+holds [x, y] and a neighbourhood of each of its points.  As X is connected
+and B is closed, B has a frontier point z, so z lies off [x, y], and as z
+is on the frontier of both B(a, r) and B(b, r), d(a, z) = d(b, z) = r.  On
+[x, y], s -> d(s, z) is a minimum of lines of slope +-1 (through e's ends,
+or straight along e when z lies on e), so, equal to r at x and at y, it
+rises with slope 1 from x and falls with slope 1 to y, peaking at m with
+d(m, z) = r + (y - x) / 2.  So z is not in B(m, r).
 """
 
 from __future__ import annotations
@@ -84,7 +97,9 @@ def cut_offsets(r: Fraction) -> list[Fraction]:
 
 
 def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
-    """The cells of the level at r as points and segments, vertices first."""
+    """The cells of the level at r as points and segments, vertices first:
+    the `Fraction` reference for the tests and the benchmark's timeline
+    oracle.  The engine works on `_cells`."""
     r = Fraction(r)
     c = _cells(g, r)
     V = g.num_vertices
@@ -142,6 +157,10 @@ class _Cells(NamedTuple):
     tail_cell: np.ndarray
     head_cell: np.ndarray
 
+    def representatives(self) -> np.ndarray:
+        """Rows (edge, offset * S) of the vertex cells, then the segment midpoints."""
+        return np.concatenate([self.vertex, np.stack([self.edge, (self.lo + self.hi) // 2], axis=1)])
+
 
 def _cells(g: MetricGraph, r: Fraction) -> _Cells:
     if r <= 0:
@@ -177,7 +196,7 @@ def _level(g: MetricGraph, r: Fraction):
     least cell with an equal ball and whether that ball is X."""
     c = _cells(g, r)
     nv = len(c.vertex)
-    points = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
+    points = c.representatives()
     full = _full(g, r, points, c.S)
     labels = np.arange(len(full))
     labels[full] = np.argmax(full)
@@ -189,11 +208,9 @@ def _level(g: MetricGraph, r: Fraction):
     a, b = labels[c.tail_cell[seg]], labels[c.head_cell[seg]]
     pairs = np.minimum(a, b) * nv + np.maximum(a, b)
     _, pair, count = np.unique(pairs, return_inverse=True, return_counts=True)
-    loop = (a == b) & ~full[a]
-    keyed = seg[(count[pair] > 1) | loop]
-    ids = np.concatenate([np.unique(a[loop]), nv + keyed])
+    keyed = nv + seg[count[pair] > 1]
     if len(keyed):
-        labels[nv + keyed] = ids[ball_keys(g, r, points[ids], c.S)][-len(keyed) :]
+        labels[keyed] = keyed[ball_keys(g, r, points[keyed], c.S)]
     return c, labels, full
 
 

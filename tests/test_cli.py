@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ballflow import cli, fixtures, mergetree
+from ballflow import cli, fixtures, mergetree, quotient
 from ballflow.balls import ball_from_json, closed_ball, sets_equal
 from ballflow.evolution import timeline_loci
-from ballflow.graph import load_graph
+from ballflow.graph import GraphPoint, load_graph
 from ballflow.quotient import subdivision
 
 from conftest import relabeled
@@ -111,6 +111,53 @@ class TestExitCodes:
         code, out, _ = run(capsys, "info", "builtin:theta")
         assert code == 0
         assert out
+
+    @pytest.mark.parametrize(
+        "graph, document",
+        [
+            ("builtin:combx", None),
+            ("builtin:comb0", None),
+            ("builtin:comb-1", None),
+            ("builtin:comb12", None),
+            ("file", {"vertices": [["a"], "b"], "edges": [{"u": "a", "v": "b"}]}),
+            ("file", {"vertices": ["a", "b"], "edges": [1]}),
+            ("file", "{not json"),  # a JSON string that load_graph decodes again
+        ],
+        ids=["comb-x", "comb-0", "comb-minus-1", "comb-12", "list-vertex", "number-edge", "bad-json-string"],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, capsys, graph, document):
+        if graph == "file":
+            graph = str(tmp_path / "g.json")
+            Path(graph).write_text(json.dumps(document))
+        code, out, err = run(capsys, "info", graph)
+        assert code == 2
+        assert err.startswith("error: invalid-input: ")
+        assert "Traceback" not in err and not out
+
+    def test_oversized_sample_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "merge-tree", "builtin:path", "--resolution", "1/3000000")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert f"samples 6000001 points, over the cap of {mergetree.MAX_SAMPLE_POINTS}" in err
+        assert not out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("info",),
+            ("ball", "--edge", "0", "--t", "0", "--radius", "1"),
+            ("project", "--radius", "1"),
+            ("timeline",),
+            ("merge-tree", "--resolution", "1/2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_approx_only_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "builtin:path", *argv[1:], "--approx"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --approx" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -284,7 +331,7 @@ class TestPinnedOutputs:
         )
 
     def test_theta_third_json(self, capsys):
-        # offsets in thirds make the merge grid 1/12
+        # offsets in thirds make the merge grid 1/6
         code, out, _ = run(capsys, "merge-tree", "builtin:theta", "--resolution", "1/3", "--json")
         assert code == 0
         assert out == json.dumps(THETA_THIRD_DOC, indent=2) + "\n"
@@ -298,6 +345,16 @@ class TestPinnedOutputs:
         doc = {"points": ["(e0@0)"], "events": [], "root_radius_user": "0"}
         assert out == json.dumps(doc, indent=2) + "\n"
         assert run(capsys, *argv, "--csv") == (0, "i,j,point_i,point_j,mu_user\n", "")
+
+    def test_potential_approx_text(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(_doc([("a", "b", "1/3"), ("b", "c", "1")])))
+        assert run(capsys, "potential", str(f), "--approx") == (
+            0,
+            "m: 2/3 (0.666667)\nM: 4/3 (1.33333)\ncenter: e1@1/3\ncenter: e1@1/3\n"
+            "extremum: e0@0\nextremum: e1@1\n",
+            "",
+        )
 
     def test_potential_path_text(self, capsys):
         assert run(capsys, "potential", "builtin:path") == (
@@ -338,6 +395,24 @@ class TestMergeTreeRoute:
         code, _, _ = run(capsys, *self.ARGV, "--csv", str(tmp_path / "mu.csv"), "--json")
         assert code == 0
         assert len(calls) == alone > 0
+
+
+class TestRobustnessExactRoute:
+    """`robustness --exact` sweeps the failing level's integer cell rows."""
+
+    ARGV = ("robustness", "builtin:comb5", "--exact")
+
+    def test_builds_no_fraction_cells(self, monkeypatch, capsys):
+        code, expected, _ = run(capsys, *self.ARGV)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("a Fraction cell or point was built")
+
+        for name in ("subdivision", "Subdivision", "SegmentCell"):
+            monkeypatch.setattr(quotient, name, refuse)
+        monkeypatch.setattr(GraphPoint, "__post_init__", refuse)
+        assert run(capsys, *self.ARGV) == (0, expected, "")
 
 
 def _doc(edges, name="g"):

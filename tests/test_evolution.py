@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballflow import fixtures
+from ballflow import fixtures, mergetree
 from ballflow.evolution import (
     _exact_failure,
     candidate_grid,
@@ -140,6 +140,21 @@ class TestRobustness:
 
         assert is_injective(g, res.lower)
         assert not is_injective(g, res.upper)
+
+    def test_exact_failure_keys_17_radii_on_comb5(self, monkeypatch):
+        """The sweep's work, counted: comb5 fails at 9/8, whose level's
+        midpoints lie on 1/16, so the sweep keys 1/16 ... 17/16, its first
+        merge; the doubled grid took 34 calls."""
+        real = mergetree.ball_keys
+        radii = []
+
+        def counted(g, r, cells, S):
+            radii.append(r)
+            return real(g, r, cells, S)
+
+        monkeypatch.setattr(mergetree, "ball_keys", counted)
+        assert _exact_failure(fixtures.comb(5), F(9, 8)) == F(17, 16)
+        assert radii == [F(k, 16) for k in range(1, 18)]
 
     @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
     def test_exact_failure_is_min_pairwise_merge_radius(self, name):

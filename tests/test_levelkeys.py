@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ballflow import fixtures, levelkeys, quotient
+from ballflow.balls import closed_ball, full_set
 from ballflow.errors import InternalConsistencyError
 from ballflow.evolution import timeline_loci
 from ballflow.graph import GraphPoint, load_graph
@@ -130,6 +131,37 @@ def test_level_matches_one_pass_oracle(name):
     g = LEVEL_GRAPHS[name]()
     for r in level_radii(g):
         assert_level_matches_oracle(g, r)
+
+
+def test_no_midpoint_ball_equals_two_points_common_ball():
+    """The lemma of `quotient`: two points of one edge with a common ball
+    other than X have a midpoint with another ball.  Checked on `Fraction`
+    balls, over the graphs and radii above, for every pair of distinct
+    level points on one edge in one key class other than X: 717 pairs,
+    none of them the two ends of a segment cell."""
+    pairs = 0
+    for name, make in LEVEL_GRAPHS.items():
+        g = make()
+        X = full_set(g).coverage
+        tails, heads = np.array(g.edges).T
+        for r in level_radii(g):
+            c, labels, full = level_oracle(g, r)
+            V, n = g.num_vertices, (len(c.vertex) - g.num_vertices) // g.num_edges
+            for e in range(g.num_edges):
+                ids = [tails[e], *range(V + e * n, V + e * n + n), heads[e]]
+                offsets = [0, *c.vertex[V + e * n : V + e * n + n, 1].tolist(), c.S]
+                for i in range(len(ids)):
+                    for j in range(i + 1, len(ids)):
+                        if labels[ids[i]] != labels[ids[j]] or full[ids[i]] or ids[i] == ids[j]:
+                            continue
+                        a, b, m = (
+                            closed_ball(g, GraphPoint(e, F(t, c.S)), r).coverage
+                            for t in (offsets[i], offsets[j], F(offsets[i] + offsets[j], 2))
+                        )
+                        assert a == b != X, (name, r, e, offsets[i], offsets[j])
+                        assert m != a, (name, r, e, offsets[i], offsets[j])
+                        pairs += 1
+    assert pairs == 717
 
 
 @pytest.mark.parametrize("name", ["theta", "kite", "comb3", "rand8+4s5"])

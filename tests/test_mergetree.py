@@ -123,7 +123,7 @@ SWEEP_GRAPHS = {
 
 def duplicate_vertex_points(g):
     """Vertex u of the theta given by two different incidences, and a point
-    at t = 1/3 that refines the common radius grid to twelfths."""
+    at t = 1/3 that refines the sweep grid to sixths."""
     u = g.edges[0][0]
     e = next(e for e in range(1, g.num_edges) if u in g.edges[e])
     other = GraphPoint(e, F(0) if g.edges[e][0] == u else F(1))
@@ -141,7 +141,9 @@ def assert_matches_pairwise(g, m):
 class TestMergeSweep:
     """The radius sweep of merge_matrix against pairwise bisection."""
 
-    @pytest.mark.parametrize("step", [F(1, 2), F(1, 4)], ids=["half", "quarter"])
+    @pytest.mark.parametrize(
+        "step", [F(1, 2), F(1, 3), F(1, 4), F(1, 6)], ids=["half", "third", "quarter", "sixth"]
+    )
     @pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
     def test_matches_pairwise_bisection(self, name, step):
         g = SWEEP_GRAPHS[name]()
@@ -154,6 +156,21 @@ class TestMergeSweep:
         m = merge_matrix(theta_g, duplicate_vertex_points(theta_g))
         assert m.mu[0][2] == m.mu[2][0] == 0
         assert_matches_pairwise(theta_g, m)
+
+    def test_comb5_keys_one_radius_per_grid_step(self, monkeypatch):
+        """The sweep's work, counted: comb5 at step 1/2 sweeps the grid 1/2 up
+        to its diameter of 32; the doubled grid took 128 calls."""
+        real = mergetree.ball_keys
+        radii = []
+
+        def counted(g, r, cells, S):
+            radii.append(r)
+            return real(g, r, cells, S)
+
+        monkeypatch.setattr(mergetree, "ball_keys", counted)
+        g = fixtures.comb(5)
+        merge_tree(g, sample_points(g, F(1, 2)))
+        assert radii == [F(k, 2) for k in range(1, 65)]
 
     def test_classes_left_at_diameter_are_an_engine_bug(self, path_g, monkeypatch):
         # every ball distinct at every radius
@@ -188,7 +205,7 @@ class TestBallCheck:
         assert ball_check(g, build_merge_tree(g, sample_points(g, F(1, 4)))) == ()
 
     def test_flags_a_radius_one_step_off(self, theta_g):
-        # grid den = 2 * lcm(2, 1, 2) = 4
+        # ball_check's step 1 / (2 * lcm(2, 1, 2)) = 1/4, half a sweep step
         d = build_merge_tree(theta_g, [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2))])
         (ev,) = d.events
         assert ball_check(theta_g, d) == ()
@@ -200,7 +217,7 @@ class TestBallCheck:
     def test_flags_exactly_the_joins_of_a_moved_event(self, name):
         g = SWEEP_GRAPHS[name]()
         d = build_merge_tree(g, sample_points(g, F(1, 2)))
-        step = F(1, 4)  # grid den = 2 * lcm(2, 2) = 4
+        step = F(1, 4)  # ball_check's step 1 / (2 * lcm(2, 2)), half a sweep step
         mu = d.matrix().mu
         # j's first nearest earlier point, as ball_check picked it off the matrix
         nearest = {j: min(range(j), key=lambda i: mu[i][j]) for j in range(1, len(mu))}
