@@ -85,7 +85,8 @@ def cmd_potential(args) -> int:
     for label, per_edge in (("center", prof.centers), ("extremum", prof.extrema)):
         for e, ivs in enumerate(per_edge):
             lines += [f"{label}: {g.describe_interval(e, lo, hi)}" for lo, hi in ivs]
-    _emit("\n".join(lines), None)
+    # a point on an inner vertex of a user edge is listed under both unit edges
+    _emit("\n".join(dict.fromkeys(lines)), None)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Radius evolution: fingerprints along the critical grid, critical times,
 and the robustness radius of the embedding property.
 
-The fingerprint of the level at radius r is constant on each open interval
-between consecutive quarter-integer radii, so sampling at the grid points
-and at interval midpoints captures the whole evolution exactly.
+The level at radius r, and so its fingerprint, is constant on each open
+interval between consecutive quarter-integer radii (the theorem of
+`quotient`), so sampling at the grid points and at interval midpoints
+captures the whole evolution exactly.
 """
 
 from __future__ import annotations
@@ -116,20 +117,23 @@ def distinct_types(g: MetricGraph) -> list[Fingerprint]:
 
 @dataclass(frozen=True)
 class RobustnessResult:
-    r_star: Fraction  # largest grid value with embedding at every sampled locus below it
+    r_star: Fraction  # supremum of the radii at which the level embeds
     lower: Fraction  # largest sampled radius at which the level still embeds
     upper: Fraction  # smallest sampled radius at which it does not
-    exact: Fraction | None  # refined failure radius, when requested
+    exact: Fraction | None  # least merge radius of the failing level's representatives, when requested
 
 
 def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
-    """Largest grid radius below which the projection embeds at every
-    sampled locus, with a one-interval bracket of the true supremum.
+    """The supremum r_star of the radii at which the projection embeds,
+    between the last injective timeline locus and the first failing one.
 
-    The last injective sampled locus and the first failing one bracket the
-    supremum of embedding radii.  With ``exact`` the failure radius is
-    refined to the minimum pairwise merge radius over the subdivision
-    representatives at the bracketing radius.
+    Equal balls stay equal as r grows, and by the theorem of `quotient`
+    injectivity is constant on each open quarter interval, so the first
+    failing locus gives r_star = floor(4 * upper) / 4.  With ``exact``,
+    `exact` is the minimum pairwise merge radius over the representatives
+    of the failing level (vertex cells and segment midpoints).  It can be
+    larger than r_star: on `builtin:path`, r_star = 1 and exact = 17/16,
+    yet the level at 1001/1000 does not embed.
     """
     loci = timeline_loci(g)
     prev = Fraction(0)

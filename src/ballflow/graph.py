@@ -414,9 +414,9 @@ def load_graph(document) -> MetricGraph:
         raise ValidationError("document must list at least one edge")
     if not all(isinstance(v, (str, int, float)) for v in vertices):
         raise ValidationError(f"vertex names must be strings or numbers, got {vertices}")
-    if len(set(vertices)) != len(vertices):
-        raise ValidationError("duplicate vertex names")
     index = {str(v): i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValidationError("duplicate vertex names")
 
     parsed = []
     for item in edges_doc:

@@ -14,10 +14,9 @@ A middle component can only lie on the centre's edge, which the (-2, -2)
 marks, so the encoding is injective on sets: rows are equal iff balls are.
 Rows are built in chunks of points from the point-to-vertex distances, in
 the narrowest signed integer type that holds every intermediate, and stored
-in the narrowest one that holds [-3, S + 1] (int8 for the timeline's
-S = 32).  Equal rows are grouped exactly, with no hash, by `np.unique` on a
-`np.void` view of the rows.  Past an exact-range guard the same code runs on
-object arrays of Python integers, grouped by a dict of row tuples.
+in the narrowest one that holds [-3, S + 1] (int8 for every level, whose
+S is at most 32).  Equal rows are grouped exactly, with no hash, by `np.unique` on a
+`np.void` view of the rows.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ValidationError
 from .graph import _CHUNK_ENTRIES, MetricGraph
 
 INT64_SAFE = 1 << 60
@@ -40,10 +39,6 @@ def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
     Returns labels: labels[i] is the least j with ball(j) == ball(i).
     """
     rows = key_rows(g, r, cells, S)
-    if rows.dtype == object:
-        first: dict = {}
-        labels = [first.setdefault(tuple(row), i) for i, row in enumerate(rows.tolist())]
-        return np.array(labels, dtype=np.int64)
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, index, inverse = np.unique(void, return_index=True, return_inverse=True)
     return index[inverse]
@@ -71,11 +66,10 @@ def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
     D = g.vertex_distance_matrix()
     # every intermediate below lies within +-bound
     bound = S * (int(D.max()) + 2) + R
-    if bound < INT64_SAFE:
-        work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
-        narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
-    else:
-        work = narrow = object
+    if bound >= INT64_SAFE:
+        raise ValidationError(f"{g.name}: the 1/{S} grid at radius {r} is too fine for int64 key rows")
+    work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
+    narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
     SD = S * D.astype(work)
     rows = np.empty((P, 2 * E + 4), dtype=narrow)
     rows[:, 2 * E :] = _NO_MIDDLE

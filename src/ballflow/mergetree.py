@@ -34,7 +34,10 @@ a clipped constant never equals an unclipped end there.  So row equality,
 i.e. ball equality, is constant on each open interval.  As B(p, a) is the
 intersection of the B(p, r), r > a, the radii of equality form a closed
 half-line [a, oo); were a inside an open interval, equality would hold just
-below it too.  So every merge radius a is a grid point.
+below it too.  So every merge radius a is a grid point.  The argument reads
+the offsets only through these breakpoints, so for any real offsets t_p and
+t_q the merge radius of p and q lies in (1/2)Z u (1/2)Z +- t_p u
+(1/2)Z +- t_q.
 """
 
 from __future__ import annotations

@@ -34,6 +34,71 @@ is on the frontier of both B(a, r) and B(b, r), d(a, z) = d(b, z) = r.  On
 or straight along e when z lies on e), so, equal to r at x and at y, it
 rises with slope 1 from x and falls with slope 1 to y, peaking at m with
 d(m, z) = r + (y - x) / 2.  So z is not in B(m, r).
+
+Theorem: the level at r (its cell ids, the classes of its cells and which
+cells are full) equals the level at rho(r).  To get rho(r), first shift
+r >= diam by whole halves into [diam, diam + 1/2); then, when 4r is not an
+integer, replace r by floor(4r)/4 + 1/8.  `_level` computes every level at
+rho(r), so its cells lie on the 1/32 grid (S <= 32) and its key rows are
+int8, at any requested radius.  Proof, by (v) for the first step and
+(i)-(iv) for the second, which keeps r in its open interval
+I = (k/4, (k + 1)/4):
+
+(v) Past the diameter every ball is X, so every cell is full, and the level
+is fixed by `cut_offsets`, which reads r only through r mod 1/2.
+
+(i) On I, floor(2r) is fixed and r0 = r mod 1/2 stays in (0, 1/4) or in
+(1/4, 1/2), so `cut_offsets` takes one branch and lists the same offsets
+a + sigma r (a in (1/2)Z, sigma in {0, +-1}) in the same strict order.  So
+the cell ids and the segments' end cells are fixed on I, and every cut
+point, segment end and midpoint moves linearly and continuously with r.
+
+(ii) Vertex cells.  Read a `levelkeys` row in units of the edge (divided by
+S).  A vertex cell p sits at t = a + sigma r, and its distance to a vertex
+along either end of its edge is +-t + n, n in Z.  So each unclipped
+coordinate of p's row is eps r + delta t + n with delta = +-1, n in Z and
+eps fixed by the column: +1 for an upper end (a reach r - d(p, w), or
+t + r), -1 for a lower end (1 - r + d(p, w), or t - r).  It is linear on I,
+with slope eps + delta sigma in {0, +-1, +-2} and intercept delta a + n in
+a + Z, as -a = a mod 1: a ball's two reach routes have intercepts with
+equal half-parts.  The row switches form where two routes to a vertex tie
+(2t in Z: r in (1/2)Z), where a coordinate reaches 0 or 1 (r in (1/4)Z),
+and where an upper end meets a lower one, on an edge's two end intervals
+or the centre interval and a side: their difference 2r + (delta -
+delta') t + n has slope in {0, 2, 4} and, by the equal half-parts, an
+intercept (delta - delta') a + n in Z, so even this falls on (1/4)Z.  Each switch holds on the
+whole of I or at no point of it, so each coordinate is one constant (a
+clip value or a marker) or one linear function on I.  In one column the
+values of two vertex cells p, p' differ by (delta sigma - delta' sigma') r
++ (delta a - delta' a') + n, slope in {0, +-1, +-2}, intercept in (1/2)Z,
+and a clip value 0 or 1 differs from a linear value likewise, so each
+column's equality holds on all of I or nowhere in it.  So vertex-cell
+classes and fullness are constant on I.
+
+(iii) Segments.  A segment is full iff its midpoint's ball is X, and two
+segments that are not full are identified iff their midpoint balls are
+equal; identified segments are glued whole, midpoint to midpoint, with
+equal balls at glued points.  For a segment A, let J be the set of r in I
+at which A is full; for segments A and B that are not full on I (known
+once the first case is done), the set at which they are identified.
+Midpoints move continuously and p -> B(p, r) is 1-Lipschitz in p and in r
+(Hausdorff metric), so J is closed in I.  It is open too.  Above a point r
+of J: every p in A(r) keeps the ball of its partner, or X, at every
+r' >= r (fixed-point monotonicity: B(p, r') is the (r' - r)-neighbourhood
+of B(p, r)), and for r' near r the midpoint of A(r') lies in A(r) and its
+partner in B(r'), so r' is in J, up to I's right end.  Below: let r* in J
+be a limit from below of points of I outside J.  A generic interior point
+p of A(r*) and its glued partner q merge exactly at r*, for if they merged
+earlier, A and B would be identified just below r*.  The `mergetree` grid
+proof puts r* in (1/2)Z u (1/2)Z +- t_p u (1/2)Z +- t_q, and as
+t_q = +-t_p + c, a generic p leaves r* in (1/2)Z, which misses I.  In the
+fullness case, Phi(p) > r at those points r outside J and Phi(p) <= r*, so
+Phi = r* on the open set A(r*): a flat piece of Phi, whose value is in
+(1/2)Z by `graph`'s proof (its pieces are lines of slope 0 or +-1 with
+intercepts in (1/2)Z).  So J is empty or all of I.
+
+(iv) A segment identified with a vertex cell is full, by the lemma.  So
+with (ii) and (iii) every identification of the level is constant on I.
 """
 
 from __future__ import annotations
@@ -146,9 +211,10 @@ class Fingerprint:
 
 
 class _Cells(NamedTuple):
-    """The subdivision's cells as integer arrays, offsets times S, in
-    `subdivision`'s order and with its cell ids."""
+    """The subdivision's cells at radius r as integer arrays, offsets times
+    S, in `subdivision`'s order and with its cell ids."""
 
+    r: Fraction
     S: int
     vertex: np.ndarray  # (vertex cells, 2): (edge, offset); a vertex at any incident end
     edge: np.ndarray  # per segment cell: its edge, end offsets and end cell ids
@@ -181,6 +247,7 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
     edge = np.repeat(edges, n + 1)
     k = np.tile(np.arange(n + 1), E)
     return _Cells(
+        r,
         S,
         vertex,
         edge,
@@ -191,18 +258,28 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
     )
 
 
+def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
+    """rho(r) of the module docstring: the radius on the 1/8 grid, below
+    diam + 5/8, whose level equals the level at r."""
+    if r <= 0:
+        raise ValidationError(f"subdivision radius must be positive, got {r}")
+    r -= max(0, (2 * (r - g.diameter())).__floor__()) * HALF
+    return r if (4 * r).denominator == 1 else Fraction(2 * (4 * r).__floor__() + 1, 8)
+
+
 def _level(g: MetricGraph, r: Fraction):
-    """The cells, and per cell (vertex cells, then segment midpoints) the
-    least cell with an equal ball and whether that ball is X."""
-    c = _cells(g, r)
+    """The cells of the level at r, cut at `level_radius(g, r)`, and per cell
+    (vertex cells, then segment midpoints) the least cell with an equal ball
+    and whether that ball is X."""
+    c = _cells(g, level_radius(g, r))
     nv = len(c.vertex)
     points = c.representatives()
-    full = _full(g, r, points, c.S)
+    full = _full(g, c.r, points, c.S)
     labels = np.arange(len(full))
     labels[full] = np.argmax(full)
     open_v = np.flatnonzero(~full[:nv])
     if len(open_v):
-        labels[open_v] = open_v[ball_keys(g, r, c.vertex[open_v], c.S)]
+        labels[open_v] = open_v[ball_keys(g, c.r, c.vertex[open_v], c.S)]
     # unordered pairs of endpoint classes of the open segments; full ends carry X's label
     seg = np.flatnonzero(~full[nv:])
     a, b = labels[c.tail_cell[seg]], labels[c.head_cell[seg]]
@@ -210,7 +287,7 @@ def _level(g: MetricGraph, r: Fraction):
     _, pair, count = np.unique(pairs, return_inverse=True, return_counts=True)
     keyed = nv + seg[count[pair] > 1]
     if len(keyed):
-        labels[keyed] = keyed[ball_keys(g, r, points[keyed], c.S)]
+        labels[keyed] = keyed[ball_keys(g, c.r, points[keyed], c.S)]
     return c, labels, full
 
 
@@ -219,12 +296,9 @@ def _full(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
     8q * Phi interpolated between the quarter-point table's eighths, q = S / 4."""
     T = g._quarter_eccentricities()
     q, bound = S // 4, int(2 * S * r)  # bound = 8q * r
-    if max(int(T.max()) * q, bound) >= INT64_SAFE:
-        T = T.astype(object)
-    e, t = cells[:, 0].astype(np.int64), cells[:, 1]
+    e, t = cells[:, 0], cells[:, 1]
     k = np.minimum(t // q, 3)
     f = t - k * q
-    k = k.astype(np.int64)
     return T[e, k] * (q - f) + T[e, k + 1] * f <= bound
 
 
@@ -277,7 +351,8 @@ def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
 
 
 def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> None:
-    """Resolve the gluing direction inside multi-member segment classes.
+    """Resolve the gluing direction inside multi-member segment classes of
+    the level at r, cut at c.r.
 
     For every member, the quarter-point ball must match either the
     representative's quarter or three-quarter ball; anything else would
@@ -292,7 +367,7 @@ def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> N
     lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
     quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
     three_quarter = np.stack([edge, lo + 3 * (hi - lo) // 4], axis=1)
-    labels = ball_keys(g, r, np.concatenate([quarter, three_quarter]), c.S)
+    labels = ball_keys(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
     kq, k3q = labels[: len(members)], labels[len(members) :]
     bad = np.flatnonzero((kq != kq[lead]) & (k3q != kq[lead]))
     if len(bad):

@@ -351,7 +351,7 @@ class TestPinnedOutputs:
         f.write_text(json.dumps(_doc([("a", "b", "1/3"), ("b", "c", "1")])))
         assert run(capsys, "potential", str(f), "--approx") == (
             0,
-            "m: 2/3 (0.666667)\nM: 4/3 (1.33333)\ncenter: e1@1/3\ncenter: e1@1/3\n"
+            "m: 2/3 (0.666667)\nM: 4/3 (1.33333)\ncenter: e1@1/3\n"
             "extremum: e0@0\nextremum: e1@1\n",
             "",
         )
@@ -362,6 +362,20 @@ class TestPinnedOutputs:
             "m: 1\nM: 2\ncenter: e0@1\ncenter: e1@0\nextremum: e0@0\nextremum: e1@1\n",
             "",
         )
+
+
+HUGE_RADII = json.loads((Path(__file__).resolve().parent / "data" / "project_huge_radii.json").read_text())
+
+
+class TestHugeRadii:
+    """`project --json` at radii whose key grid once passed the int64 range,
+    frozen while those levels were keyed on Python integers."""
+
+    @pytest.mark.parametrize("key", list(HUGE_RADII))
+    def test_project_json(self, capsys, key):
+        graph, radius = key.split()
+        argv = ("project", f"builtin:{graph}", "--radius", radius, "--json")
+        assert run(capsys, *argv) == (0, HUGE_RADII[key], "")
 
 
 class TestMergeTreeRoute:

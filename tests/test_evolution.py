@@ -15,7 +15,7 @@ from ballflow.evolution import (
 )
 from ballflow.graph import load_graph
 from ballflow.mergetree import merge_radius
-from ballflow.quotient import fingerprint, project, subdivision
+from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
 from conftest import relabeled
 
@@ -114,10 +114,14 @@ class TestDistinctTypes:
 
 class TestRobustness:
     def test_path(self, path_g):
+        """r_star is the supremum of embedding radii: the level fails just
+        past 1, below `exact`, the least merge radius among the failing
+        level's representative points."""
         res = robustness_radius(path_g, exact=True)
         assert res.r_star == F(1)
         assert (res.lower, res.upper) == (F(1), F(9, 8))
         assert res.exact == F(17, 16)
+        assert not is_injective(path_g, F(1001, 1000))
 
     def test_theta(self, theta_g):
         res = robustness_radius(theta_g, exact=True)
@@ -136,8 +140,6 @@ class TestRobustness:
         res = robustness_radius(g, exact=True)
         assert res.lower < res.upper
         assert res.lower < res.exact <= res.upper
-        from ballflow.quotient import is_injective
-
         assert is_injective(g, res.lower)
         assert not is_injective(g, res.upper)
 

@@ -58,6 +58,8 @@ class TestIngestion:
             load_graph(doc(["a", "b"], [("a", "b", 0)]))  # zero length
         with pytest.raises(ValidationError):
             load_graph(doc(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)]))  # disconnected
+        with pytest.raises(ValidationError, match="duplicate vertex names"):
+            load_graph(doc([1, "1", 2], [(1, 2, 1)]))  # equal once read as strings
 
     def test_unit_edge_cap(self):
         g = load_graph(doc(["a", "b"], [("a", "b", str(MAX_UNIT_EDGES))]))

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballflow import fixtures, levelkeys, quotient
+from ballflow import fixtures, quotient
 from ballflow.balls import closed_ball, full_set, sets_equal
-from ballflow.evolution import timeline, timeline_loci
+from ballflow.errors import ValidationError
+from ballflow.evolution import timeline
 from ballflow.graph import load_graph
 from ballflow.quotient import (
     cut_offsets,
@@ -16,7 +17,7 @@ from ballflow.quotient import (
     subdivision,
 )
 
-from conftest import cell_partition, relabeled
+from conftest import cell_partition, level_oracle, relabeled
 from test_acceptance import big_graph
 
 
@@ -201,28 +202,52 @@ class TestInjectivity:
     def test_beyond_diameter_not_injective(self, theta_g):
         assert not is_injective(theta_g, theta_g.diameter() + F(1, 4))
 
+    @pytest.mark.parametrize("r", [F(0), F(-1, 3)])
+    def test_rejects_radius_before_reducing_it(self, theta_g, r):
+        for level in (project, is_injective):
+            with pytest.raises(ValidationError, match=f"must be positive, got {r}$"):
+                level(theta_g, r)
 
-def level_fields(q):
-    return (q.q_vertices, q.q_edges, q.edge_classes, q.x_vertex, q.n0, q.x_segments, q.injective)
+
+def test_level_radius_reduces_onto_the_eighth_grid(theta_g):
+    """rho(r) on theta (diameter 2): whole halves past the diameter are
+    shifted off, then r off the quarter grid moves to its interval's midpoint."""
+    want = {
+        F(1, 10**21): F(1, 8),
+        F(7, 10): F(5, 8),
+        F(5, 4): F(5, 4),
+        F(9, 4): F(9, 4),
+        F(10**23): F(2),
+        F(10**23 + 1, 3): F(17, 8),
+    }
+    assert {r: quotient.level_radius(theta_g, r) for r in want} == want
 
 
-@pytest.mark.parametrize("name", ["path", "theta", "c6", "comb5"])
-def test_python_integer_keys_match_int64_keys(name, monkeypatch):
-    """With the int64 guard forced to trip, ball_keys runs on Python
-    integers; every timeline level must come out the same, and the level's
-    injectivity must agree with the key-only is_injective."""
-    g = fixtures.comb(5) if name == "comb5" else fixtures.builtin(name)
-    loci = [r for r, _on_grid in timeline_loci(g)]
-    int64 = {}
-    for r in loci:
-        q = project(g, r)
-        assert q.injective == is_injective(g, r), r
-        int64[r] = (level_fields(q), fingerprint(q))
-    monkeypatch.setattr(levelkeys, "INT64_SAFE", 0)
-    assert levelkeys.key_rows(g, loci[0], [(0, 0)], 32).dtype == object
-    for r in loci:
-        q = project(g, r)
-        assert (level_fields(q), fingerprint(q)) == int64[r], r
+SWEPT_GRAPHS = {
+    "theta": fixtures.theta,
+    "comb3": lambda: fixtures.comb(3),
+    "rand6+4s1": lambda: fixtures.random_connected(6, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEPT_GRAPHS))
+def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
+    """The theorem of `quotient`: `project`, which keys at `level_radius`, gives
+    the level that `level_oracle` keys at r itself, for every r = a/den with
+    den <= 24 and 4r not an integer, up to diam + 1/2 (rand6+4s1 has a loop
+    and a parallel pair of unit edges).  `is_injective` agrees with it where
+    den <= 8."""
+    g = SWEPT_GRAPHS[name]()
+    top = g.diameter() + F(1, 2)
+    radii = sorted(
+        {F(a, den) for den in range(1, 25) for a in range(1, int(top * den) + 1)}
+        - {F(k, 4) for k in range(int(4 * top) + 1)}
+    )
+    got = {r: project(g, r) for r in radii}
+    assert all(is_injective(g, r) == got[r].injective for r in radii if r.denominator <= 8)
+    monkeypatch.setattr(quotient, "_level", level_oracle)
+    for r in radii:
+        assert project(g, r) == got[r], (name, r)
 
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
