@@ -344,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("robustness", help="embedding-radius bracket")
     _add_common(sp, approx_opt=True)
-    sp.add_argument("--exact", action="store_true", help="refine via merge radii")
+    sp.add_argument(
+        "--exact",
+        action="store_true",
+        help="also report the least merge radius among the failing level's representatives",
+    )
     sp.set_defaults(fn=cmd_robustness)
 
     sp = sub.add_parser("merge-tree", help="merge-radius matrix and dendrogram")

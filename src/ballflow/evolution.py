@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import InternalConsistencyError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
 from .quotient import Fingerprint, _cells, fingerprint, is_injective, project
@@ -145,7 +145,7 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
         prev = r
     if fail is None:
         # diameter-radius balls cover X from any center, so this cannot happen
-        raise ValidationError("no failure radius found below the diameter")
+        raise InternalConsistencyError(f"{g.name}: no failure radius found below the diameter")
     r_star = Fraction((fail * 4).__floor__(), 4)
     result = RobustnessResult(r_star=r_star, lower=prev, upper=fail, exact=None)
     if not exact:

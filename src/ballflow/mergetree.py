@@ -52,7 +52,7 @@ import numpy as np
 from .balls import BallSet, closed_ball, full_set, sets_equal
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import ball_keys
+from .levelkeys import INT64_SAFE, ball_keys
 
 # Cap on the points of `sample_points`.  The cost grows about as the square
 # of the point count: `merge-tree builtin:path --csv`, which writes one row
@@ -257,6 +257,8 @@ def merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
     are nested by construction, each relabelling the classes of the last."""
     pts = [g.canonical_point(p) for p in points]
     S = math.lcm(*(p.t.denominator for p in pts))
+    if S >= INT64_SAFE:
+        raise ValidationError(f"{g.name}: the 1/{S} grid of the points is too fine for int64 key rows")
     cells = np.array([(p.edge, int(p.t * S)) for p in pts], dtype=np.int64).reshape(-1, 2)
     return Dendrogram(tuple(pts), _events(len(pts), _merge_sweep(g, cells, S)))
 

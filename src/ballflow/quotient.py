@@ -1,28 +1,28 @@
 """Projection levels: the radius-dependent subdivision, the quotient
 multigraph by ball equality, and its topological fingerprint.
 
-Identification of cells is all-or-nothing per open segment cell, so the
-quotient is computed from one representative ball per cell (the midpoint),
-with quarter-point representatives fixing the gluing orientation inside
-multi-member classes.
+Identification of cells is all-or-nothing per open segment cell, and a
+segment cell's balls are fixed by the balls of its two end cells
+(corollaries 1 and 2 below), so the quotient is computed from the vertex
+cells' balls alone.  The quarter-point balls of multi-member classes check
+the gluing orientation.
 
-A level keys only the balls whose class it cannot tell otherwise:
+A level keys only the vertex cells:
 
 * B(p, r) = X iff Phi(p) <= r, and Phi is linear between quarter points
-  (proof in `graph`), so the full cells, the class X, come from exact
-  integer interpolation of the quarter-point table.  A full segment has
-  full ends (Phi is continuous), so X's least cell is a vertex cell.
+  (proof in `graph`), so the full vertex cells, the class X, come from
+  exact integer interpolation of the quarter-point table.
 * The other vertex cells are keyed in one `ball_keys` call.
-* If two open segment cells have equal midpoint balls they are identified
-  whole, and as p -> B(p, r) is 1-Lipschitz into the Hausdorff metric, so
-  are their ends: their unordered pairs of endpoint classes (X for a full
-  end) are equal.  Likewise a segment cell identified with a vertex cell
-  has both ends in that cell's class, and by the lemma below that class is
-  X, so the segment is full.  So a non-full midpoint is keyed, with the
-  other non-full midpoints only, when its pair is shared with another
-  non-full segment; any other non-full midpoint has a ball of its own.
+* A segment is full iff both its ends are (corollary 1), so X's least cell
+  is a vertex cell.  If two open segment cells have equal midpoint balls
+  they are identified whole, and as p -> B(p, r) is 1-Lipschitz into the Hausdorff
+  metric, so are their ends.  So a segment cell identified with a vertex
+  cell has both ends in that cell's class, and by lemma 1 that class is X:
+  the segment is full.  Two non-full segments are identified iff their
+  unordered pairs of end classes are equal: if by corollary 2, only if by
+  the ends' identification.
 
-Lemma: let a and b, at offsets x < y on an edge e, have B(a, r) = B(b, r)
+Lemma 1: let a and b, at offsets x < y on an edge e, have B(a, r) = B(b, r)
 = B != X, and let m be their midpoint.  Then B(m, r) != B.  If m is not in
 B, B(m, r), which holds m, differs from B.  Otherwise, as m - x = y - m,
 either both a and b reach m along [x, y], or both reach it only through
@@ -35,13 +35,68 @@ or straight along e when z lies on e), so, equal to r at x and at y, it
 rises with slope 1 from x and falls with slope 1 to y, peaking at m with
 d(m, z) = r + (y - x) / 2.  So z is not in B(m, r).
 
+Lemma 2: let (x, y) be an open segment cell of an edge e at radius r.  No
+breakpoint in the centre's offset t of a `levelkeys` row lies in (x, y).
+The breakpoints are:
+
+* a route switch of d(t, w) = min(t + d(tail, w), 1 - t + d(head, w)),
+  at t in (1/2)Z;
+* a reach r - d(t, w), in r +- t + Z, crossing 0 or 1: t in +-r + Z;
+* the two end intervals of an edge (u, v) meeting, r - d(t, u) =
+  1 - r + d(t, v), where d(t, u) + d(t, v) is in {0, +-2t} + Z: t in
+  +-r + (1/2)Z, or a condition free of t;
+* [t - r, t + r] reaching 0 or 1 (t in +-r + Z) or an end interval:
+  t - r = r - d(t, tail) with d(t, tail) in {t, 1 - t + d(head, tail)}
+  gives t = r or a condition free of t, and likewise at the head.
+
+All lie in (1/2)Z u (+-r + (1/2)Z), that is among 0, 1 and
+`cut_offsets(r)`.  So on [x, y] every reach is affine in t with slope +-1,
+and B(t, r) is [0, 1] minus a fixed set of gaps on each edge: on an edge
+(u, v) other than e, (r - d(t, u), 1 - r + d(t, v)); on e, where
+d(t, s) = min(|s - t|, 1 + d(tail, head) - |s - t|), the points with
+r < |s - t| < c, c = 1 + d(tail, head) - r.  Each gap is an open interval
+(lo, hi) cut to [0, 1]; lo and hi are affine in t with slope +-1 (an end
+past 0 or 1 says only that the vertex there is out of the ball), neither
+crosses 0 or 1 inside the cell, and nor does the length hi - lo change
+sign there.
+
+Corollary 1: a segment cell is full iff both its ends are.  Only if: Phi
+is continuous.  If: off e a gap is empty iff its length, affine, is <= 0
+(a reach >= 1 makes the reach at the edge's other end >= 0), so a gap
+empty at x and at y is empty on [x, y].  On e the length c - r is
+constant, and otherwise the upper gap (t + r, t + c), which moves up with
+t, is empty where it lies past 1, so on [x, y] once it is at x; the lower
+gap likewise once it is at y.
+
+Corollary 2: let the non-full segment cells A and A' have the same two
+end balls P and Q, in some order, and measure arc length s along each from
+its end with ball P, over [0, l] and [0, l'].  Then l = l' and the balls
+at equal s are equal, so A and A' are identified.  Proof: read the gaps of
+lemma 2 along A off P and Q.  A vertex is in the ball inside A iff it is
+in P and in Q (its reach, affine, does not cross 0 inside), so the gap
+ends past a vertex agree along A and A'.  A gap nonempty inside A is
+nonempty at s = 0 or at s = l, as in corollary 1, and there its ends
+inside the edge are the ends of a gap of that end's ball; the gaps of one
+ball on an edge are disjoint, so each gap of P or of Q is met by one gap
+of A and one of A'.  At an end of A where a gap is empty it opens from a
+point: its length is 0 there, and positive inside, so both its ends move
+apart at unit speed, or it is a gap of e entering through a vertex.  By
+lemma 1 the balls along A are not all equal, so some gap end moves inside
+its edge, at unit speed, and its displacement l is read off P and Q: the
+distance between its positions at the two ends of A, or, where its gap is
+empty at one end, half the gap's length at the other (both ends moved
+apart from one point) or the gap's extent from the vertex it entered
+through.  So l = l', and every gap end, affine in s with the same values
+at both ends of A and of A' (or the same opening point and speeds),
+agrees at each s.
+
 Theorem: the level at r (its cell ids, the classes of its cells and which
 cells are full) equals the level at rho(r).  To get rho(r), first shift
 r >= diam by whole halves into [diam, diam + 1/2); then, when 4r is not an
 integer, replace r by floor(4r)/4 + 1/8.  `_level` computes every level at
 rho(r), so its cells lie on the 1/32 grid (S <= 32) and its key rows are
 int8, at any requested radius.  Proof, by (v) for the first step and
-(i)-(iv) for the second, which keeps r in its open interval
+(i)-(iii) for the second, which keeps r in its open interval
 I = (k/4, (k + 1)/4):
 
 (v) Past the diameter every ball is X, so every cell is full, and the level
@@ -75,30 +130,12 @@ and a clip value 0 or 1 differs from a linear value likewise, so each
 column's equality holds on all of I or nowhere in it.  So vertex-cell
 classes and fullness are constant on I.
 
-(iii) Segments.  A segment is full iff its midpoint's ball is X, and two
-segments that are not full are identified iff their midpoint balls are
-equal; identified segments are glued whole, midpoint to midpoint, with
-equal balls at glued points.  For a segment A, let J be the set of r in I
-at which A is full; for segments A and B that are not full on I (known
-once the first case is done), the set at which they are identified.
-Midpoints move continuously and p -> B(p, r) is 1-Lipschitz in p and in r
-(Hausdorff metric), so J is closed in I.  It is open too.  Above a point r
-of J: every p in A(r) keeps the ball of its partner, or X, at every
-r' >= r (fixed-point monotonicity: B(p, r') is the (r' - r)-neighbourhood
-of B(p, r)), and for r' near r the midpoint of A(r') lies in A(r) and its
-partner in B(r'), so r' is in J, up to I's right end.  Below: let r* in J
-be a limit from below of points of I outside J.  A generic interior point
-p of A(r*) and its glued partner q merge exactly at r*, for if they merged
-earlier, A and B would be identified just below r*.  The `mergetree` grid
-proof puts r* in (1/2)Z u (1/2)Z +- t_p u (1/2)Z +- t_q, and as
-t_q = +-t_p + c, a generic p leaves r* in (1/2)Z, which misses I.  In the
-fullness case, Phi(p) > r at those points r outside J and Phi(p) <= r*, so
-Phi = r* on the open set A(r*): a flat piece of Phi, whose value is in
-(1/2)Z by `graph`'s proof (its pieces are lines of slope 0 or +-1 with
-intercepts in (1/2)Z).  So J is empty or all of I.
-
-(iv) A segment identified with a vertex cell is full, by the lemma.  So
-with (ii) and (iii) every identification of the level is constant on I.
+(iii) Segments.  By (i) each segment keeps its end cells on I, and by (ii)
+their classes and fullness are constant on I.  A segment is full iff both
+its ends are (corollary 1), two non-full segments are identified iff their
+unordered pairs of end classes are equal (corollary 2 and its converse),
+and a segment identified with a vertex cell is full (lemma 1).  So every
+identification of the level is constant on I.
 """
 
 from __future__ import annotations
@@ -269,31 +306,31 @@ def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
 
 def _level(g: MetricGraph, r: Fraction):
     """The cells of the level at r, cut at `level_radius(g, r)`, and per cell
-    (vertex cells, then segment midpoints) the least cell with an equal ball
-    and whether that ball is X."""
+    (vertex cells, then segment cells) the least cell with an equal ball and
+    whether that ball is X.  Only the vertex cells are keyed: by corollaries 1
+    and 2 of the module docstring a segment is full iff both its ends are, and
+    otherwise its class is the unordered pair of its end classes."""
     c = _cells(g, level_radius(g, r))
     nv = len(c.vertex)
-    points = c.representatives()
-    full = _full(g, c.r, points, c.S)
-    labels = np.arange(len(full))
+    full = _full(g, c.r, c.vertex, c.S)
+    labels = np.arange(nv)
     labels[full] = np.argmax(full)
-    open_v = np.flatnonzero(~full[:nv])
+    open_v = np.flatnonzero(~full)
     if len(open_v):
         labels[open_v] = open_v[ball_keys(g, c.r, c.vertex[open_v], c.S)]
-    # unordered pairs of endpoint classes of the open segments; full ends carry X's label
-    seg = np.flatnonzero(~full[nv:])
-    a, b = labels[c.tail_cell[seg]], labels[c.head_cell[seg]]
+    a, b = labels[c.tail_cell], labels[c.head_cell]
+    seg_full = full[c.tail_cell] & full[c.head_cell]
     pairs = np.minimum(a, b) * nv + np.maximum(a, b)
-    _, pair, count = np.unique(pairs, return_inverse=True, return_counts=True)
-    keyed = nv + seg[count[pair] > 1]
-    if len(keyed):
-        labels[keyed] = keyed[ball_keys(g, c.r, points[keyed], c.S)]
-    return c, labels, full
+    _, first, pair = np.unique(pairs, return_index=True, return_inverse=True)
+    # a full segment takes X's label, which its tail carries
+    labels = np.concatenate([labels, np.where(seg_full, a, nv + first[pair])])
+    return c, labels, np.concatenate([full, seg_full])
 
 
 def _full(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
-    """Whether Phi <= r, i.e. the ball is X, at each cell (edge, offset * S):
-    8q * Phi interpolated between the quarter-point table's eighths, q = S / 4."""
+    """Whether Phi <= r, i.e. the ball is X, at each point (edge, offset * S),
+    such as a level's vertex cells: 8q * Phi interpolated between the
+    quarter-point table's eighths, q = S / 4."""
     T = g._quarter_eccentricities()
     q, bound = S // 4, int(2 * S * r)  # bound = 8q * r
     e, t = cells[:, 0], cells[:, 1]
@@ -331,7 +368,7 @@ def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     cell_to_q = np.empty(nv, dtype=np.int64)
     cell_to_q[vert_ids] = vert_number
     x_vertex = None
-    if len(x_segments) or x_vertex_cells:
+    if x_vertex_cells:
         x_vertex = len(q_vertices)
         q_vertices.append(x_vertex_cells)
         cell_to_q[list(x_vertex_cells)] = x_vertex
@@ -346,17 +383,18 @@ def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
         x_vertex=x_vertex,
         n0=len(x_segments),
         x_segments=tuple(x_segments.tolist()),
-        injective=_injective(labels, full, nv),
+        injective=_injective(labels),
     )
 
 
 def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> None:
-    """Resolve the gluing direction inside multi-member segment classes of
-    the level at r, cut at c.r.
+    """Check that every multi-member segment class of the level at r, cut
+    at c.r, glues its members in one of the two directions.
 
     For every member, the quarter-point ball must match either the
     representative's quarter or three-quarter ball; anything else would
-    contradict the all-or-nothing identification and is a hard error.
+    contradict the all-or-nothing identification, or corollary 2's grouping
+    by end classes, and is a hard error.
     """
     multi = [cls for cls in seg_classes if len(cls) > 1]
     if not multi:
@@ -424,14 +462,13 @@ def is_injective(g: MetricGraph, r: Fraction) -> bool:
 
     Equal to ``project(g, r).injective``, from the cell classes alone.
     """
-    c, labels, full = _level(g, Fraction(r))
-    return _injective(labels, full, len(c.vertex))
+    return _injective(_level(g, Fraction(r))[1])
 
 
-def _injective(labels: np.ndarray, full: np.ndarray, nv: int) -> bool:
-    """No segment cell collapses into ball X and no two cells share a ball
-    (so at most one vertex cell is ball X)."""
-    return not full[nv:].any() and bool((labels == np.arange(len(labels))).all())
+def _injective(labels: np.ndarray) -> bool:
+    """No two cells share a ball (so at most one vertex cell is ball X, and
+    no segment cell is: it would carry X's vertex-cell label)."""
+    return bool((labels == np.arange(len(labels))).all())
 
 
 def euler_bounds_check(g: MetricGraph, f: Fingerprint) -> dict:

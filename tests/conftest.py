@@ -25,7 +25,7 @@ from ballflow.balls import BallSet, Interval, closed_ball, full_set, make_covera
 from ballflow.canon import _twin_representatives, refine_colors
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
-from ballflow.levelkeys import ball_keys, key_rows
+from ballflow.levelkeys import key_rows
 from ballflow.mergetree import MergeMatrix, merge_radius
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
@@ -268,13 +268,15 @@ def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):
 
 
 def level_oracle(g: MetricGraph, r: Fraction):
-    """`quotient._level` by keying every vertex cell and segment midpoint in
-    one `ball_keys` call, with X read off the key rows: (cells, labels, full)."""
+    """`quotient._level` by keying every vertex cell and segment midpoint,
+    grouping equal key rows and reading X off them: (cells, labels, full)."""
     c = quotient._cells(g, r)
     cells = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
     rows, E = key_rows(g, r, cells, c.S), g.num_edges
     full = (rows[:, :E] == c.S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
-    return c, ball_keys(g, r, cells, c.S), full
+    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+    return c, first[inverse], full
 
 
 def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:

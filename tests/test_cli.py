@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ballflow import cli, fixtures, mergetree, quotient
+from ballflow import cli, evolution, fixtures, mergetree, quotient
 from ballflow.balls import ball_from_json, closed_ball, sets_equal
 from ballflow.evolution import timeline_loci
 from ballflow.graph import GraphPoint, load_graph
@@ -106,6 +106,14 @@ class TestExitCodes:
         assert code == 2
         assert "100001 unit edges" in err
         assert "Traceback" not in err and not out
+
+    def test_no_failing_locus_is_an_engine_bug(self, monkeypatch, capsys):
+        # every level embeds, which the diameter's balls rule out
+        monkeypatch.setattr(evolution, "is_injective", lambda g, r: True)
+        code, out, err = run(capsys, "robustness", "builtin:path")
+        assert code == 3
+        assert err.startswith("error: internal-consistency: path: no failure radius")
+        assert not out
 
     def test_ok(self, capsys):
         code, out, _ = run(capsys, "info", "builtin:theta")
@@ -413,6 +421,13 @@ class TestMergeTreeRoute:
 
 class TestRobustnessExactRoute:
     """`robustness --exact` sweeps the failing level's integer cell rows."""
+
+    def test_help_names_what_exact_reports(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["robustness", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--exact also report the least merge radius among the failing level's representatives" in out
 
     ARGV = ("robustness", "builtin:comb5", "--exact")
 

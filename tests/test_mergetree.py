@@ -173,11 +173,13 @@ class TestMergeSweep:
         assert radii == [F(k, 2) for k in range(1, 65)]
 
     def test_offsets_past_int64_keys_are_refused(self, path_g):
-        """Offsets on 1/2^62 need a sweep of 2^62 steps per unit radius,
-        whose key rows pass the int64 range: the first radius refuses."""
-        points = [path_g.vertex_point(0), GraphPoint(0, F(1, 2**62))]
-        with pytest.raises(ValidationError, match="too fine for int64 key rows"):
-            merge_tree(path_g, points)
+        """Offsets on 1/2^k need a sweep of 2^k steps per unit radius, whose
+        key rows pass the int64 range (at k = 70 so do the offsets): the grid
+        is refused before any row is built."""
+        for k in (62, 70):
+            points = [path_g.vertex_point(2), GraphPoint(1, F(1, 2**k))]
+            with pytest.raises(ValidationError, match="too fine for int64 key rows"):
+                merge_tree(path_g, points)
 
     def test_classes_left_at_diameter_are_an_engine_bug(self, path_g, monkeypatch):
         # every ball distinct at every radius

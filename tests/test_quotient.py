@@ -251,8 +251,10 @@ def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
 
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
-    """The work of the big200 timeline's levels, counted, not timed: keying
-    every vertex cell and midpoint took 143 calls and 155,710 points."""
+    """The work of the big200 timeline's levels, counted, not timed: one
+    call per level on its non-full vertex cells, plus the orientation check's
+    quarter points.  Keying every vertex cell and midpoint took 143 calls and
+    155,710 points."""
     real = quotient.ball_keys
     points = []
 
@@ -262,7 +264,7 @@ def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
 
     monkeypatch.setattr(quotient, "ball_keys", counted)
     timeline(big_graph())
-    assert (len(points), sum(points)) == (209, 82_602)
+    assert (len(points), sum(points)) == (142, 71_247)
 
 
 class TestEulerBounds:
