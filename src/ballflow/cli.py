@@ -272,28 +272,23 @@ def _pt_str(g: MetricGraph, p: GraphPoint) -> str:
 
 
 def cmd_selftest(args) -> int:
-    ok = True
     for name in ["path", "c4", "c6", "theta"]:
         g = fixtures.builtin(name)
         prof = g.potential_profile()
         tl = evolution.timeline(g)
         for e in tl.entries:
             quotient.euler_bounds_check(g, e.fingerprint)
-        pts = [g.canonical_point(p) for p in mergetree.sample_points(g, Fraction(1, 2))]
-        # the sweep's tree against the pairwise route: bisection on exact balls
-        mu = tuple(tuple(mergetree.merge_radius(g, p, q) for q in pts) for p in pts)
-        m = mergetree.MergeMatrix(tuple(pts), mu)
-        rep = mergetree.ultrametric_check(m)
-        line = (
+        # the sweep's tree against the exact interval balls, as merge-tree checks it
+        d = mergetree.merge_tree(g, mergetree.sample_points(g, Fraction(1, 2)))
+        bad = mergetree.ball_check(g, d)
+        print(
             f"{name}: m={format_rational(prof.m)} M={format_rational(prof.M)}"
-            f" types={tl.distinct_type_count} ultrametric={'ok' if rep.ok else 'FAIL'}"
+            f" types={tl.distinct_type_count} ball_check={'FAIL' if bad else 'ok'}"
         )
-        print(line)
-        ok = ok and rep.ok
-        if rep.ok and mergetree.dendrogram_from_matrix(m) != mergetree.build_merge_tree(g, pts):
-            raise InternalConsistencyError(f"selftest: {name}'s merge tree differs from merge_radius")
-    if not ok:
-        raise InternalConsistencyError("selftest ultrametric check failed")
+        if bad:
+            raise InternalConsistencyError(
+                f"selftest: {name}'s merge tree contradicts the exact balls at pairs {bad}"
+            )
     print("selftest: all fixtures passed")
     return 0
 

@@ -1,10 +1,11 @@
 """Finite metric graphs with exact rational arithmetic.
 
 A graph document (arbitrary positive rational edge lengths) is normalized to
-a unit-edge multigraph: all lengths are multiplied by the lcm L of the length
-denominators and every edge is subdivided into length-1 pieces.  The stored
-scale factor 1/L maps internal distances back to user units.  All distance,
-eccentricity and potential computations are exact.
+a unit-edge multigraph: all lengths are divided by the longest length G
+that divides each of them (the gcd of the lengths times the lcm L of their
+denominators, over L), and every edge is subdivided into length-1 pieces.
+The stored scale factor G maps internal distances back to user units.  All
+distance, eccentricity and potential computations are exact.
 
 Phi(p), the largest distance from p, is linear on every unit edge between
 the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)
@@ -32,7 +33,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -434,19 +435,19 @@ def load_graph(document) -> MetricGraph:
         parsed.append((u, v, length))
 
     L = lcm(*[length.denominator for _, _, length in parsed])
-    units = sum(int(length * L) for _, _, length in parsed)
+    scale = Fraction(gcd(*[int(length * L) for _, _, length in parsed]), L)
+    units = sum(int(length / scale) for _, _, length in parsed)
     if units > MAX_UNIT_EDGES:
         raise ValidationError(
             f"graph normalizes to {units} unit edges, over the cap of {MAX_UNIT_EDGES}"
         )
-    scale = Fraction(1, L)
 
     vertex_names = [str(v) for v in vertices]
     new_edges: list[tuple[int, int]] = []
     provenance: list[str] = []
     segments: list[tuple[int, int, int]] = []
     for eidx, (u, v, length) in enumerate(parsed):
-        n_units = length * L
+        n_units = length / scale
         assert n_units.denominator == 1
         n_units = n_units.numerator
         chain = [u]

@@ -136,6 +136,14 @@ its ends are (corollary 1), two non-full segments are identified iff their
 unordered pairs of end classes are equal (corollary 2 and its converse),
 and a segment identified with a vertex cell is full (lemma 1).  So every
 identification of the level is constant on I.
+
+Corollary 3: every level is connected, so `fingerprint`'s b0 is 1.  The
+vertex and segment cells form a subdivision of X, a connected graph.  Each
+q-vertex holds a vertex cell: X's least cell is one (corollary 1).  A full
+segment has both ends in X's class (corollary 1), and a non-full segment's
+class is a q-edge joining its two end classes, as the class is keyed by
+their unordered pair (corollary 2).  So a path of cells between two vertex
+cells maps to a walk between their q-vertices.
 """
 
 from __future__ import annotations
@@ -143,14 +151,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .canon import canonical_multigraph_code, smooth_multigraph
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import INT64_SAFE, ball_keys
+from .levelkeys import ball_keys
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -199,19 +207,23 @@ def cut_offsets(r: Fraction) -> list[Fraction]:
 
 
 def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
-    """The cells of the level at r as points and segments, vertices first:
-    the `Fraction` reference for the tests and the benchmark's timeline
-    oracle.  The engine works on `_cells`."""
+    """The cells of the level at r as `Fraction` points and segments: the
+    vertices, then each edge's `cut_offsets(r)` in order.  It is the
+    reference for the tests and the benchmark's timeline oracle; the engine
+    cuts the same cells, with the same ids, as `_cells`' integer arrays."""
     r = Fraction(r)
-    c = _cells(g, r)
-    V = g.num_vertices
-    cuts = [GraphPoint(e, Fraction(t, c.S)) for e, t in c.vertex[V:].tolist()]
-    segments = zip(*(a.tolist() for a in (c.edge, c.lo, c.hi, c.tail_cell, c.head_cell)))
-    return Subdivision(
-        r,
-        tuple([g.vertex_point(v) for v in range(V)] + cuts),
-        tuple(SegmentCell(e, Fraction(lo, c.S), Fraction(hi, c.S), a, b) for e, lo, hi, a, b in segments),
-    )
+    if r <= 0:
+        raise ValidationError(f"subdivision radius must be positive, got {r}")
+    cuts = cut_offsets(r)
+    n, V = len(cuts), g.num_vertices
+    bounds = [Fraction(0), *cuts, ONE]
+    segments = []
+    for e, (u, v) in enumerate(g.edges):
+        ids = [u, *range(V + e * n, V + e * n + n), v]
+        segments += [SegmentCell(e, bounds[k], bounds[k + 1], ids[k], ids[k + 1]) for k in range(n + 1)]
+    points = [g.vertex_point(v) for v in range(V)]
+    points += [GraphPoint(e, t) for e in range(g.num_edges) for t in cuts]
+    return Subdivision(r, tuple(points), tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -248,8 +260,11 @@ class Fingerprint:
 
 
 class _Cells(NamedTuple):
-    """The subdivision's cells at radius r as integer arrays, offsets times
-    S, in `subdivision`'s order and with its cell ids."""
+    """The cells of the level at radius r as integer arrays, offsets times
+    S: the vertices, then each edge's `cut_offsets(r)` in order, and the
+    segments between them.  Built for the 1/8-grid radii of the engine (and
+    the small denominators of the tests' `level_oracle`), so int64 holds
+    every offset."""
 
     r: Fraction
     S: int
@@ -266,21 +281,18 @@ class _Cells(NamedTuple):
 
 
 def _cells(g: MetricGraph, r: Fraction) -> _Cells:
-    if r <= 0:
-        raise ValidationError(f"subdivision radius must be positive, got {r}")
     # midpoints and quarter points of the cuts' 1/lcm(2, den r) grid lie on 1/S
     S = 4 * lcm(2, r.denominator)
     cuts = [int(c * S) for c in cut_offsets(r)]
     n, E, V = len(cuts), g.num_edges, g.num_vertices
-    dtype = np.int64 if S < INT64_SAFE else object
     tails, heads = np.array(g.edges, dtype=np.int64).T
     edges = np.arange(E)
-    vertex = np.empty((V + n * E, 2), dtype=dtype)
+    vertex = np.empty((V + n * E, 2), dtype=np.int64)
     vertex[heads, 0], vertex[heads, 1] = edges, S
     vertex[tails, 0], vertex[tails, 1] = edges, 0
     vertex[V:, 0] = np.repeat(edges, n)
-    vertex[V:, 1] = np.tile(np.array(cuts, dtype=dtype), E)
-    bounds = np.array([0, *cuts, S], dtype=dtype)
+    vertex[V:, 1] = np.tile(cuts, E)
+    bounds = np.array([0, *cuts, S])
     edge = np.repeat(edges, n + 1)
     k = np.tile(np.arange(n + 1), E)
     return _Cells(
@@ -391,23 +403,24 @@ def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> N
     """Check that every multi-member segment class of the level at r, cut
     at c.r, glues its members in one of the two directions.
 
-    For every member, the quarter-point ball must match either the
-    representative's quarter or three-quarter ball; anything else would
-    contradict the all-or-nothing identification, or corollary 2's grouping
-    by end classes, and is a hard error.
+    Every member's quarter-point ball must match the lead's quarter or
+    three-quarter ball, so each member and each class's lead are keyed once
+    more; anything else would contradict the all-or-nothing identification,
+    or corollary 2's grouping by end classes, and is a hard error.
     """
     multi = [cls for cls in seg_classes if len(cls) > 1]
     if not multi:
         return
     members = np.array([i for cls in multi for i in cls])
     sizes = [len(cls) for cls in multi]
-    lead = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)  # position of each class's lead
+    first = np.cumsum([0, *sizes[:-1]])  # position of each class's lead
+    lead = np.repeat(first, sizes)
     lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
     quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
-    three_quarter = np.stack([edge, lo + 3 * (hi - lo) // 4], axis=1)
+    three_quarter = np.stack([edge[first], lo[first] + 3 * (hi - lo)[first] // 4], axis=1)
     labels = ball_keys(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
     kq, k3q = labels[: len(members)], labels[len(members) :]
-    bad = np.flatnonzero((kq != kq[lead]) & (k3q != kq[lead]))
+    bad = np.flatnonzero((kq != kq[lead]) & (kq != np.repeat(k3q, sizes)))
     if len(bad):
         i = bad[0]
         raise InternalConsistencyError(
@@ -421,8 +434,7 @@ def fingerprint(q: QuotientGraph) -> Fingerprint:
     E = q.num_edges
     chi = V - E
     n_sm, sm_edges, _kept = smooth_multigraph(V, q.q_edges)
-    b0 = _components(n_sm, sm_edges)  # smoothing keeps the components
-    b1 = E - V + b0
+    b1 = E - V + 1  # every level is connected (corollary 3)
     is_point = E == 0 and V == 1
     degs = [0] * n_sm
     for a, b in sm_edges:
@@ -431,7 +443,7 @@ def fingerprint(q: QuotientGraph) -> Fingerprint:
     degree_multiset = tuple(sorted(degs))
     code = canonical_multigraph_code(n_sm, sm_edges)
     return Fingerprint(
-        b0=b0,
+        b0=1,
         b1=b1,
         chi=chi,
         n0=q.n0,
@@ -439,22 +451,6 @@ def fingerprint(q: QuotientGraph) -> Fingerprint:
         canonical_code=code,
         is_point=is_point,
     )
-
-
-def _components(n: int, edges: Sequence[tuple[int, int]]) -> int:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(n)})
 
 
 def is_injective(g: MetricGraph, r: Fraction) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from ballflow import fixtures, quotient
-from ballflow.balls import BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
+from ballflow.balls import _FULL_ROW, BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
 from ballflow.canon import _twin_representatives, refine_colors
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
@@ -254,6 +254,20 @@ def center_edge_oracle(S: int, H: int, L: int, t: int, R: int):
     return (-2, -2), tuple(merged)
 
 
+def integer_coverage(cov, D: int) -> tuple[tuple[int, ...], ...]:
+    """A coverage with every interval end times D, for ends on (1/D)Z: per
+    edge the ends in order, as Python integers.  Two such coverages are equal
+    iff their integer forms are, and the forms hash without `Fraction`."""
+    full = (0, D)
+
+    def row(ivs):
+        if ivs is _FULL_ROW:  # the row every full edge of a `closed_ball` shares
+            return full
+        return tuple([x.numerator * (D // x.denominator) for iv in ivs for x in iv]) if ivs else ()
+
+    return tuple([row(ivs) for ivs in cov])
+
+
 def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):
     """(labels, full) of exact `Fraction` balls: labels[i] is the least j whose
     ball equals ball i (coverages are canonical), full[i] whether ball i is X."""
@@ -267,6 +281,29 @@ def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):
     return labels, full
 
 
+def assert_cells_match_subdivision(g: MetricGraph, r: Fraction) -> None:
+    """`quotient._cells`, the engine's integer cells, lists the cells of
+    `quotient.subdivision`, cut on its own from `cut_offsets`, with the same
+    ids, offsets and end cells; a vertex row may name any incident end."""
+    sub, c = quotient.subdivision(g, r), quotient._cells(g, r)
+    V, S = g.num_vertices, c.S
+
+    def same(rows, fractions):
+        return len(rows) == len(fractions) and all(
+            t * x.denominator == x.numerator * S for row, xs in zip(rows, fractions) for t, x in zip(row, xs)
+        )
+
+    vertices = [g.canonical_point(GraphPoint(e, Fraction(t, S))) for e, t in c.vertex[:V].tolist()]
+    assert vertices == list(sub.vertex_cells[:V]), r
+    assert [p.edge for p in sub.vertex_cells[V:]] == c.vertex[V:, 0].tolist(), r
+    assert same(c.vertex[V:, 1:].tolist(), [(p.t,) for p in sub.vertex_cells[V:]]), r
+    segments = sub.segment_cells
+    assert [(s.edge, s.tail_cell, s.head_cell) for s in segments] == list(
+        zip(c.edge.tolist(), c.tail_cell.tolist(), c.head_cell.tolist())
+    ), r
+    assert same(np.stack([c.lo, c.hi], axis=1).tolist(), [(s.lo, s.hi) for s in segments]), r
+
+
 def level_oracle(g: MetricGraph, r: Fraction):
     """`quotient._level` by keying every vertex cell and segment midpoint,
     grouping equal key rows and reading X off them: (cells, labels, full)."""
@@ -277,6 +314,23 @@ def level_oracle(g: MetricGraph, r: Fraction):
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
     return c, first[inverse], full
+
+
+def components_oracle(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """The number of connected components of a multigraph, by union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in range(n)})
 
 
 def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:

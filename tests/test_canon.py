@@ -9,9 +9,9 @@ import pytest
 
 from ballflow import canon, evolution, fixtures
 from ballflow.canon import canonical_multigraph_code, smooth_multigraph
-from ballflow.quotient import _components, fingerprint, project
+from ballflow.quotient import fingerprint, project
 
-from conftest import canonical_code_oracle, smooth_oracle
+from conftest import canonical_code_oracle, components_oracle, smooth_oracle
 
 
 def random_multigraph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
@@ -87,7 +87,7 @@ def test_timeline_levels_match_oracles(timeline_levels, name):
         assert smoothed == smooth_oracle(q.num_vertices, list(q.q_edges)), q.radius
         n, edges, _kept = smoothed
         assert canonical_multigraph_code(n, edges) == canonical_code_oracle(n, edges), q.radius
-        assert fingerprint(q).b0 == _components(q.num_vertices, q.q_edges), q.radius
+        assert fingerprint(q).b0 == components_oracle(q.num_vertices, q.q_edges) == 1, q.radius
 
 
 def test_timeline_searches_each_distinct_smoothed_level_once(timeline_levels):

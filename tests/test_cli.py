@@ -273,6 +273,39 @@ class TestSubcommands:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
 
+    def test_selftest_needs_no_pairwise_oracle(self, capsys, monkeypatch):
+        """selftest checks each fixture's sweep tree with `ball_check`, not with
+        the bisection matrix and its ultrametric and dendrogram oracles."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("selftest ran a pairwise oracle")
+
+        for name in ("merge_radius", "ultrametric_check", "dendrogram_from_matrix", "MergeMatrix"):
+            monkeypatch.setattr(mergetree, name, refuse)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 0
+        assert out.count("ball_check=ok") == 4
+
+    @pytest.mark.parametrize("step", [F(1, 2), F(-1, 2)])
+    def test_selftest_catches_a_merge_event_one_grid_step_off(self, capsys, monkeypatch, step):
+        """theta's sweep tree at resolution 1/2 merges at 1 and 2 on the grid
+        of step 1/2; its last event is moved up or down by one step."""
+        real = mergetree.merge_tree
+
+        def moved(g, points):
+            d = real(g, points)
+            if g.name != "theta":
+                return d
+            *events, last = d.events
+            moved = mergetree.MergeEvent(last.radius + step, last.clusters)
+            return mergetree.Dendrogram(d.points, (*events, moved))
+
+        monkeypatch.setattr(mergetree, "merge_tree", moved)
+        code, out, err = run(capsys, "selftest")
+        assert code == 3
+        assert "theta: m=2 M=2 types=3 ball_check=FAIL" in out
+        assert "theta's merge tree contradicts the exact balls" in err
+
     def test_comb_builtin(self, capsys):
         code, out, _ = run(capsys, "info", "builtin:comb3")
         assert code == 0

@@ -39,17 +39,24 @@ class TestIngestion:
             parse_rational("0.5x")
 
     def test_unit_normalization(self):
-        g = load_graph(doc(["a", "b"], [("a", "b", "3/2")]))
-        # lcm of denominators is 2, so the edge splits into 3 unit pieces
+        g = load_graph(doc(["a", "b", "c"], [("a", "b", "3/2"), ("b", "c", "1")]))
+        # lcm of denominators is 2 and 3, 2 are coprime: 3 + 2 unit pieces of 1/2
         assert g.scale == F(1, 2)
-        assert g.num_edges == 3
-        assert g.num_vertices == 4
-        assert g.to_user(g.diameter()) == F(3, 2)
+        assert g.num_edges == 5
+        assert g.num_vertices == 6
+        assert g.to_user(g.diameter()) == F(5, 2)
+
+    def test_lengths_are_divided_by_their_gcd(self):
+        g = load_graph(doc(["a", "b", "c"], [("a", "b", "600"), ("b", "c", "600")]))
+        assert (g.scale, g.num_edges, g.to_user(g.diameter())) == (600, 2, 1200)
+        g = load_graph(doc(["a", "b"], [("a", "b", "3/2")]))
+        assert (g.scale, g.num_edges, g.num_vertices) == (F(3, 2), 1, 2)
 
     def test_length_key_aliases(self):
-        g1 = load_graph({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "len": 2}]})
-        g2 = load_graph({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": 2}]})
-        assert g1.num_edges == g2.num_edges == 2
+        tail = {"u": "b", "v": "c", "len": 1}  # coprime to the first length
+        g1 = load_graph({"vertices": list("abc"), "edges": [{"u": "a", "v": "b", "len": 2}, tail]})
+        g2 = load_graph({"vertices": list("abc"), "edges": [{"u": "a", "v": "b", "length": 2}, tail]})
+        assert g1.num_edges == g2.num_edges == 3
 
     def test_rejects_bad_documents(self):
         with pytest.raises(ValidationError):
@@ -62,8 +69,11 @@ class TestIngestion:
             load_graph(doc([1, "1", 2], [(1, 2, 1)]))  # equal once read as strings
 
     def test_unit_edge_cap(self):
-        g = load_graph(doc(["a", "b"], [("a", "b", str(MAX_UNIT_EDGES))]))
+        g = load_graph(doc(["a", "b", "c"], [("a", "b", str(MAX_UNIT_EDGES - 1)), ("b", "c", "1")]))
         assert g.num_edges == MAX_UNIT_EDGES
+        # the cap counts unit edges after the gcd of the lengths is divided out
+        long = str(10 * MAX_UNIT_EDGES)
+        assert load_graph(doc(["a", "b", "c"], [("a", "b", long), ("b", "c", long)])).num_edges == 2
         with pytest.raises(ValidationError, match=f"{MAX_UNIT_EDGES + 1} unit edges"):
             load_graph(doc(["a", "b", "c"], [("a", "b", str(MAX_UNIT_EDGES)), ("b", "c", "1")]))
         # a small denominator multiplies every other length
@@ -109,11 +119,12 @@ class TestDistances:
         assert g.point_distance(p, q) == F(3, 4)
 
     def test_loop_distance_uses_both_routings(self):
-        g = load_graph(doc(["a"], [("a", "a", 2)]))
-        # two unit edges forming a circle of circumference 2
+        g = load_graph(doc(["a", "b"], [("a", "a", 2), ("a", "b", 1)]))
+        # two unit edges forming a circle of circumference 2, and a pendant edge
         p, q = GraphPoint(0, F(0)), GraphPoint(0, F(3, 4))
         assert g.point_distance(p, q) == F(3, 4)
-        assert g.diameter() == 1
+        assert g.point_distance(GraphPoint(0, F(1, 4)), GraphPoint(1, F(3, 4))) == F(1, 2)
+        assert g.diameter() == 2
 
     def test_distance_symmetry_and_triangle(self, theta_g):
         pts = grid_points(theta_g, 3)

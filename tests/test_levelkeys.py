@@ -12,7 +12,7 @@ from ballflow.errors import InternalConsistencyError
 from ballflow.evolution import timeline_loci
 from ballflow.graph import GraphPoint, load_graph
 
-from conftest import center_edge_oracle, coverage_classes, level_oracle
+from conftest import center_edge_oracle, coverage_classes, integer_coverage, level_oracle
 from test_acceptance import big_graph
 
 GRAPHS = {
@@ -163,33 +163,52 @@ def test_no_midpoint_ball_equals_two_points_common_ball():
     assert pairs == 717
 
 
+def segment_radii(g):
+    """Every k/8 up to diam + 1/2: the balls about a level's cells and
+    midpoints there have their interval ends on (1/16)Z."""
+    return [F(k, 8) for k in range(1, int(8 * (g.diameter() + F(1, 2))) + 1)]
+
+
 def test_segment_balls_are_fixed_by_their_ends():
     """Corollaries 1 and 2 of `quotient`, on `Fraction` balls: at every k/8
     up to diam + 1/2, a segment cell's midpoint ball is X iff both its end
     balls are, and non-full segments with equal unordered pairs of end balls
     have equal midpoint balls (19,350 such segments after the first of their
-    pair).  big200 is left out for time: its 2,000-odd balls per radius take
-    about 50 s on 2 x86-64 cores."""
+    pair).  Balls are compared by their integer coverages over 16.  big200 is
+    left out for time: its 2,000-odd balls per radius take about 50 s on 2
+    x86-64 cores."""
     shared = 0
     for name, make in LEVEL_GRAPHS.items():
         if name == "big200":
             continue
         g = make()
-        X = full_set(g).coverage
-        for k in range(1, int(8 * (g.diameter() + F(1, 2))) + 1):
-            r = F(k, 8)
+        X = integer_coverage(full_set(g).coverage, 16)
+        for r in segment_radii(g):
             sub = quotient.subdivision(g, r)
-            ends = [closed_ball(g, p, r).coverage for p in sub.vertex_cells]
+            ends = [integer_coverage(closed_ball(g, p, r).coverage, 16) for p in sub.vertex_cells]
             mids: dict = {}
             for s in sub.segment_cells:
                 a, b = ends[s.tail_cell], ends[s.head_cell]
-                mid = closed_ball(g, s.midpoint, r).coverage
+                mid = integer_coverage(closed_ball(g, s.midpoint, r).coverage, 16)
                 assert (mid == X) == (a == X == b), (name, r, s)
                 if mid != X:
                     pair = frozenset((a, b))
                     shared += pair in mids
                     assert mids.setdefault(pair, mid) == mid, (name, r, s)
     assert shared == 19_350
+
+
+@pytest.mark.parametrize("name", ["theta", "comb3", "kite", "rand8+4s5", "tree8s2"])
+def test_integer_coverage_agrees_with_ball_equality(name):
+    """The balls of the test above, about every vertex cell and midpoint,
+    fall into the same classes by their integer coverages as by `BallSet`
+    equality."""
+    g = LEVEL_GRAPHS[name]()
+    for r in segment_radii(g):
+        sub = quotient.subdivision(g, r)
+        balls = [closed_ball(g, p, r) for p in (*sub.vertex_cells, *(s.midpoint for s in sub.segment_cells))]
+        forms = [integer_coverage(b.coverage, 16) for b in balls]
+        assert len(set(forms)) == len(set(balls)) == len(set(zip(forms, balls))), r
 
 
 def test_rows_are_int8_on_the_timeline_grid():

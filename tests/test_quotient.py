@@ -6,7 +6,7 @@ import pytest
 from ballflow import fixtures, quotient
 from ballflow.balls import closed_ball, full_set, sets_equal
 from ballflow.errors import ValidationError
-from ballflow.evolution import timeline
+from ballflow.evolution import timeline, timeline_loci
 from ballflow.graph import load_graph
 from ballflow.quotient import (
     cut_offsets,
@@ -17,7 +17,7 @@ from ballflow.quotient import (
     subdivision,
 )
 
-from conftest import cell_partition, level_oracle, relabeled
+from conftest import assert_cells_match_subdivision, cell_partition, level_oracle, relabeled
 from test_acceptance import big_graph
 
 
@@ -69,6 +69,26 @@ class TestSubdivision:
             )
             assert segs[0][0] == 0 and segs[-1][1] == 1
             assert all(a[1] == b[0] for a, b in zip(segs, segs[1:]))
+
+    @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
+    def test_matches_the_engine_cells(self, name):
+        """At every timeline locus and every k/24 up to diam + 1/2."""
+        g = fixtures.comb(3) if name == "comb3" else fixtures.builtin(name)
+        top = g.diameter() + F(1, 2)
+        radii = {r for r, _ in timeline_loci(g)} | {F(k, 24) for k in range(1, int(24 * top) + 1)}
+        for r in sorted(radii):
+            assert_cells_match_subdivision(g, r)
+
+    @pytest.mark.parametrize("r", [F(10**23 + 1, 3), F(1, 10**21), F(10**21 + 1, 4 * 10**21)])
+    def test_offsets_are_the_cut_offsets(self, theta_g, r):
+        """Radii whose integer cells would pass int64 or lie past the diameter:
+        the cells are `cut_offsets(r)`'s `Fraction`s, exactly."""
+        sub = subdivision(theta_g, r)
+        cuts = cut_offsets(r)
+        V, E = theta_g.num_vertices, theta_g.num_edges
+        assert [p.t for p in sub.vertex_cells[V:]] == cuts * E
+        bounds = [0, *cuts, 1]
+        assert [(s.lo, s.hi) for s in sub.segment_cells] == list(zip(bounds, bounds[1:])) * E
 
 
 class TestProjectionAgainstBruteForce:
@@ -253,8 +273,10 @@ def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
     """The work of the big200 timeline's levels, counted, not timed: one
     call per level on its non-full vertex cells, plus the orientation check's
-    quarter points.  Keying every vertex cell and midpoint took 143 calls and
-    155,710 points."""
+    quarter point of every member of a multi-member class and three-quarter
+    point of each such class's lead.  Keying both points of every member
+    took 71,247 points, and keying every vertex cell and midpoint took 143
+    calls and 155,710 points."""
     real = quotient.ball_keys
     points = []
 
@@ -264,7 +286,7 @@ def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
 
     monkeypatch.setattr(quotient, "ball_keys", counted)
     timeline(big_graph())
-    assert (len(points), sum(points)) == (142, 71_247)
+    assert (len(points), sum(points)) == (142, 63_340)
 
 
 class TestEulerBounds:

@@ -1,0 +1,58 @@
+"""Every small metric graph, level by level.
+
+The graphs are every connected multigraph, loops and parallel edges
+included, with at most 3 vertices and 3 edges and each length 1 or 2, one
+per isometry class: isomorphic unit graphs are isometric, so they are
+deduplicated by the canonical code of the unit graph.  With BALLFLOW_DEEP=1
+the bounds are 4 vertices, 4 edges and lengths 1/2 or 1 (about 65 s on 2
+x86-64 cores); run it before changing a kernel.  At every k/24 up to
+diam + 1/2 each level is checked four ways: `_level` against `level_oracle`
+keyed at r itself, the `project` level connected by union-find, b0 = 1, and
+`subdivision`'s cells against `_cells`'.
+"""
+
+import os
+from fractions import Fraction as F
+from itertools import combinations_with_replacement
+
+from ballflow.canon import canonical_multigraph_code
+from ballflow.graph import load_graph
+from ballflow.quotient import fingerprint, project
+
+from conftest import assert_cells_match_subdivision, components_oracle
+from test_levelkeys import assert_level_matches_oracle
+
+DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
+# (vertices, edges, lengths) -> (metric graphs, levels)
+BOUNDS, COUNTS = ((4, 4, ("1/2", "1")), (228, 19_968)) if DEEP else ((3, 3, ("1", "2")), (45, 3_012))
+
+
+def small_graphs(max_vertices, max_edges, lengths):
+    """One graph per isometry class of the connected multigraph documents
+    within the bounds."""
+    graphs = {}
+    for n in range(1, max_vertices + 1):
+        slots = [(u, v, length) for u in range(n) for v in range(u, n) for length in lengths]
+        for m in range(1, max_edges + 1):
+            for edges in combinations_with_replacement(slots, m):
+                if components_oracle(n, [(u, v) for u, v, _ in edges]) > 1:
+                    continue
+                doc = {"vertices": list(range(n)), "edges": [{"u": u, "v": v, "len": l} for u, v, l in edges]}
+                g = load_graph({"name": repr(edges), **doc})
+                graphs.setdefault(canonical_multigraph_code(g.num_vertices, g.edges), g)
+    return list(graphs.values())
+
+
+def test_every_small_graph_at_every_24th():
+    graphs = small_graphs(*BOUNDS)
+    levels = 0
+    for g in graphs:
+        for k in range(1, int(24 * (g.diameter() + F(1, 2))) + 1):
+            r = F(k, 24)
+            assert_level_matches_oracle(g, r)
+            q = project(g, r)
+            assert components_oracle(q.num_vertices, q.q_edges) == 1, (g.name, r)
+            assert fingerprint(q).b0 == 1, (g.name, r)
+            assert_cells_match_subdivision(g, r)
+            levels += 1
+    assert (len(graphs), levels) == COUNTS
