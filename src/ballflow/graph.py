@@ -5,7 +5,10 @@ a unit-edge multigraph: all lengths are divided by the longest length G
 that divides each of them (the gcd of the lengths times the lcm L of their
 denominators, over L), and every edge is subdivided into length-1 pieces.
 The stored scale factor G maps internal distances back to user units.  All
-distance, eccentricity and potential computations are exact.
+distance, eccentricity and potential computations are exact.  The vertex
+distance matrix is built once, at construction, by one breadth-first search
+from all vertices at once (`_distance_matrix`); a pair it never joins
+refuses the graph as disconnected.
 
 Phi(p), the largest distance from p, is linear on every unit edge between
 the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)
@@ -30,7 +33,6 @@ edge exactly on the runs of quarter points that hold that value.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -43,18 +45,21 @@ from .errors import InternalConsistencyError, ValidationError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 # load_graph() refuses more unit edges than this.  Memory grows as E^2: the vertex
-# distance matrix and levelkeys' int8 key rows (points x edges).  project at radius
-# 3/2 peaked at 72, 107, 197 and 331 MB RSS at 971, 2,028, 2,901 and 3,967 unit
-# edges of random_connected graphs (2 x86-64 cores).  No fixture or benchmark
-# graph has more than 200.
+# distance matrix, the frontier of _distance_matrix (8 bytes per pair of one hop)
+# and levelkeys' int8 key rows (points x edges).  project at radius 3/2 peaked at
+# 72, 107, 197 and 337 MB RSS at 971, 2,028, 2,901 and 3,967 unit edges of
+# random_connected graphs, and loading a star of 4,000 unit edges at 299 MB (2
+# x86-64 cores).  No fixture or benchmark graph has more than 200.
 MAX_UNIT_EDGES = 4_000
 # entries per (points x edges) array of _quarter_eccentricities' chunks
 _CHUNK_ENTRIES = 1 << 20
+# (source, vertex) pairs stepped per slice of _distance_matrix's frontier
+_BFS_SLICE = 1 << 18
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with decimal digits into an exact Fraction."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValidationError(f"rational must be a string, got {text!r}")
@@ -119,8 +124,9 @@ class MetricGraph:
                 self._incidence[v].append((i, 1))
             else:
                 self._incidence[u].append((i, 1))
-        self._check_connected()
-        self._dist: np.ndarray | None = None
+        self._dist = _distance_matrix(n, self.edges)
+        if (self._dist < 0).any():
+            raise ValidationError("graph is disconnected")
         self._phi8: np.ndarray | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -136,24 +142,6 @@ class MetricGraph:
     def incident(self, vertex: int) -> list[tuple[int, int]]:
         """(edge index, endpoint slot 0=tail/1=head) pairs at a vertex."""
         return self._incidence[vertex]
-
-    def _check_connected(self):
-        n = self.num_vertices
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for e, _slot in self._incidence[u]:
-                a, b = self.edges[e]
-                for w in (a, b):
-                    if not seen[w]:
-                        seen[w] = True
-                        count += 1
-                        stack.append(w)
-        if count != n:
-            raise ValidationError("graph is disconnected")
 
     # -- points ------------------------------------------------------------
 
@@ -186,27 +174,7 @@ class MetricGraph:
 
     def vertex_distance_matrix(self) -> np.ndarray:
         """All-pairs graph distance on unit edges, as a (V, V) int64 matrix
-        filled one BFS row at a time."""
-        if self._dist is None:
-            n = self.num_vertices
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in self.edges:
-                if u != v:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            dist = np.empty((n, n), dtype=np.int64)
-            for s in range(n):
-                row = [-1] * n
-                row[s] = 0
-                dq = deque([s])
-                while dq:
-                    u = dq.popleft()
-                    for w in adj[u]:
-                        if row[w] < 0:
-                            row[w] = row[u] + 1
-                            dq.append(w)
-                dist[s] = row
-            self._dist = dist
+        filled at construction by `_distance_matrix`."""
         return self._dist
 
     def point_vertex_distances(self, p: GraphPoint) -> list[Fraction]:
@@ -370,6 +338,52 @@ class MetricGraph:
         return lines
 
 
+def _distance_matrix(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """All-pairs hop distances of a multigraph on n vertices, as an (n, n)
+    int64 matrix with -1 where a vertex is never reached.
+
+    One breadth-first search from every source at once.  The frontier of hop
+    h lists the pairs (s, v) with d(s, v) = h, as s * n + v.  A hop steps
+    each pair along v's half-edges (loops reach nothing new and are dropped),
+    keeps the pairs not reached yet, and keeps one copy of each: every copy
+    writes its own negative tag into the matrix, and the copy whose tag
+    stayed is kept.  The work is about n times the number of half-edges
+    whatever the diameter; a bit-packed frontier like canon's costs the
+    diameter times n^2/64 words, about 14 times slower than one Python BFS
+    per source on a path of 4,000 unit edges.  Slices of about _BFS_SLICE
+    stepped pairs bound the memory a hub would multiply.
+    """
+    e = np.array([(a, b) for a, b in edges if a != b], dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])[np.argsort(src, kind="stable")]
+    deg = np.bincount(src, minlength=n)
+    first = np.cumsum(deg) - deg
+    dist = np.full(n * n, -1, dtype=np.int64)
+    frontier = [np.arange(n) * (n + 1)]
+    dist[frontier[0]] = 0
+    h = 0
+    while frontier:
+        h += 1
+        reached = []
+        for pairs in frontier:
+            ends = np.cumsum(deg[pairs % n])
+            cuts = np.searchsorted(ends, np.arange(_BFS_SLICE, ends[-1], _BFS_SLICE), side="right")
+            for part in np.split(pairs, cuts):
+                v = part % n
+                k = deg[v]
+                half = np.arange(k.sum()) + np.repeat(first[v] - np.cumsum(k) + k, k)
+                new = np.repeat(part - v, k) + dst[half]
+                new = new[dist[new] == -1]
+                tag = -2 - np.arange(len(new))
+                dist[new] = tag
+                new = new[dist[new] == tag]
+                dist[new] = h
+                if len(new):
+                    reached.append(new)
+        frontier = reached
+    return dist.reshape(n, n)
+
+
 def _level_runs(row: list[int], value: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """The runs of consecutive quarter points where one edge's row holds
     `value`, as closed offset intervals."""
@@ -413,7 +427,7 @@ def load_graph(document) -> MetricGraph:
         raise ValidationError("document must list vertices")
     if not isinstance(edges_doc, list) or not edges_doc:
         raise ValidationError("document must list at least one edge")
-    if not all(isinstance(v, (str, int, float)) for v in vertices):
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in vertices):
         raise ValidationError(f"vertex names must be strings or numbers, got {vertices}")
     index = {str(v): i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):

@@ -7,13 +7,15 @@ by a second, independent route.  closed_ball itself is checked against
 closed_ball_oracle, its construction in `Fraction` arithmetic on every edge,
 and the array-based smoothing and canonical code of `canon` against
 smooth_oracle and canonical_code_oracle, their chain walk and per-vertex
-Python BFS with recursive search.  level_oracle is the one-pass level that
+Python BFS with recursive search.  distance_oracle is the vertex distance
+matrix by one Python BFS per source, against which the graph's search
+from all sources at once is checked.  level_oracle is the one-pass level that
 keys every cell's ball, against which the level's selective keying is checked.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -314,6 +316,29 @@ def level_oracle(g: MetricGraph, r: Fraction):
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
     return c, first[inverse], full
+
+
+def distance_oracle(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The (n, n) int64 vertex distance matrix of a multigraph by one
+    breadth-first search per source, -1 where a source is never reached."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    dist = np.empty((n, n), dtype=np.int64)
+    for s in range(n):
+        row = [-1] * n
+        row[s] = 0
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = row[u] + 1
+                    dq.append(w)
+        dist[s] = row
+    return dist
 
 
 def components_oracle(n: int, edges: Sequence[tuple[int, int]]) -> int:

@@ -130,8 +130,13 @@ class TestExitCodes:
             ("file", {"vertices": [["a"], "b"], "edges": [{"u": "a", "v": "b"}]}),
             ("file", {"vertices": ["a", "b"], "edges": [1]}),
             ("file", "{not json"),  # a JSON string that load_graph decodes again
+            ("file", {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "len": True}]}),
+            ("file", {"vertices": [True, "x"], "edges": [{"u": "True", "v": "x"}]}),
+            ("file", {"vertices": ["a", "b", "c", "d"], "edges": [{"u": "a", "v": "b"}, {"u": "c", "v": "d"}]}),
+            ("file", {"vertices": ["a", "b", "c"], "edges": [{"u": "a", "v": "b"}]}),
         ],
-        ids=["comb-x", "comb-0", "comb-minus-1", "comb-12", "list-vertex", "number-edge", "bad-json-string"],
+        ids=["comb-x", "comb-0", "comb-minus-1", "comb-12", "list-vertex", "number-edge", "bad-json-string",
+             "bool-length", "bool-vertex", "two-components", "isolated-vertex"],
     )
     def test_invalid_input_exits_2(self, tmp_path, capsys, graph, document):
         if graph == "file":

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ballflow import fixtures
 from ballflow.errors import ValidationError
-from ballflow.graph import MAX_UNIT_EDGES, GraphPoint, load_graph, parse_rational, format_rational
+from ballflow.graph import MAX_UNIT_EDGES, GraphPoint, _distance_matrix, load_graph, parse_rational, format_rational
 
-from conftest import ecc_oracle, grid_points, potential_oracle
+from conftest import distance_oracle, ecc_oracle, grid_points, potential_oracle
 
 
 def doc(vertices, edges, name="g"):
@@ -37,6 +39,8 @@ class TestIngestion:
         assert format_rational(F(6, 4)) == "3/2"
         with pytest.raises(ValidationError):
             parse_rational("0.5x")
+        with pytest.raises(ValidationError, match="got True"):
+            parse_rational(True)  # a JSON boolean is an int in Python
 
     def test_unit_normalization(self):
         g = load_graph(doc(["a", "b", "c"], [("a", "b", "3/2"), ("b", "c", "1")]))
@@ -63,8 +67,14 @@ class TestIngestion:
             load_graph(doc(["a", "b"], [("a", "c", 1)]))  # unknown vertex
         with pytest.raises(ValidationError):
             load_graph(doc(["a", "b"], [("a", "b", 0)]))  # zero length
-        with pytest.raises(ValidationError):
-            load_graph(doc(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)]))  # disconnected
+        with pytest.raises(ValidationError, match="graph is disconnected"):
+            load_graph(doc(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)]))
+        with pytest.raises(ValidationError, match="graph is disconnected"):
+            load_graph(doc(["a", "b", "c"], [("a", "b", 1)]))  # c is isolated
+        with pytest.raises(ValidationError, match="rational must be a string, got True"):
+            load_graph(doc(["a", "b"], [("a", "b", True)]))
+        with pytest.raises(ValidationError, match="vertex names must be strings or numbers"):
+            load_graph(doc([True, "x"], [(True, "x", 1)]))
         with pytest.raises(ValidationError, match="duplicate vertex names"):
             load_graph(doc([1, "1", 2], [(1, 2, 1)]))  # equal once read as strings
 
@@ -79,6 +89,10 @@ class TestIngestion:
         # a small denominator multiplies every other length
         with pytest.raises(ValidationError, match=f"{MAX_UNIT_EDGES + 1} unit edges"):
             load_graph(doc(["a", "b", "c"], [("a", "b", "1"), ("b", "c", f"1/{MAX_UNIT_EDGES}")]))
+
+    def test_one_vertex_loop(self):
+        g = load_graph(doc(["a"], [("a", "a", 1)]))
+        assert (g.num_vertices, g.vertex_distance_matrix().tolist(), g.diameter()) == (1, [[0]], F(1, 2))
 
     def test_loop_and_parallel_edges(self):
         g = load_graph(doc(["a", "b"], [("a", "b", 1), ("a", "b", 1), ("a", "a", 1)]))
@@ -135,6 +149,57 @@ class TestDistances:
         assert theta_g.point_distance(a, c) <= (
             theta_g.point_distance(a, b) + theta_g.point_distance(b, c)
         )
+
+
+def random_multigraph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """1 to 70 vertices and up to 120 edges, with loops, parallel edges and
+    isolated vertices; half the graphs start from a random spanning tree, so
+    that both connected and disconnected ones occur."""
+    n = rng.randint(1, 70)
+    edges = [(rng.randrange(v), v) for v in range(1, n)] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(0, 120 - len(edges))):
+        kind = rng.random()
+        if kind < 0.15 and edges:
+            edges.append(rng.choice(edges))
+        elif kind < 0.3:
+            edges.append((v := rng.randrange(n), v))
+        else:
+            edges.append((rng.randrange(n), rng.randrange(n)))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[b], label[a]) if rng.random() < 0.5 else (label[a], label[b]) for a, b in edges]
+    rng.shuffle(edges)
+    return n, edges
+
+
+class TestDistanceMatrix:
+    """The search from all sources at once against one BFS per source."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(1700)
+        loaded = {True: 0, False: 0}
+        for _ in range(300):
+            n, edges = random_multigraph(rng)
+            expected = distance_oracle(n, edges)
+            assert np.array_equal(_distance_matrix(n, edges), expected), (n, edges)
+            if not edges:
+                continue
+            document = doc(list(range(n)), [(u, v, 1) for u, v in edges])
+            connected = bool((expected >= 0).all())
+            if connected:
+                g = load_graph(document)
+                assert (g.num_vertices, g.edges) == (n, edges)
+                assert np.array_equal(g.vertex_distance_matrix(), expected), (n, edges)
+            else:
+                with pytest.raises(ValidationError, match="graph is disconnected"):
+                    load_graph(document)
+            loaded[connected] += 1
+        assert min(loaded.values()) >= 100, loaded
+
+    def test_1046_unit_edges(self):
+        g = fixtures.random_connected(500, 250, 1)
+        assert g.num_edges == 1046
+        assert np.array_equal(g.vertex_distance_matrix(), distance_oracle(g.num_vertices, g.edges))
 
 
 class TestEccentricity:

@@ -255,7 +255,6 @@ def test_project_memory_is_bounded():
     rows traced about 58 MB, and keying only the unknown ones about 35 MB."""
     g = fixtures.random_connected(700, 300, 1)
     assert g.num_edges == 1373
-    g.vertex_distance_matrix()
     tracemalloc.start()
     try:
         q = quotient.project(g, F(3, 2))

@@ -8,25 +8,33 @@ the bounds are 4 vertices, 4 edges and lengths 1/2 or 1 (about 65 s on 2
 x86-64 cores); run it before changing a kernel.  At every k/24 up to
 diam + 1/2 each level is checked four ways: `_level` against `level_oracle`
 keyed at r itself, the `project` level connected by union-find, b0 = 1, and
-`subdivision`'s cells against `_cells`'.
+`subdivision`'s cells against `_cells`'.  Each graph's distance matrix is
+checked against `distance_oracle`, and the canonical code of its unit graph
+under relabellings: every vertex permutation up to 5 unit vertices, 24
+seeded ones above, each with the edges shuffled and some of them reversed.
 """
 
 import os
+import random
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, permutations
+
+import numpy as np
 
 from ballflow.canon import canonical_multigraph_code
 from ballflow.graph import load_graph
 from ballflow.quotient import fingerprint, project
 
-from conftest import assert_cells_match_subdivision, components_oracle
+from conftest import assert_cells_match_subdivision, components_oracle, distance_oracle
 from test_levelkeys import assert_level_matches_oracle
 
 DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
-# (vertices, edges, lengths) -> (metric graphs, levels)
-BOUNDS, COUNTS = ((4, 4, ("1/2", "1")), (228, 19_968)) if DEEP else ((3, 3, ("1", "2")), (45, 3_012))
+# (vertices, edges, lengths) -> (metric graphs, levels, relabelled codes)
+BOUNDS, COUNTS = ((4, 4, ("1/2", "1")), (228, 19_968, 10_598)) if DEEP else ((3, 3, ("1", "2")), (45, 3_012, 1_273))
 
 
+@cache
 def small_graphs(max_vertices, max_edges, lengths):
     """One graph per isometry class of the connected multigraph documents
     within the bounds."""
@@ -40,7 +48,7 @@ def small_graphs(max_vertices, max_edges, lengths):
                 doc = {"vertices": list(range(n)), "edges": [{"u": u, "v": v, "len": l} for u, v, l in edges]}
                 g = load_graph({"name": repr(edges), **doc})
                 graphs.setdefault(canonical_multigraph_code(g.num_vertices, g.edges), g)
-    return list(graphs.values())
+    return tuple(graphs.values())
 
 
 def test_every_small_graph_at_every_24th():
@@ -55,4 +63,24 @@ def test_every_small_graph_at_every_24th():
             assert fingerprint(q).b0 == 1, (g.name, r)
             assert_cells_match_subdivision(g, r)
             levels += 1
-    assert (len(graphs), levels) == COUNTS
+    assert (len(graphs), levels) == COUNTS[:2]
+
+
+def test_every_small_graph_distance_matrix():
+    for g in small_graphs(*BOUNDS):
+        assert np.array_equal(g.vertex_distance_matrix(), distance_oracle(g.num_vertices, g.edges)), g.name
+
+
+def test_every_small_graph_code_under_relabelling():
+    rng = random.Random(17)
+    codes = 0
+    for g in small_graphs(*BOUNDS):
+        n = g.num_vertices
+        code = canonical_multigraph_code(n, g.edges)
+        perms = permutations(range(n)) if n <= 5 else (rng.sample(range(n), n) for _ in range(24))
+        for perm in perms:
+            edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v]) for u, v in g.edges]
+            rng.shuffle(edges)
+            assert canonical_multigraph_code(n, edges) == code, (g.name, perm)
+            codes += 1
+    assert codes == COUNTS[2]
