@@ -17,9 +17,6 @@ from .graph import MetricGraph
 from .mergetree import _merge_sweep
 from .quotient import Fingerprint, _cells, fingerprint, is_injective, project
 
-QUARTER = Fraction(1, 4)
-EIGHTH = Fraction(1, 8)
-
 
 def candidate_grid(g: MetricGraph) -> list[Fraction]:
     """Quarter-integer radii from 1/4 up to the diameter (inclusive)."""
@@ -60,15 +57,14 @@ class Timeline:
 
 
 def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
-    """Grid points and interval midpoints covering (0, diameter]."""
-    grid = candidate_grid(g)
+    """Grid points and interval midpoints covering (0, diameter]: the eighths
+    j/8 for j <= 2 * ceil(4 * diameter), odd j only while j/8 <= diameter."""
     d = g.diameter()
-    loci: list[tuple[Fraction, bool]] = [(EIGHTH, False)]
-    for r in grid:
-        loci.append((r, True))
-        if r + EIGHTH <= d:
-            loci.append((r + EIGHTH, False))
-    return loci
+    return [
+        (Fraction(j, 8), j % 2 == 0)
+        for j in range(1, 2 * (4 * d).__ceil__() + 1)
+        if j % 2 == 0 or Fraction(j, 8) <= d
+    ]
 
 
 def timeline(g: MetricGraph) -> Timeline:

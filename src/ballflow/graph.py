@@ -15,19 +15,20 @@ the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)
 the distance to a vertex w is min(s + d(u, w), 1 - s + d(v, w)).  Phi(s) is
 the maximum over the edges f of the farthest distance within f, given by
 `eccentricity`: (a + b + 1)/2 for f != e, with a, b the distances to the ends
-of f (|a - b| <= 1, so its other tent terms never bind); for f == e,
-max(left, right) with beta = min(s, b + 1), left = min(a + s, beta,
-(a + beta)/2) and right = min(1 - s, b + 1 - s, (b + 1 - s)/2).  Expanded,
-every term is a minimum of lines of slope -1, 0 or 1 with intercept in
-(1/2)Z, except two pieces that never bind: a + s (slope 0 or 2), as
-a + s >= s >= beta, and 2 - 2s in b + 1 - s = min(d(u, v) + 1, 2 - 2s), as
-2 - 2s >= 1 - s.  So Phi on e is a maximum of minima of such lines, and its
-breakpoints are crossings of two of them, at s = dc/dk with dc in (1/2)Z and
-dk in {1, 2}: in (1/4)Z.  Hence Phi's values at the quarter points, held in
-eighths so that every formula is an integer one, give it exactly.  m and M
-(the diameter) are their extremes, and since a linear piece attains an
-extreme along its whole length or only at an end, Phi equals m (or M) on an
-edge exactly on the runs of quarter points that hold that value.
+of f (|a - b| <= 1, so its other tent terms never bind).  On e, a point at
+y <= s is at distance min(s - y, d(p, u) + y), as any other route passes p,
+so the part [0, s] peaks at (s + d(p, u))/2 = min(s, c), c = (1 + d(u, v))/2,
+as d(p, u) = min(s, 1 - s + d(u, v)); [s, 1] peaks at (1 - s + d(p, v))/2 =
+min(1 - s, c) likewise.  So the own-edge peak is max(d(p, u) + s,
+d(p, v) + 1 - s)/2, also at s = 0 and 1.  Every term is thus a minimum of
+lines of slope -1, 0 or 1 with intercept in (1/2)Z, so Phi on e is a maximum
+of minima of such lines, and its breakpoints are crossings of two of them,
+at s = dc/dk with dc in (1/2)Z and dk in {1, 2}: in (1/4)Z.  Hence Phi's
+values at the quarter points, held in eighths so that every formula is an
+integer one, give it exactly.  m and M (the diameter) are their extremes,
+and since a linear piece attains an extreme along its whole length or only
+at an end, Phi equals m (or M) on an edge exactly on the runs of quarter
+points that hold that value.
 """
 
 from __future__ import annotations
@@ -205,26 +206,18 @@ class MetricGraph:
     # -- eccentricity (potential at a point) --------------------------------
 
     def eccentricity(self, p: GraphPoint) -> Fraction:
-        """Phi(p): the maximal distance from p, via exact per-edge tent peaks.
+        """Phi(p): the maximal distance from p, via exact per-edge peaks.
 
-        For a target edge f with endpoint distances a, b, the farthest point
-        of f lies at the crossing of the two tents (or an endpoint), giving
-        max = min(a+1, b+1, (a+b+1)/2); the edge containing p additionally
-        offers the direct within-edge route, handled by splitting at p.
+        For an edge f with endpoint distances a, b, the farthest point of f
+        is at distance (a + b + 1)/2; on p's own edge it is
+        max(a + p.t, b + 1 - p.t)/2 (proof in the module docstring).
         """
         p = self.canonical_point(p)
         dp = self.point_vertex_distances(p)
         best = ZERO
         for f, (u, v) in enumerate(self.edges):
             a, b = dp[u], dp[v]
-            if f == p.edge and ZERO < p.t < ONE:
-                t = p.t
-                beta = min(t, b + 1)
-                left = min(a + t, beta, (a + beta) / 2)
-                right = min(ONE - t, b + 1 - t, (b + 1 - t) / 2)
-                val = max(left, right)
-            else:
-                val = min(a + 1, b + 1, (a + b + 1) / 2)
+            val = max(a + p.t, b + 1 - p.t) / 2 if f == p.edge else (a + b + 1) / 2
             if val > best:
                 best = val
         return best
@@ -251,16 +244,13 @@ class MetricGraph:
                 k[:, None] + 4 * D[tails[own]][:, None, :],
                 (4 - k)[:, None] + 4 * D[heads[own]][:, None, :],
             )
-            # tent peaks of every other edge; the own column is replaced below
+            # the peak of every edge: the tent on other edges, the split at
+            # the point on its own
             peaks = 4 + dq[:, :, tails] + dq[:, :, heads]
-            peaks[rows, :, own] = 0
             a = dq[rows, :, tails[own]]
             b = dq[rows, :, heads[own]]
-            beta = np.minimum(k, b + 4)
-            left = np.minimum(np.minimum(2 * (a + k), 2 * beta), a + beta)
-            right = np.minimum(np.minimum(2 * (4 - k), 2 * (b + 4 - k)), b + 4 - k)
-            own_peak = np.where((k > 0) & (k < 4), np.maximum(left, right), 4 + a + b)
-            table[own] = np.maximum(peaks.max(axis=2), own_peak)
+            peaks[rows, :, own] = np.maximum(a + k, b + 4 - k)
+            table[own] = peaks.max(axis=2)
         table.flags.writeable = False
         self._phi8 = table
         return table
@@ -271,7 +261,7 @@ class MetricGraph:
         m8, M8 = int(table.min()), int(table.max())
         m, M = Fraction(m8, 8), Fraction(M8, 8)
         if 2 * m < M:
-            raise InternalConsistencyError(f"potential min {m} < half of max {M}")
+            raise InternalConsistencyError(f"{self.name}: potential min {m} < half of max {M}")
         rows = table.tolist()
         centers = tuple(_level_runs(row, m8) for row in rows)
         extrema = tuple(_level_runs(row, M8) for row in rows)

@@ -2,21 +2,23 @@
 
 Points come as an integer cell array, one row (edge, offset * S) per point,
 where S is a common denominator with R = r * S an integer.  All coverage
-endpoints are then integers, and each ball becomes one row of integers:
+endpoints are then integers, and each ball becomes one row of integers, two
+per edge: its part [0, h] u [l, S] as (h, l), with h = -1 or l = S + 1 for
+an uncovered side and (S, 0) for the whole edge, merged on the centre's edge
+(e, t) with [t - R, t + R].
 
-* per edge, its part [0, h] u [l, S] as (h, l), with h = -1 or l = S + 1
-  for an uncovered side and (S, 0) for the whole edge;
-* on the centre's own edge, the union with [t - R, t + R], encoded the same
-  way, or as (-2, -2) when a middle component is left; the 4 trailing
-  columns then hold (h, l, lo, hi), and are -3 in every other row.
+The middle ball: if R < t < S - R, the ball reaches neither end of e, and
+every path off e passes an end, so it is [t - R, t + R] alone, holds no
+vertex, and every pair of its row reads (-1, S + 1).  As R is fixed per
+call, t fixes the ball, which is encoded as (-2 - t, S + 1) in e's pair.
+Every other ball holds a vertex, so its centre interval joins a side and
+its row is the exact (h, l) form of the set: rows are equal iff balls are.
 
-A middle component can only lie on the centre's edge, which the (-2, -2)
-marks, so the encoding is injective on sets: rows are equal iff balls are.
-Rows are built in chunks of points from the point-to-vertex distances, in
-the narrowest signed integer type that holds every intermediate, and stored
-in the narrowest one that holds [-3, S + 1] (int8 for every level, whose
-S is at most 32).  Equal rows are grouped exactly, with no hash, by `np.unique` on a
-`np.void` view of the rows.
+Values lie in [-S - 1, S + 1].  Rows are built in chunks of points from the
+point-to-vertex distances, in the narrowest signed integer type that holds
+every intermediate, and stored in the narrowest one that holds that range
+(int8 for every level, whose S is at most 32).  Equal rows are grouped
+exactly, with no hash, by `np.unique` on a `np.void` view of the rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import InternalConsistencyError, ValidationError
 from .graph import _CHUNK_ENTRIES, MetricGraph
 
 INT64_SAFE = 1 << 60
-_NO_MIDDLE = -3
 
 
 def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
@@ -45,7 +46,7 @@ def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
 
 
 def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
-    """The (P, 2E + 4) rows of the module docstring, one per cell."""
+    """The (P, 2E) rows of the module docstring, one per cell."""
     r = Fraction(r)
     E = g.num_edges
     P = len(cells)
@@ -71,8 +72,7 @@ def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
     work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
     narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
     SD = S * D.astype(work)
-    rows = np.empty((P, 2 * E + 4), dtype=narrow)
-    rows[:, 2 * E :] = _NO_MIDDLE
+    rows = np.empty((P, 2 * E), dtype=narrow)
     step = max(1, _CHUNK_ENTRIES // max(E, g.num_vertices))
     for lo in range(0, P, step):
         e = cells[lo : lo + step, 0].astype(np.int64)
@@ -80,33 +80,29 @@ def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
         # distance from each point to each vertex, scaled by S
         dp = np.minimum(t[:, None] + SD[tails[e]], (S - t)[:, None] + SD[heads[e]])
         h = rows[lo : lo + step, :E]
-        l = rows[lo : lo + step, E : 2 * E]
+        l = rows[lo : lo + step, E:]
         np.clip(R - dp[:, tails], -1, S, out=h, casting="unsafe")
         np.clip((S - R) + dp[:, heads], 0, S + 1, out=l, casting="unsafe")
-        whole = (h >= l) | (h == S) | (l == 0)
+        # a unit edge's two end reaches differ by <= S: h = S or l = 0 gives h >= l
+        whole = h >= l
         h[whole] = S
         l[whole] = 0
-        inner = np.flatnonzero((t > 0) & (t < S))
-        ce = e[inner]
-        h[inner, ce], l[inner, ce], rows[lo + inner, 2 * E :] = _center_edge(
-            S, R, t[inner], h[inner, ce], l[inner, ce]
-        )
+        own = np.arange(len(e))
+        h[own, e], l[own, e] = _center_edge(S, R, t, h[own, e], l[own, e])
     return rows
 
 
 def _center_edge(S: int, R: int, t, h, l):
     """[0, h] u [l, S] u [t - R, t + R] on the centre's edge, for arrays of
-    centres t and side encodings (h, l): returns the merged (h, l) pair, or
-    (-2, -2) and the 4 trailing columns when a middle component is left."""
+    centres t and side encodings (h, l): the merged (h, l) pair, or the
+    marker (-2 - t, S + 1) of a middle ball.  At t = 0 or S the centre
+    interval lies inside a side already, and the pair is unchanged."""
     lo = np.maximum(t - R, 0)
     hi = np.minimum(t + R, S)
-    joins_left = (lo == 0) | ((h >= 0) & (lo <= h))
-    joins_right = (hi == S) | ((l <= S) & (hi >= l))
+    joins_left = lo <= np.maximum(h, 0)
+    joins_right = hi >= np.minimum(l, S)
     middle = ~joins_left & ~joins_right
     mh = np.where(joins_left, np.maximum(h, hi), h)
     ml = np.where(joins_right, np.minimum(l, lo), l)
     whole = mh >= ml
-    mh = np.where(whole, S, np.where(middle, -2, mh))
-    ml = np.where(whole, 0, np.where(middle, -2, ml))
-    extra = np.where(middle[:, None], np.stack([h, l, lo, hi], axis=1), _NO_MIDDLE)
-    return mh, ml, extra
+    return np.where(whole, S, np.where(middle, -2 - t, mh)), np.where(whole, 0, ml)

@@ -85,9 +85,7 @@ def merge_radius(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     hi = (g.diameter() * den).__ceil__()
     lo = 1
     if not sets_equal(g, _cached_ball(g, p, Fraction(hi, den)), _cached_ball(g, q, Fraction(hi, den))):
-        raise InternalConsistencyError(
-            f"balls of {p} and {q} differ at the diameter radius"
-        )
+        raise InternalConsistencyError(f"{g.name}: balls of {p} and {q} differ at the diameter radius")
     # smallest m in [1, hi] with equality, by bisection on monotone equality
     while lo < hi:
         mid = (lo + hi) // 2
@@ -110,7 +108,7 @@ def extinction_radius(g: MetricGraph, p: GraphPoint) -> Fraction:
     lo = 0
     X = full_set(g)
     if not sets_equal(g, _cached_ball(g, p, Fraction(hi, den)), X):
-        raise InternalConsistencyError(f"ball about {p} misses points at the diameter radius")
+        raise InternalConsistencyError(f"{g.name}: ball about {p} misses points at the diameter radius")
     while lo < hi:
         mid = (lo + hi) // 2
         if sets_equal(g, _cached_ball(g, p, Fraction(mid, den)), X):

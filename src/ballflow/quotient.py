@@ -103,10 +103,11 @@ I = (k/4, (k + 1)/4):
 is fixed by `cut_offsets`, which reads r only through r mod 1/2.
 
 (i) On I, floor(2r) is fixed and r0 = r mod 1/2 stays in (0, 1/4) or in
-(1/4, 1/2), so `cut_offsets` takes one branch and lists the same offsets
-a + sigma r (a in (1/2)Z, sigma in {0, +-1}) in the same strict order.  So
-the cell ids and the segments' end cells are fixed on I, and every cut
-point, segment end and midpoint moves linearly and continuously with r.
+(1/4, 1/2).  `cut_offsets` sorts {r0, 1/2 - r0, 1/2, 1/2 + r0, 1 - r0},
+offsets a + sigma r (a in (1/2)Z, sigma in {0, +-1}) that lie in (0, 1)
+there and meet only at r0 in {0, 1/4}, so on I it lists five in the same
+strict order.  So the cell ids and the segments' end cells are fixed on I,
+and every cut point, segment end and midpoint moves linearly with r.
 
 (ii) Vertex cells.  Read a `levelkeys` row in units of the edge (divided by
 S).  A vertex cell p sits at t = a + sigma r, and its distance to a vertex
@@ -162,7 +163,6 @@ from .levelkeys import ball_keys
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -194,16 +194,10 @@ class Subdivision:
 
 
 def cut_offsets(r: Fraction) -> list[Fraction]:
-    """Interior cut offsets of one unit edge for radius r = k/2 + r0."""
+    """Interior cut offsets of one unit edge, ascending, for radius r = k/2 + r0."""
     r = Fraction(r)
     r0 = r - (r * 2).__floor__() * HALF
-    if r0 == 0:
-        return [HALF]
-    if r0 == QUARTER:
-        return [QUARTER, HALF, 3 * QUARTER]
-    if r0 < QUARTER:
-        return [r0, HALF - r0, HALF, HALF + r0, ONE - r0]
-    return [HALF - r0, r0, HALF, ONE - r0, HALF + r0]
+    return sorted({r0, HALF - r0, HALF, HALF + r0, ONE - r0} - {0, ONE})
 
 
 def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
@@ -353,11 +347,11 @@ def _full(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
 
 def _classes(ids: np.ndarray, labels: np.ndarray):
     """The ids grouped by equal label, as tuples ordered by least member,
-    and each id's group number."""
+    and each id's group number.  Labels rise with their groups' least ids,
+    as `_level`'s least cells do, so label order is group order."""
     if not len(ids):
         return ids, []
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    number = np.argsort(np.argsort(first))[inverse]
+    _, number = np.unique(labels, return_inverse=True)
     flat = ids[np.argsort(number, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(number)).tolist()
     return number, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
@@ -497,5 +491,5 @@ def euler_bounds_check(g: MetricGraph, f: Fingerprint) -> dict:
         "ok": basic >= 0 and refined >= 0 and betti >= 0,
     }
     if not report["ok"]:
-        raise InternalConsistencyError(f"Euler bound violated: {report}")
+        raise InternalConsistencyError(f"{g.name}: Euler bound violated: {report}")
     return report

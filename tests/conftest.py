@@ -66,7 +66,9 @@ def ecc_oracle(g: MetricGraph, p: GraphPoint, k: int = 32) -> Fraction:
 
 def _edge_potential_oracle(g: MetricGraph, e: int) -> PiecewiseLinear:
     """Phi restricted to edge e as an exact piecewise-linear function, built
-    from `eccentricity`'s formulas with breakpoints found by exact crossing."""
+    from the tent of every other edge and, on e, the farthest point on
+    either side of the moving point, with breakpoints found by exact
+    crossing."""
     D = g.vertex_distance_matrix().tolist()
     eu, ev = g.edges[e]
     s = PiecewiseLinear.identity()
@@ -91,6 +93,15 @@ def _edge_potential_oracle(g: MetricGraph, e: int) -> PiecewiseLinear:
         else:
             parts.append(pl_min(a + 1, b + 1, (a + b + 1) / 2))
     return pl_max_all(parts)
+
+
+def assert_eccentricity_matches_oracle(g: MetricGraph) -> None:
+    """`eccentricity` equals the piecewise-linear Phi of
+    `_edge_potential_oracle` at every k/24 of every edge, the ends included."""
+    for e in range(g.num_edges):
+        phi = _edge_potential_oracle(g, e)
+        for k in range(25):
+            assert g.eccentricity(GraphPoint(e, Fraction(k, 24))) == phi(Fraction(k, 24)), (g.name, e, k)
 
 
 def potential_oracle(g: MetricGraph) -> PotentialProfile:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ballflow import fixtures
-from ballflow.errors import ValidationError
+from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import MAX_UNIT_EDGES, GraphPoint, _distance_matrix, load_graph, parse_rational, format_rational
 
-from conftest import distance_oracle, ecc_oracle, grid_points, potential_oracle
+from conftest import assert_eccentricity_matches_oracle, distance_oracle, ecc_oracle, grid_points, potential_oracle
 
 
 def doc(vertices, edges, name="g"):
@@ -30,6 +30,10 @@ MIXED_LOOP_DOC = doc(
 # eccentricity below 1, so a kernel that used the tent peak (1) on a point's own
 # edge would be wrong here, while the other graphs below do not catch it
 LOLLIPOP_DOC = doc(["a", "b"], [("a", "b", "1"), ("a", "a", "1")], name="lollipop")
+
+# one vertex with a loop: Phi is 1/2 everywhere, where the tent of the loop
+# reads 3/4 at offset 1/4
+LOOP_DOC = doc(["a"], [("a", "a", "1")], name="loop")
 
 
 class TestIngestion:
@@ -223,6 +227,12 @@ class TestEccentricity:
         for p in grid_points(c6_g, 5):
             assert c6_g.eccentricity(p) == 3
 
+    @pytest.mark.parametrize("document", [LOOP_DOC, MIXED_LOOP_DOC, LOLLIPOP_DOC], ids=["loop", "mixed-loop", "lollipop"])
+    def test_matches_piecewise_oracle_at_every_24th(self, document):
+        """The own-edge term binds on these graphs: the plain tent on a
+        point's own edge gives 3/4 on the loop at offset 1/4."""
+        assert_eccentricity_matches_oracle(load_graph(document))
+
 
 class TestPotentialProfile:
     def test_path_profile(self, path_g):
@@ -239,6 +249,13 @@ class TestPotentialProfile:
     def test_theta_constant_potential(self, theta_g):
         prof = theta_g.potential_profile()
         assert prof.m == prof.M == 2
+
+    def test_half_bound_failure_names_the_graph(self):
+        g = fixtures.path()
+        g._phi8 = np.full((g.num_edges, 5), 8)  # a forged table: m = 1, M = 3
+        g._phi8[0, 2] = 24
+        with pytest.raises(InternalConsistencyError, match=r"^path: potential min 1 < half of max 3$"):
+            g.potential_profile()
 
     def test_invariant_m_at_least_half_M(self):
         for seed in range(5):

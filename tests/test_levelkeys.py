@@ -25,27 +25,26 @@ GRAPHS = {
 
 @pytest.mark.parametrize("S", [8, 16])
 def test_center_edge_matches_interval_merge(S):
-    """Every (H, L, t, R), with H and L past both clip bounds, as key_rows
-    feeds them to the centre-edge merge."""
-    H, L, t, R = (
-        a.ravel()
-        for a in np.meshgrid(
-            np.arange(-2, S + 2), np.arange(-1, S + 3), np.arange(1, S), np.arange(0, S + 2)
-        )
-    )
+    """Every centre t = 1 .. S - 1, radius R = 0 .. S + 1 and distance
+    d = d(tail, head) in {0, 1, 2, 3} (a loop has d = 0, a unit edge d <= 1),
+    with the sides (H, L) of the centre's own edge that key_rows computes
+    there, before clipping.  Where the merge leaves a middle component, it
+    is [t - R, t + R] alone and the pair is the marker (-2 - t, S + 1)."""
+    t, R, d = (a.ravel() for a in np.meshgrid(np.arange(1, S), np.arange(0, S + 2), np.arange(4)))
+    H = R - np.minimum(t, S - t + d * S)
+    L = S - R + np.minimum(S - t, t + d * S)
     h, l = np.clip(H, -1, S), np.clip(L, 0, S + 1)
-    whole = (h >= l) | (h == S) | (l == 0)
+    whole = h >= l
     h, l = np.where(whole, S, h), np.where(whole, 0, l)
-    mh, ml, extra = levelkeys._center_edge(S, R, t, h, l)
-    for i in range(len(H)):
+    mh, ml = levelkeys._center_edge(S, R, t, h, l)
+    for i in range(len(t)):
+        case = (t[i], R[i], d[i])
         pair, merged = center_edge_oracle(S, int(H[i]), int(L[i]), int(t[i]), int(R[i]))
-        assert (mh[i], ml[i]) == pair, (H[i], L[i], t[i], R[i])
         if merged is None:
-            assert (extra[i] == levelkeys._NO_MIDDLE).all()
+            assert (mh[i], ml[i]) == pair, case
         else:
-            eh, el, lo, hi = extra[i].tolist()
-            expected = ((0, eh),) * (eh >= 0) + ((lo, hi),) + ((el, S),) * (el <= S)
-            assert expected == merged, (H[i], L[i], t[i], R[i])
+            assert merged == ((t[i] - R[i], t[i] + R[i]),), case
+            assert (mh[i], ml[i]) == (-2 - t[i], S + 1), case
 
 
 def level_points(g, r):

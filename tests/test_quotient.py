@@ -5,10 +5,11 @@ import pytest
 
 from ballflow import fixtures, quotient
 from ballflow.balls import closed_ball, full_set, sets_equal
-from ballflow.errors import ValidationError
+from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import timeline, timeline_loci
 from ballflow.graph import load_graph
 from ballflow.quotient import (
+    Fingerprint,
     cut_offsets,
     euler_bounds_check,
     fingerprint,
@@ -305,6 +306,11 @@ class TestEulerBounds:
                 q = project(g, r)
                 assert euler_bounds_check(g, fingerprint(q))["ok"]
                 r += F(1, 4)
+
+    def test_violation_names_the_graph(self, theta_g):
+        forged = Fingerprint(b0=1, b1=100, chi=-99, n0=0, degree_multiset=(), canonical_code="", is_point=False)
+        with pytest.raises(InternalConsistencyError, match=r"^theta: Euler bound violated: \{'edges': 5, 'chi': -99"):
+            euler_bounds_check(theta_g, forged)
 
     def test_doubled_margin_can_go_negative(self, path_g):
         # near total collapse the doubled-count margin is negative even

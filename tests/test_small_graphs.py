@@ -4,14 +4,20 @@ The graphs are every connected multigraph, loops and parallel edges
 included, with at most 3 vertices and 3 edges and each length 1 or 2, one
 per isometry class: isomorphic unit graphs are isometric, so they are
 deduplicated by the canonical code of the unit graph.  With BALLFLOW_DEEP=1
-the bounds are 4 vertices, 4 edges and lengths 1/2 or 1 (about 65 s on 2
-x86-64 cores); run it before changing a kernel.  At every k/24 up to
-diam + 1/2 each level is checked four ways: `_level` against `level_oracle`
-keyed at r itself, the `project` level connected by union-find, b0 = 1, and
-`subdivision`'s cells against `_cells`'.  Each graph's distance matrix is
-checked against `distance_oracle`, and the canonical code of its unit graph
-under relabellings: every vertex permutation up to 5 unit vertices, 24
-seeded ones above, each with the edges shuffled and some of them reversed.
+the bounds are 4 vertices, 4 edges and lengths 1/2 or 1; run it before
+changing a kernel.  At every k/24 up to diam + 1/2 each level is checked
+four ways: `_level` against `level_oracle` keyed at r itself, the `project`
+level connected by union-find, b0 = 1, and `subdivision`'s cells against
+`_cells`'.  At every k/8 up to diam + 1/2, the `ball_keys` classes of each
+level's vertex cells, midpoints, quarter and three-quarter points are
+checked against the exact `Fraction` balls of `coverage_classes`.  Each
+graph's distance matrix is checked against `distance_oracle`, its potential
+profile against `potential_oracle` and `eccentricity` against the same
+piecewise-linear Phi at every k/24, its merge tree at step 1/2 against the
+threshold partitions of the pairwise merge radii, and the canonical code of
+its unit graph under relabellings: every vertex permutation up to 5 unit
+vertices, 24 seeded ones above, each with the edges shuffled and some of
+them reversed.
 """
 
 import os
@@ -24,14 +30,27 @@ import numpy as np
 
 from ballflow.canon import canonical_multigraph_code
 from ballflow.graph import load_graph
+from ballflow.levelkeys import ball_keys
+from ballflow.mergetree import dendrogram_from_matrix, merge_tree, sample_points
 from ballflow.quotient import fingerprint, project
 
-from conftest import assert_cells_match_subdivision, components_oracle, distance_oracle
-from test_levelkeys import assert_level_matches_oracle
+from conftest import (
+    assert_cells_match_subdivision,
+    assert_eccentricity_matches_oracle,
+    components_oracle,
+    coverage_classes,
+    distance_oracle,
+    pairwise_matrix,
+    potential_oracle,
+)
+from test_levelkeys import assert_level_matches_oracle, level_points
 
 DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
-# (vertices, edges, lengths) -> (metric graphs, levels, relabelled codes)
-BOUNDS, COUNTS = ((4, 4, ("1/2", "1")), (228, 19_968, 10_598)) if DEEP else ((3, 3, ("1", "2")), (45, 3_012, 1_273))
+# (vertices, edges, lengths) -> (metric graphs, levels at every k/24,
+# relabelled codes, levels at every k/8)
+BOUNDS, COUNTS = (
+    ((4, 4, ("1/2", "1")), (228, 19_968, 10_598, 6_656)) if DEEP else ((3, 3, ("1", "2")), (45, 3_012, 1_273, 1_004))
+)
 
 
 @cache
@@ -69,6 +88,29 @@ def test_every_small_graph_at_every_24th():
 def test_every_small_graph_distance_matrix():
     for g in small_graphs(*BOUNDS):
         assert np.array_equal(g.vertex_distance_matrix(), distance_oracle(g.num_vertices, g.edges)), g.name
+
+
+def test_every_small_graph_ball_classes_at_every_8th():
+    levels = 0
+    for g in small_graphs(*BOUNDS):
+        for k in range(1, int(8 * (g.diameter() + F(1, 2))) + 1):
+            r = F(k, 8)
+            cells, S, pts = level_points(g, r)
+            assert ball_keys(g, r, cells, S).tolist() == coverage_classes(g, r, pts)[0], (g.name, r)
+            levels += 1
+    assert levels == COUNTS[3]
+
+
+def test_every_small_graph_potential():
+    for g in small_graphs(*BOUNDS):
+        assert g.potential_profile() == potential_oracle(g), g.name
+        assert_eccentricity_matches_oracle(g)
+
+
+def test_every_small_graph_merge_tree():
+    for g in small_graphs(*BOUNDS):
+        pts = sample_points(g, F(1, 2))
+        assert merge_tree(g, pts) == dendrogram_from_matrix(pairwise_matrix(g, pts)), g.name
 
 
 def test_every_small_graph_code_under_relabelling():
