@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -179,7 +180,7 @@ def smooth_multigraph(
     equal pairs.  The walks that never stop are the pure cycles, two
     orientations each, counted by their least half-edge (min-label doubling).
     """
-    ends = np.array(edges, dtype=np.int64).reshape(-1)
+    ends = np.fromiter(chain.from_iterable(edges), np.int64, count=2 * len(edges))
     halves = np.arange(len(ends))
     degree = np.bincount(ends, minlength=num_vertices)
     essential = np.flatnonzero(degree != 2)

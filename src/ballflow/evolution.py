@@ -18,13 +18,6 @@ from .mergetree import _merge_sweep
 from .quotient import Fingerprint, _cells, fingerprint, is_injective, project
 
 
-def candidate_grid(g: MetricGraph) -> list[Fraction]:
-    """Quarter-integer radii from 1/4 up to the diameter (inclusive)."""
-    d = g.diameter()
-    n = (d * 4).__ceil__()
-    return [Fraction(k, 4) for k in range(1, n + 1)]
-
-
 @dataclass(frozen=True)
 class TimelineEntry:
     radius: Fraction

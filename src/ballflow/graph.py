@@ -125,6 +125,8 @@ class MetricGraph:
                 self._incidence[v].append((i, 1))
             else:
                 self._incidence[u].append((i, 1))
+        self.tails, self.heads = np.array(self.edges, dtype=np.int64).T.copy()
+        self.tails.flags.writeable = self.heads.flags.writeable = False
         self._dist = _distance_matrix(n, self.edges)
         if (self._dist < 0).any():
             raise ValidationError("graph is disconnected")
@@ -231,7 +233,6 @@ class MetricGraph:
         if self._phi8 is not None:
             return self._phi8
         D = self.vertex_distance_matrix()
-        tails, heads = np.array(self.edges, dtype=np.int64).T
         E = self.num_edges
         k = np.arange(5, dtype=np.int64)
         table = np.empty((E, 5), dtype=np.int64)
@@ -241,14 +242,14 @@ class MetricGraph:
             rows = np.arange(len(own))
             # quarter distances from each point (own edge, k/4) to every vertex
             dq = np.minimum(
-                k[:, None] + 4 * D[tails[own]][:, None, :],
-                (4 - k)[:, None] + 4 * D[heads[own]][:, None, :],
+                k[:, None] + 4 * D[self.tails[own]][:, None, :],
+                (4 - k)[:, None] + 4 * D[self.heads[own]][:, None, :],
             )
             # the peak of every edge: the tent on other edges, the split at
             # the point on its own
-            peaks = 4 + dq[:, :, tails] + dq[:, :, heads]
-            a = dq[rows, :, tails[own]]
-            b = dq[rows, :, heads[own]]
+            peaks = 4 + dq[:, :, self.tails] + dq[:, :, self.heads]
+            a = dq[rows, :, self.tails[own]]
+            b = dq[rows, :, self.heads[own]]
             peaks[rows, :, own] = np.maximum(a + k, b + 4 - k)
             table[own] = peaks.max(axis=2)
         table.flags.writeable = False

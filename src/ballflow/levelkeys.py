@@ -14,11 +14,22 @@ call, t fixes the ball, which is encoded as (-2 - t, S + 1) in e's pair.
 Every other ball holds a vertex, so its centre interval joins a side and
 its row is the exact (h, l) form of the set: rows are equal iff balls are.
 
-Values lie in [-S - 1, S + 1].  Rows are built in chunks of points from the
-point-to-vertex distances, in the narrowest signed integer type that holds
-every intermediate, and stored in the narrowest one that holds that range
-(int8 for every level, whose S is at most 32).  Equal rows are grouped
-exactly, with no hash, by `np.unique` on a `np.void` view of the rows.
+Values lie in [-S - 1, S + 1].  Rows are built in chunks of points, in the
+narrowest signed integer type that holds every intermediate, and stored in
+the narrowest one that holds that range (int8 for every level, whose S is
+at most 32).  Equal rows are grouped exactly, with no hash, by `np.unique`
+on a `np.void` view of the rows.
+
+With d scaled by S, the sides of an edge (u, v) are h = clip(R - d(p, u),
+-1, S) and l = clip(S - R + d(p, v), 0, S + 1).  As clip(S - x, 0, S + 1) =
+S - clip(x, -1, S) for every integer x (both are S - x on [-1, S], S + 1
+below it and 0 above it), h = c(u) and l = S - c(v) with the reach
+c(w) = clip(R - d(p, w), -1, S): a row is one gather from the 2V values c(w)
+and S - c(w).  A unit edge's end distances differ by at most S, so h = S
+gives c(v) >= 0 and l <= S = h, and l = 0 gives h >= 0 = l: the sides
+cover the edge iff h >= l.  Its pair then becomes (S, 0), written with no branch as
+h + (S - h) w and l (1 - w) with w = [h >= l], every intermediate in
+[-1, S + 1].
 """
 
 from __future__ import annotations
@@ -48,22 +59,14 @@ def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
 def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
     """The (P, 2E) rows of the module docstring, one per cell."""
     r = Fraction(r)
-    E = g.num_edges
-    P = len(cells)
+    E, V, P = g.num_edges, g.num_vertices, len(cells)
     if (r * S).denominator != 1:
-        raise InternalConsistencyError(
-            f"{g.name}: radius {r} is off the 1/{S} grid of the cells"
-        )
+        raise InternalConsistencyError(f"{g.name}: radius {r} is off the 1/{S} grid of the cells")
     R = int(r * S)
     cells = np.asarray(cells).reshape(P, 2)
-    off = np.flatnonzero(
-        (cells[:, 0] < 0) | (cells[:, 0] >= E) | (cells[:, 1] < 0) | (cells[:, 1] > S)
-    )
+    off = np.flatnonzero((cells < 0).any(axis=1) | (cells[:, 0] >= E) | (cells[:, 1] > S))[:8]
     if len(off):
-        raise InternalConsistencyError(
-            f"{g.name}: cells {off[:8].tolist()} lie off the graph at radius {r}"
-        )
-    tails, heads = np.array(g.edges, dtype=np.int64).T
+        raise InternalConsistencyError(f"{g.name}: cells {off.tolist()} lie off the graph at radius {r}")
     D = g.vertex_distance_matrix()
     # every intermediate below lies within +-bound
     bound = S * (int(D.max()) + 2) + R
@@ -72,21 +75,23 @@ def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
     work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
     narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
     SD = S * D.astype(work)
+    ends = np.concatenate([g.tails, V + g.heads])  # the reach rows of h's columns, then l's
     rows = np.empty((P, 2 * E), dtype=narrow)
-    step = max(1, _CHUNK_ENTRIES // max(E, g.num_vertices))
+    step = max(1, _CHUNK_ENTRIES // max(E, V))
     for lo in range(0, P, step):
         e = cells[lo : lo + step, 0].astype(np.int64)
         t = cells[lo : lo + step, 1].astype(work)
         # distance from each point to each vertex, scaled by S
-        dp = np.minimum(t[:, None] + SD[tails[e]], (S - t)[:, None] + SD[heads[e]])
-        h = rows[lo : lo + step, :E]
-        l = rows[lo : lo + step, E:]
-        np.clip(R - dp[:, tails], -1, S, out=h, casting="unsafe")
-        np.clip((S - R) + dp[:, heads], 0, S + 1, out=l, casting="unsafe")
-        # a unit edge's two end reaches differ by <= S: h = S or l = 0 gives h >= l
-        whole = h >= l
-        h[whole] = S
-        l[whole] = 0
+        dp = np.minimum(t[:, None] + SD[g.tails[e]], (S - t)[:, None] + SD[g.heads[e]])
+        # c(w), then S - c(w), vertex-major so that the gather copies whole rows
+        reach = np.empty((2 * V, len(e)), dtype=narrow)
+        np.clip(R - dp.T, -1, S, out=reach[:V], casting="unsafe")
+        np.subtract(S, reach[:V], out=reach[V:])
+        rows[lo : lo + step] = reach[ends].T
+        h, l = rows[lo : lo + step, :E], rows[lo : lo + step, E:]
+        w = (h >= l).view(np.int8)
+        h += (S - h) * w
+        l *= 1 - w
         own = np.arange(len(e))
         h[own, e], l[own, e] = _center_edge(S, R, t, h[own, e], l[own, e])
     return rows

@@ -159,7 +159,7 @@ import numpy as np
 from .canon import canonical_multigraph_code, smooth_multigraph
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import ball_keys
+from .levelkeys import ball_keys, key_rows
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -279,11 +279,10 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
     S = 4 * lcm(2, r.denominator)
     cuts = [int(c * S) for c in cut_offsets(r)]
     n, E, V = len(cuts), g.num_edges, g.num_vertices
-    tails, heads = np.array(g.edges, dtype=np.int64).T
     edges = np.arange(E)
     vertex = np.empty((V + n * E, 2), dtype=np.int64)
-    vertex[heads, 0], vertex[heads, 1] = edges, S
-    vertex[tails, 0], vertex[tails, 1] = edges, 0
+    vertex[g.heads, 0], vertex[g.heads, 1] = edges, S
+    vertex[g.tails, 0], vertex[g.tails, 1] = edges, 0
     vertex[V:, 0] = np.repeat(edges, n)
     vertex[V:, 1] = np.tile(cuts, E)
     bounds = np.array([0, *cuts, S])
@@ -296,8 +295,8 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
         edge,
         np.tile(bounds[:-1], E),
         np.tile(bounds[1:], E),
-        np.where(k == 0, tails[edge], V + edge * n + k - 1),
-        np.where(k == n, heads[edge], V + edge * n + k),
+        np.where(k == 0, g.tails[edge], V + edge * n + k - 1),
+        np.where(k == n, g.heads[edge], V + edge * n + k),
     )
 
 
@@ -398,8 +397,8 @@ def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> N
     at c.r, glues its members in one of the two directions.
 
     Every member's quarter-point ball must match the lead's quarter or
-    three-quarter ball, so each member and each class's lead are keyed once
-    more; anything else would contradict the all-or-nothing identification,
+    three-quarter ball, compared as `key_rows`, which are equal iff the balls
+    are; anything else would contradict the all-or-nothing identification,
     or corollary 2's grouping by end classes, and is a hard error.
     """
     multi = [cls for cls in seg_classes if len(cls) > 1]
@@ -412,9 +411,9 @@ def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> N
     lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
     quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
     three_quarter = np.stack([edge[first], lo[first] + 3 * (hi - lo)[first] // 4], axis=1)
-    labels = ball_keys(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
-    kq, k3q = labels[: len(members)], labels[len(members) :]
-    bad = np.flatnonzero((kq != kq[lead]) & (kq != np.repeat(k3q, sizes)))
+    rows = key_rows(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
+    kq, k3q = rows[: len(members)], np.repeat(rows[len(members) :], sizes, axis=0)
+    bad = np.flatnonzero(~(kq == kq[lead]).all(axis=1) & ~(kq == k3q).all(axis=1))
     if len(bad):
         i = bad[0]
         raise InternalConsistencyError(

@@ -11,6 +11,8 @@ Python BFS with recursive search.  distance_oracle is the vertex distance
 matrix by one Python BFS per source, against which the graph's search
 from all sources at once is checked.  level_oracle is the one-pass level that
 keys every cell's ball, against which the level's selective keying is checked.
+key_rows_reference is `levelkeys.key_rows` by its first, two-clip formula,
+against which the kernel's rows are checked byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ballflow.balls import _FULL_ROW, BallSet, Interval, closed_ball, full_set, 
 from ballflow.canon import _twin_representatives, refine_colors
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
-from ballflow.levelkeys import key_rows
+from ballflow.levelkeys import _center_edge, key_rows
 from ballflow.mergetree import MergeMatrix, merge_radius
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
@@ -48,6 +50,12 @@ def theta_g():
 @pytest.fixture(scope="session")
 def c6_g():
     return fixtures.c6()
+
+
+def candidate_grid(g: MetricGraph) -> list[Fraction]:
+    """Quarter-integer radii from 1/4 up to the diameter (inclusive): the
+    on-grid loci of `evolution.timeline_loci`."""
+    return [Fraction(k, 4) for k in range(1, (4 * g.diameter()).__ceil__() + 1)]
 
 
 def grid_points(g: MetricGraph, k: int) -> list[GraphPoint]:
@@ -327,6 +335,32 @@ def level_oracle(g: MetricGraph, r: Fraction):
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
     return c, first[inverse], full
+
+
+def key_rows_reference(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
+    """`levelkeys.key_rows` by its two-clip formula, in one pass with no
+    chunks: per edge column, h = clip(R - d(p, tail), -1, S) and
+    l = clip(S - R + d(p, head), 0, S + 1), whole edges written through a
+    boolean mask, then the centre's own edge merged by `_center_edge`.
+    It picks the same integer types, so rows compare byte for byte."""
+    R = int(Fraction(r) * S)
+    cells = np.asarray(cells).reshape(-1, 2)
+    tails, heads = np.array(g.edges, dtype=np.int64).T
+    D = g.vertex_distance_matrix()
+    bound = S * (int(D.max()) + 2) + R
+    work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
+    narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
+    SD = S * D.astype(work)
+    e, t = cells[:, 0].astype(np.int64), cells[:, 1].astype(work)
+    dp = np.minimum(t[:, None] + SD[tails[e]], (S - t)[:, None] + SD[heads[e]])
+    h = np.clip(R - dp[:, tails], -1, S).astype(narrow)
+    l = np.clip((S - R) + dp[:, heads], 0, S + 1).astype(narrow)
+    whole = h >= l
+    h[whole] = S
+    l[whole] = 0
+    own = np.arange(len(e))
+    h[own, e], l[own, e] = _center_edge(S, R, t, h[own, e], l[own, e])
+    return np.concatenate([h, l], axis=1)
 
 
 def distance_oracle(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:

@@ -20,7 +20,7 @@ from ballflow.balls import (
     sets_equal,
     union,
 )
-from ballflow.evolution import candidate_grid, distinct_types, timeline
+from ballflow.evolution import distinct_types, timeline
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
     build_merge_tree,
@@ -30,7 +30,7 @@ from ballflow.mergetree import (
 )
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import brute_classes, cell_partition, hausdorff_oracle, pairwise_matrix
+from conftest import brute_classes, candidate_grid, cell_partition, hausdorff_oracle, pairwise_matrix
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:

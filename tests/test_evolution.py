@@ -7,7 +7,6 @@ import pytest
 from ballflow import fixtures, mergetree
 from ballflow.evolution import (
     _exact_failure,
-    candidate_grid,
     distinct_types,
     robustness_radius,
     timeline,
@@ -17,7 +16,7 @@ from ballflow.graph import load_graph
 from ballflow.mergetree import merge_radius
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import relabeled
+from conftest import candidate_grid, relabeled
 
 
 class TestGrid:

@@ -12,7 +12,7 @@ from ballflow.errors import InternalConsistencyError
 from ballflow.evolution import timeline_loci
 from ballflow.graph import GraphPoint, load_graph
 
-from conftest import center_edge_oracle, coverage_classes, integer_coverage, level_oracle
+from conftest import center_edge_oracle, coverage_classes, integer_coverage, key_rows_reference, level_oracle
 from test_acceptance import big_graph
 
 GRAPHS = {
@@ -215,6 +215,69 @@ def test_rows_are_int8_on_the_timeline_grid():
     assert levelkeys.key_rows(g, F(9, 8), [(0, 5), (2, 32)], 32).dtype == np.int8
 
 
+def assert_rows_match_reference(g, r, cells, S):
+    got, want = levelkeys.key_rows(g, r, cells, S), key_rows_reference(g, r, cells, S)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), (g.name, r)
+    assert got.tobytes() == want.tobytes(), (g.name, r)
+    return got
+
+
+def level_key_cells(g, r):
+    """A timeline level's radius, grid and cells: its vertex cells and the
+    quarter and three-quarter points of its segment cells."""
+    c = quotient._cells(g, quotient.level_radius(g, r))
+    w = c.hi - c.lo
+    quarters = [np.stack([c.edge, c.lo + k * w // 4], axis=1) for k in (1, 3)]
+    return c.r, np.concatenate([c.vertex, *quarters]), c.S
+
+
+BENCHMARK_GRAPHS = {
+    "big200": big_graph,
+    "comb5": lambda: fixtures.comb(5),
+    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_GRAPHS)
+def test_key_rows_match_two_clip_reference_on_timeline_levels(name):
+    g = BENCHMARK_GRAPHS[name]()
+    for r, _ in timeline_loci(g):
+        assert assert_rows_match_reference(g, *level_key_cells(g, r)).dtype == np.int8
+
+
+def test_key_rows_match_reference_on_a_fine_merge_grid():
+    """S = 128 > 127: the rows are int16."""
+    g, S = fixtures.comb(5), 128
+    cells = [(e, t) for e in range(g.num_edges) for t in range(0, S + 1, 5)]
+    for k in [*range(0, 3 * S, 11), 3 * S]:
+        assert assert_rows_match_reference(g, F(k, S), cells, S).dtype == np.int16
+
+
+def test_key_rows_match_reference_with_int32_work():
+    """On a path of 300 unit edges at S = 128, S * (diameter + 2) passes the
+    int16 range, so the distances are worked in int32."""
+    n, S = 300, 128
+    g = load_graph(
+        {
+            "name": "path300",
+            "vertices": [f"v{i}" for i in range(n + 1)],
+            "edges": [{"u": f"v{i}", "v": f"v{i + 1}", "len": 1} for i in range(n)],
+        }
+    )
+    assert S * (g.diameter() + 2) > np.iinfo(np.int16).max
+    cells = [(e, t) for e in range(0, n, 7) for t in (0, 1, 63, 64, 127, 128)]
+    for r in (F(1, S), F(3, 2), F(149), F(150) + F(5, S), F(299), F(302)):
+        assert assert_rows_match_reference(g, r, cells, S).dtype == np.int16
+
+
+@pytest.mark.parametrize("name", ["big200", "comb5"])
+def test_key_rows_match_reference_over_many_chunks(name, monkeypatch):
+    g = BENCHMARK_GRAPHS[name]()
+    monkeypatch.setattr(levelkeys, "_CHUNK_ENTRIES", 1500)
+    for r, _ in timeline_loci(g)[::9]:
+        assert_rows_match_reference(g, *level_key_cells(g, r))
+
+
 class TestErrorContext:
     """Engine errors name the graph, the radius and the cells."""
 
@@ -228,18 +291,19 @@ class TestErrorContext:
             levelkeys.ball_keys(theta_g, F(1, 2), cells, 8)
 
     def test_orientation_failure(self, theta_g, monkeypatch):
-        real = quotient.ball_keys
+        real = quotient.key_rows
         c = quotient._cells(theta_g, F(1))
         # the quarter and three-quarter points of the level's segment cells
         segments = zip(c.edge.tolist(), c.lo.tolist(), (c.hi - c.lo).tolist())
         quarters = {(e, lo + k * w // 4) for e, lo, w in segments for k in (1, 3)}
 
         def scrambled(g, r, cells, S):
-            if all(tuple(cell) in quarters for cell in cells.tolist()):
-                return np.arange(len(cells))  # the orientation check's call: every ball distinct
-            return real(g, r, cells, S)
+            assert all(tuple(cell) in quarters for cell in cells.tolist())  # the orientation check's call
+            rows = real(g, r, cells, S)
+            rows[:, 0] = np.arange(len(rows))  # every ball distinct, in one column only
+            return rows
 
-        monkeypatch.setattr(quotient, "ball_keys", scrambled)
+        monkeypatch.setattr(quotient, "key_rows", scrambled)
         with pytest.raises(
             InternalConsistencyError,
             match=r"theta: segment class at radius 1 has no consistent gluing orientation"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballflow import fixtures, quotient
+from ballflow import fixtures, levelkeys, quotient
 from ballflow.balls import closed_ball, full_set, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import timeline, timeline_loci
@@ -273,19 +273,20 @@ def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
     """The work of the big200 timeline's levels, counted, not timed: one
-    call per level on its non-full vertex cells, plus the orientation check's
-    quarter point of every member of a multi-member class and three-quarter
-    point of each such class's lead.  Keying both points of every member
-    took 71,247 points, and keying every vertex cell and midpoint took 143
-    calls and 155,710 points."""
-    real = quotient.ball_keys
+    `ball_keys` call per level on its non-full vertex cells, plus the
+    orientation check's `key_rows` call on the quarter point of every member
+    of a multi-member class and the three-quarter point of each such class's
+    lead.  Keying both points of every member took 71,247 points, and keying
+    every vertex cell and midpoint took 143 calls and 155,710 points."""
+    real = levelkeys.key_rows
     points = []
 
     def counted(g, r, cells, S):
         points.append(len(cells))
         return real(g, r, cells, S)
 
-    monkeypatch.setattr(quotient, "ball_keys", counted)
+    monkeypatch.setattr(levelkeys, "key_rows", counted)  # under ball_keys
+    monkeypatch.setattr(quotient, "key_rows", counted)  # the orientation check
     timeline(big_graph())
     assert (len(points), sum(points)) == (142, 63_340)
 
