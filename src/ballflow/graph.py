@@ -438,6 +438,8 @@ def load_graph(document) -> MetricGraph:
         if length <= 0:
             raise ValidationError(f"non-positive edge length {raw_len}")
         parsed.append((u, v, length))
+    if len(vertices) > len(parsed) + 1:  # too few edges to connect them; no (V, V) matrix is built
+        raise ValidationError("graph is disconnected")
 
     L = lcm(*[length.denominator for _, _, length in parsed])
     scale = Fraction(gcd(*[int(length * L) for _, _, length in parsed]), L)

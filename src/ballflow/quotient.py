@@ -4,8 +4,7 @@ multigraph by ball equality, and its topological fingerprint.
 Identification of cells is all-or-nothing per open segment cell, and a
 segment cell's balls are fixed by the balls of its two end cells
 (corollaries 1 and 2 below), so the quotient is computed from the vertex
-cells' balls alone.  The quarter-point balls of multi-member classes check
-the gluing orientation.
+cells' balls alone.
 
 A level keys only the vertex cells:
 
@@ -90,6 +89,14 @@ through.  So l = l', and every gap end, affine in s with the same values
 at both ends of A and of A' (or the same opening point and speeds),
 agrees at each s.
 
+The end classes fix the orientation of this gluing: a non-full segment
+cell has end balls P != Q.  Otherwise, as the gaps of lemma 2 keep their
+order along the edge, every gap end, affine with equal values at both ends
+of the cell, would be constant, and so would the ball along the cell,
+which lemma 1 forbids at its midpoint.  So each member's end with ball P
+is fixed, and the level needs no check of the direction in which its
+members are glued (the tests keep one as `orientation_oracle`).
+
 Theorem: the level at r (its cell ids, the classes of its cells and which
 cells are full) equals the level at rho(r).  To get rho(r), first shift
 r >= diam by whole halves into [diam, diam + 1/2); then, when 4r is not an
@@ -151,6 +158,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -159,7 +167,7 @@ import numpy as np
 from .canon import canonical_multigraph_code, smooth_multigraph
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import ball_keys, key_rows
+from .levelkeys import ball_keys
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -222,24 +230,48 @@ def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
 
 @dataclass(frozen=True)
 class QuotientGraph:
-    """The level at radius r as a multigraph of cell classes."""
+    """The level at radius r as a multigraph of cell classes, numbered by
+    least member: vertex_class and edge_class hold each cell's class, and
+    q_vertices, edge_classes and x_segments list each class's cells."""
 
     radius: Fraction
-    q_vertices: tuple[tuple[int, ...], ...]  # vertex-cell ids per class
+    vertex_class: tuple[int, ...]  # q-vertex id per vertex cell, the ball-X region's last
+    edge_class: tuple[int, ...]  # q-edge id per segment cell, -1 for a ball-X one
     q_edges: tuple[tuple[int, int], ...]  # endpoint q-vertex ids per edge class
-    edge_classes: tuple[tuple[int, ...], ...]  # segment-cell ids per edge class
     x_vertex: int | None  # q-vertex id of the collapsed ball-X region
-    n0: int  # number of ball-X segment cells
-    x_segments: tuple[int, ...]  # the ball-X segment-cell ids
     injective: bool  # the projection at this radius is an embedding
 
     @property
     def num_vertices(self) -> int:
-        return len(self.q_vertices)
+        return max(self.vertex_class) + 1
 
     @property
     def num_edges(self) -> int:
         return len(self.q_edges)
+
+    @property
+    def n0(self) -> int:  # number of ball-X segment cells
+        return self.edge_class.count(-1)
+
+    @cached_property
+    def q_vertices(self) -> tuple[tuple[int, ...], ...]:
+        return _members(self.vertex_class, self.num_vertices)
+
+    @cached_property
+    def edge_classes(self) -> tuple[tuple[int, ...], ...]:
+        return _members(self.edge_class, self.num_edges)
+
+    @cached_property
+    def x_segments(self) -> tuple[int, ...]:
+        return tuple(j for j, k in enumerate(self.edge_class) if k < 0)
+
+
+def _members(numbers: tuple[int, ...], count: int) -> tuple[tuple[int, ...], ...]:
+    """The ids holding each class number 0 .. count - 1, ascending; -1 is in no class."""
+    numbers = np.array(numbers)
+    flat = np.argsort(numbers, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(numbers + 1, minlength=count + 1)).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 @dataclass(frozen=True)
@@ -344,82 +376,25 @@ def _full(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
     return T[e, k] * (q - f) + T[e, k + 1] * f <= bound
 
 
-def _classes(ids: np.ndarray, labels: np.ndarray):
-    """The ids grouped by equal label, as tuples ordered by least member,
-    and each id's group number.  Labels rise with their groups' least ids,
-    as `_level`'s least cells do, so label order is group order."""
-    if not len(ids):
-        return ids, []
-    _, number = np.unique(labels, return_inverse=True)
-    flat = ids[np.argsort(number, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(number)).tolist()
-    return number, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
-
-
 def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     r = Fraction(r)
     c, labels, full = _level(g, r)
     nv = len(c.vertex)
+    # labels rise with their classes' least cells; X's class is numbered last
+    # among the vertex cells' and is no q-edge
+    _, vertex_class = np.unique(np.where(full[:nv], len(labels), labels[:nv]), return_inverse=True)
     seg_full = full[nv:]
-    x_segments = np.flatnonzero(seg_full)
-    seg_ids = np.flatnonzero(~seg_full)
-    _, seg_classes = _classes(seg_ids, labels[nv:][seg_ids])
-    _check_orientation(g, r, c, seg_classes)
-
-    vert_ids = np.flatnonzero(~full[:nv])
-    vert_number, vert_classes = _classes(vert_ids, labels[vert_ids])
-    x_vertex_cells = tuple(np.flatnonzero(full[:nv]).tolist())
-    q_vertices = list(vert_classes)
-    cell_to_q = np.empty(nv, dtype=np.int64)
-    cell_to_q[vert_ids] = vert_number
-    x_vertex = None
-    if x_vertex_cells:
-        x_vertex = len(q_vertices)
-        q_vertices.append(x_vertex_cells)
-        cell_to_q[list(x_vertex_cells)] = x_vertex
-
-    reps = [cls[0] for cls in seg_classes]
-    q_edges = zip(cell_to_q[c.tail_cell[reps]].tolist(), cell_to_q[c.head_cell[reps]].tolist())
+    _, lead, edge_class = np.unique(np.where(seg_full, -1, labels[nv:]), return_index=True, return_inverse=True)
+    any_x = int(seg_full.any())
+    lead = lead[any_x:]
     return QuotientGraph(
         radius=r,
-        q_vertices=tuple(q_vertices),
-        q_edges=tuple(q_edges),
-        edge_classes=tuple(seg_classes),
-        x_vertex=x_vertex,
-        n0=len(x_segments),
-        x_segments=tuple(x_segments.tolist()),
+        vertex_class=tuple(vertex_class.tolist()),
+        edge_class=tuple((edge_class - any_x).tolist()),
+        q_edges=tuple(zip(vertex_class[c.tail_cell[lead]].tolist(), vertex_class[c.head_cell[lead]].tolist())),
+        x_vertex=int(vertex_class.max()) if full[:nv].any() else None,
         injective=_injective(labels),
     )
-
-
-def _check_orientation(g: MetricGraph, r: Fraction, c: _Cells, seg_classes) -> None:
-    """Check that every multi-member segment class of the level at r, cut
-    at c.r, glues its members in one of the two directions.
-
-    Every member's quarter-point ball must match the lead's quarter or
-    three-quarter ball, compared as `key_rows`, which are equal iff the balls
-    are; anything else would contradict the all-or-nothing identification,
-    or corollary 2's grouping by end classes, and is a hard error.
-    """
-    multi = [cls for cls in seg_classes if len(cls) > 1]
-    if not multi:
-        return
-    members = np.array([i for cls in multi for i in cls])
-    sizes = [len(cls) for cls in multi]
-    first = np.cumsum([0, *sizes[:-1]])  # position of each class's lead
-    lead = np.repeat(first, sizes)
-    lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
-    quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
-    three_quarter = np.stack([edge[first], lo[first] + 3 * (hi - lo)[first] // 4], axis=1)
-    rows = key_rows(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
-    kq, k3q = rows[: len(members)], np.repeat(rows[len(members) :], sizes, axis=0)
-    bad = np.flatnonzero(~(kq == kq[lead]).all(axis=1) & ~(kq == k3q).all(axis=1))
-    if len(bad):
-        i = bad[0]
-        raise InternalConsistencyError(
-            f"{g.name}: segment class at radius {r} has no consistent gluing "
-            f"orientation (segment cells {members[lead[i]]} and {members[i]})"
-        )
 
 
 def fingerprint(q: QuotientGraph) -> Fingerprint:

@@ -13,6 +13,8 @@ from all sources at once is checked.  level_oracle is the one-pass level that
 keys every cell's ball, against which the level's selective keying is checked.
 key_rows_reference is `levelkeys.key_rows` by its first, two-clip formula,
 against which the kernel's rows are checked byte for byte.
+orientation_oracle keys the quarter points of a level's segment classes to
+check the gluing direction that the `quotient` docstring proves.
 """
 
 from __future__ import annotations
@@ -335,6 +337,36 @@ def level_oracle(g: MetricGraph, r: Fraction):
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
     return c, first[inverse], full
+
+
+def orientation_oracle(g: MetricGraph, q) -> int:
+    """Check that every multi-member segment class of the level q glues its
+    members in one of the two directions, and return how many such classes
+    there are.
+
+    Every member's quarter-point ball must match the lead's quarter or
+    three-quarter ball, compared as `key_rows` keyed at the level's
+    representative radius, which are equal iff the balls are.
+    """
+    c = quotient._cells(g, quotient.level_radius(g, q.radius))
+    multi = [cls for cls in q.edge_classes if len(cls) > 1]
+    if not multi:
+        return 0
+    members = np.array([i for cls in multi for i in cls])
+    sizes = [len(cls) for cls in multi]
+    first = np.cumsum([0, *sizes[:-1]])  # position of each class's lead
+    lead = np.repeat(first, sizes)
+    lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
+    quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
+    three_quarter = np.stack([edge[first], lo[first] + 3 * (hi - lo)[first] // 4], axis=1)
+    rows = key_rows(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
+    kq, k3q = rows[: len(members)], np.repeat(rows[len(members) :], sizes, axis=0)
+    bad = np.flatnonzero(~(kq == kq[lead]).all(axis=1) & ~(kq == k3q).all(axis=1))
+    assert not len(bad), (
+        f"{g.name}: segment class at radius {q.radius} has no consistent gluing "
+        f"orientation (segment cells {members[lead[bad[0]]]} and {members[bad[0]]})"
+    )
+    return len(multi)
 
 
 def key_rows_reference(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:

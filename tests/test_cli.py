@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -52,6 +56,14 @@ KITE_DOT = """graph level {
   graph [label="b0=1 b1=1 code=V10|0-2x1,0-3x1,0-4x1,0-5x1,1-2x1,1-3x1,1-6x1,1-7x1,2-8x1,3-9x1"];
 }
 """
+
+# the triangle with a loop and two pendant edges
+KITE = {
+    "name": "kite",
+    "vertices": ["a", "b", "c", "d", "e"],
+    "edges": [{"u": u, "v": v} for u, v in ("ab", "bc", "ca", "ad", "be", "cc")],
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -106,6 +118,24 @@ class TestExitCodes:
         assert code == 2
         assert "100001 unit edges" in err
         assert "Traceback" not in err and not out
+
+    def test_isolated_vertices_fail_before_the_distance_matrix(self, tmp_path):
+        """30,000 vertex names and one edge, in a child process limited to
+        1 GiB of address space: the (V, V) distance matrix would need 6.7 GiB,
+        so the document is refused as disconnected before it is built."""
+        f = tmp_path / "isolated.json"
+        f.write_text(json.dumps({"vertices": [f"v{i}" for i in range(30_000)], "edges": [{"u": "v0", "v": "v1"}]}))
+        limit = 1 << 30
+        result = subprocess.run(
+            [sys.executable, "-m", "ballflow.cli", "info", str(f)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: invalid-input: graph is disconnected\n"
 
     def test_no_failing_locus_is_an_engine_bug(self, monkeypatch, capsys):
         # every level embeds, which the diameter's balls rule out
@@ -236,16 +266,33 @@ class TestSubcommands:
     def test_project_dot_maps_smoothed_vertices_back(self, capsys, tmp_path):
         # the triangle with a loop and two pendant edges at r = 7/4: a level
         # whose smoothed vertices include the collapsed X vertex
-        doc = {
-            "name": "kite",
-            "vertices": ["a", "b", "c", "d", "e"],
-            "edges": [{"u": u, "v": v} for u, v in ("ab", "bc", "ca", "ad", "be", "cc")],
-        }
         path = tmp_path / "kite.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(KITE))
         code, dot, _ = run(capsys, "project", str(path), "--radius", "7/4", "--dot")
         assert code == 0
         assert dot == KITE_DOT
+
+    def test_project_builds_each_member_tuple_once(self, capsys, tmp_path, monkeypatch):
+        """`project --dot --json` reads `q_vertices` once per smoothed vertex
+        and again for the document, but builds each derived tuple of the
+        level at most once."""
+        builds = Counter()
+        for name in ("q_vertices", "edge_classes", "x_segments"):
+            derived = vars(quotient.QuotientGraph)[name]
+            build = getattr(derived, "func", None) or derived.fget
+
+            def counted(q, name=name, build=build):
+                builds[name] += 1
+                return build(q)
+
+            wrapped = type(derived)(counted)
+            wrapped.__set_name__(quotient.QuotientGraph, name)
+            monkeypatch.setattr(quotient.QuotientGraph, name, wrapped)
+        path = tmp_path / "kite.json"
+        path.write_text(json.dumps(KITE))
+        code, out, _ = run(capsys, "project", str(path), "--radius", "7/4", "--dot", "--json")
+        assert code == 0 and out.startswith(KITE_DOT)
+        assert builds == {"q_vertices": 1, "edge_classes": 1}
 
     def test_timeline_csv(self, capsys):
         code, out, _ = run(capsys, "timeline", "builtin:theta", "--csv")

@@ -12,7 +12,15 @@ from ballflow.errors import InternalConsistencyError
 from ballflow.evolution import timeline_loci
 from ballflow.graph import GraphPoint, load_graph
 
-from conftest import center_edge_oracle, coverage_classes, integer_coverage, key_rows_reference, level_oracle
+import conftest
+from conftest import (
+    center_edge_oracle,
+    coverage_classes,
+    integer_coverage,
+    key_rows_reference,
+    level_oracle,
+    orientation_oracle,
+)
 from test_acceptance import big_graph
 
 GRAPHS = {
@@ -129,6 +137,18 @@ def test_level_matches_one_pass_oracle(name):
     g = LEVEL_GRAPHS[name]()
     for r in level_radii(g):
         assert_level_matches_oracle(g, r)
+
+
+def test_segment_classes_glue_in_one_direction():
+    """The gluing direction that corollary 2 of `quotient` fixes, checked by
+    `orientation_oracle` on every level of the graphs above: 14,998 segment
+    classes with several members, so an oracle that checks none fails."""
+    classes = 0
+    for make in LEVEL_GRAPHS.values():
+        g = make()
+        for r in level_radii(g):
+            classes += orientation_oracle(g, quotient.project(g, r))
+    assert classes == 14_998
 
 
 def test_no_midpoint_ball_equals_two_points_common_ball():
@@ -291,25 +311,28 @@ class TestErrorContext:
             levelkeys.ball_keys(theta_g, F(1, 2), cells, 8)
 
     def test_orientation_failure(self, theta_g, monkeypatch):
-        real = quotient.key_rows
+        """The oracle fails, naming both cells, when rows that differ in one
+        column only tell a member's quarter ball from its lead's two balls."""
+        real = conftest.key_rows
         c = quotient._cells(theta_g, F(1))
         # the quarter and three-quarter points of the level's segment cells
         segments = zip(c.edge.tolist(), c.lo.tolist(), (c.hi - c.lo).tolist())
         quarters = {(e, lo + k * w // 4) for e, lo, w in segments for k in (1, 3)}
 
         def scrambled(g, r, cells, S):
-            assert all(tuple(cell) in quarters for cell in cells.tolist())  # the orientation check's call
+            assert all(tuple(cell) in quarters for cell in cells.tolist())  # the oracle's call
             rows = real(g, r, cells, S)
             rows[:, 0] = np.arange(len(rows))  # every ball distinct, in one column only
             return rows
 
-        monkeypatch.setattr(quotient, "key_rows", scrambled)
+        q = quotient.project(theta_g, F(1))
+        monkeypatch.setattr(conftest, "key_rows", scrambled)
         with pytest.raises(
-            InternalConsistencyError,
+            AssertionError,
             match=r"theta: segment class at radius 1 has no consistent gluing orientation"
             r" \(segment cells \d+ and \d+\)",
         ):
-            quotient.project(theta_g, F(1))
+            orientation_oracle(theta_g, q)
 
 
 def test_project_memory_is_bounded():

@@ -273,11 +273,11 @@ def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
     """The work of the big200 timeline's levels, counted, not timed: one
-    `ball_keys` call per level on its non-full vertex cells, plus the
-    orientation check's `key_rows` call on the quarter point of every member
-    of a multi-member class and the three-quarter point of each such class's
-    lead.  Keying both points of every member took 71,247 points, and keying
-    every vertex cell and midpoint took 143 calls and 155,710 points."""
+    `ball_keys` call per level on its non-full vertex cells.  With the
+    gluing-orientation check, since moved to the tests, the levels keyed
+    63,340 points in 142 `key_rows` calls; keying both quarter points of
+    every member took 71,247 points, and keying every vertex cell and
+    midpoint took 143 calls and 155,710 points."""
     real = levelkeys.key_rows
     points = []
 
@@ -286,9 +286,8 @@ def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
         return real(g, r, cells, S)
 
     monkeypatch.setattr(levelkeys, "key_rows", counted)  # under ball_keys
-    monkeypatch.setattr(quotient, "key_rows", counted)  # the orientation check
     timeline(big_graph())
-    assert (len(points), sum(points)) == (142, 63_340)
+    assert (len(points), sum(points)) == (75, 48_537)
 
 
 class TestEulerBounds:

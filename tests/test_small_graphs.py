@@ -6,11 +6,13 @@ per isometry class: isomorphic unit graphs are isometric, so they are
 deduplicated by the canonical code of the unit graph.  With BALLFLOW_DEEP=1
 the bounds are 4 vertices, 4 edges and lengths 1/2 or 1; run it before
 changing a kernel.  At every k/24 up to diam + 1/2 each level is checked
-four ways: `_level` against `level_oracle` keyed at r itself, the `project`
-level connected by union-find, b0 = 1, and `subdivision`'s cells against
-`_cells`'.  At every k/8 up to diam + 1/2, the `ball_keys` classes of each
-level's vertex cells, midpoints, quarter and three-quarter points are
-checked against the exact `Fraction` balls of `coverage_classes`.  Each
+five ways: `_level` against `level_oracle` keyed at r itself, the `project`
+level connected by union-find, b0 = 1, its gluing direction by
+`orientation_oracle`, and `subdivision`'s cells against `_cells`'.  At
+every k/8 up to diam + 1/2, the `ball_keys` classes of each level's vertex
+cells, midpoints, quarter and three-quarter points are checked against the
+exact `Fraction` balls of `coverage_classes`, and `closed_ball` about each
+of those points against `closed_ball_oracle`.  Each
 graph's distance matrix is checked against `distance_oracle`, its potential
 profile against `potential_oracle` and `eccentricity` against the same
 piecewise-linear Phi at every k/24, its merge tree at step 1/2 against the
@@ -28,6 +30,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from ballflow.balls import closed_ball
 from ballflow.canon import canonical_multigraph_code
 from ballflow.graph import load_graph
 from ballflow.levelkeys import ball_keys
@@ -37,9 +40,11 @@ from ballflow.quotient import fingerprint, project
 from conftest import (
     assert_cells_match_subdivision,
     assert_eccentricity_matches_oracle,
+    closed_ball_oracle,
     components_oracle,
     coverage_classes,
     distance_oracle,
+    orientation_oracle,
     pairwise_matrix,
     potential_oracle,
 )
@@ -47,9 +52,11 @@ from test_levelkeys import assert_level_matches_oracle, level_points
 
 DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
 # (vertices, edges, lengths) -> (metric graphs, levels at every k/24,
-# relabelled codes, levels at every k/8)
+# relabelled codes, levels at every k/8, multi-member segment classes)
 BOUNDS, COUNTS = (
-    ((4, 4, ("1/2", "1")), (228, 19_968, 10_598, 6_656)) if DEEP else ((3, 3, ("1", "2")), (45, 3_012, 1_273, 1_004))
+    ((4, 4, ("1/2", "1")), (228, 19_968, 10_598, 6_656, 57_006))
+    if DEEP
+    else ((3, 3, ("1", "2")), (45, 3_012, 1_273, 1_004, 5_435))
 )
 
 
@@ -72,7 +79,7 @@ def small_graphs(max_vertices, max_edges, lengths):
 
 def test_every_small_graph_at_every_24th():
     graphs = small_graphs(*BOUNDS)
-    levels = 0
+    levels = classes = 0
     for g in graphs:
         for k in range(1, int(24 * (g.diameter() + F(1, 2))) + 1):
             r = F(k, 24)
@@ -80,9 +87,10 @@ def test_every_small_graph_at_every_24th():
             q = project(g, r)
             assert components_oracle(q.num_vertices, q.q_edges) == 1, (g.name, r)
             assert fingerprint(q).b0 == 1, (g.name, r)
+            classes += orientation_oracle(g, q)
             assert_cells_match_subdivision(g, r)
             levels += 1
-    assert (len(graphs), levels) == COUNTS[:2]
+    assert (len(graphs), levels, classes) == (*COUNTS[:2], COUNTS[4])
 
 
 def test_every_small_graph_distance_matrix():
@@ -97,6 +105,8 @@ def test_every_small_graph_ball_classes_at_every_8th():
             r = F(k, 8)
             cells, S, pts = level_points(g, r)
             assert ball_keys(g, r, cells, S).tolist() == coverage_classes(g, r, pts)[0], (g.name, r)
+            for p in pts:
+                assert repr(closed_ball(g, p, r)) == repr(closed_ball_oracle(g, p, r)), (g.name, p, r)
             levels += 1
     assert levels == COUNTS[3]
 
