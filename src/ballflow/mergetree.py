@@ -7,10 +7,10 @@ grid k/den, den = lcm(2, offset denominators).  `merge_tree` therefore sweeps
 that grid once, with one `ball_keys` call per radius for one point of each
 class of equal balls, until one class is left; each radius where classes
 merge is one event of the dendrogram, and the merge-radius matrix and
-`ball_check` read the events.  Pairwise bisection over exact balls
-(`merge_radius`, `extinction_radius`, on the grid of twice that den),
-`ultrametric_check` and `dendrogram_from_matrix` are kept as the independent
-oracle.
+`ball_check` read the events.  `merge_radius` takes one pair's radius in
+closed form (proof below).  The bisections over exact balls in
+`tests/conftest.py` (`merge_radius_oracle`, `extinction_oracle`),
+`ultrametric_check` and `dendrogram_from_matrix` are the oracles.
 
 Proof of the grid.  Let p lie at offset t on its edge; every offset of the
 set lies on (1/den)Z, and so does 1/2.  For every vertex w,
@@ -38,6 +38,25 @@ below it too.  So every merge radius a is a grid point.  The argument reads
 the offsets only through these breakpoints, so for any real offsets t_p and
 t_q the merge radius of p and q lies in (1/2)Z u (1/2)Z +- t_p u
 (1/2)Z +- t_q.
+
+Proof of the closed form.  Let p lie at distances a, b from the ends of an
+edge f.  If p is not inside f, d(p, y) = min(a + y, b + 1 - y) at offset y,
+a tent with peak (a + b + 1)/2 at y = (1 + b - a)/2.  Inside f at t, [0, t]
+peaks at (t + a)/2 at y = (t - a)/2, and [t, 1] at (1 - t + b)/2 at
+y = (1 + t + b)/2 (see `graph`); p's peak on f is the larger.  At r = P - e,
+e small, the ball leaves out of f only (y - e, y + e) within [0, 1] about
+each place y of its peak P.  Say p and q differ on f if an end distance
+differs or f holds p or q inside.  If not, their balls agree on f at every
+r.  If so, let P >= Q be their peaks on f: for Q <= r < P one ball covers f
+and the other does not.  If P = Q, their gaps are at different places: a
+place y of peak P gives a = P - y on a tent or [0, t], b = P + y - 1 on a
+tent or [t, 1], t = P + y on [0, t] and t = y - P on [t, 1], so a shared
+place forces equal ends off f, one point inside f, a negative distance or
+t >= 1.  So the balls differ on f just below max(P, Q) and agree on f from
+there on.  Agreement on one edge is not monotone in r, so the merge radius
+is the largest max(P, Q) over the edges where p and q differ: all edges
+agree there, and one does not just below.  Distances to vertices lie in
+(1/L)Z, L = lcm(den t_p, den t_q), so peaks are integers in 1/(2L) units.
 """
 
 from __future__ import annotations
@@ -49,7 +68,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .balls import BallSet, closed_ball, full_set, sets_equal
+from .balls import BallSet, closed_ball, sets_equal
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
 from .levelkeys import INT64_SAFE, ball_keys
@@ -62,7 +81,8 @@ from .levelkeys import INT64_SAFE, ball_keys
 # 753 points (comb5 at step 1/16).
 MAX_SAMPLE_POINTS = 2_000
 
-# each graph's own {(point, radius): ball} memo, dropped with the graph
+# each graph's own {(point, radius): ball} memo for the tests' bisections, dropped with
+# the graph; kept while perfbench/layertrace.py counts `_cached_ball` (ROADMAP 5(b))
 _ball_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -75,47 +95,26 @@ def _cached_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
 
 
 def merge_radius(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
-    """Smallest radius at which the closed balls about p and q are equal."""
-    p = g.canonical_point(p)
-    q = g.canonical_point(q)
+    """Smallest radius at which the closed balls about p and q are equal: the
+    largest peak of p or q on an edge where they differ (module docstring)."""
+    p, q = g.canonical_point(p), g.canonical_point(q)
     if p == q:
         return Fraction(0)
-    qhat = math.lcm(p.t.denominator, q.t.denominator, 2)
-    den = 2 * qhat
-    hi = (g.diameter() * den).__ceil__()
-    lo = 1
-    if not sets_equal(g, _cached_ball(g, p, Fraction(hi, den)), _cached_ball(g, q, Fraction(hi, den))):
-        raise InternalConsistencyError(f"{g.name}: balls of {p} and {q} differ at the diameter radius")
-    # smallest m in [1, hi] with equality, by bisection on monotone equality
-    while lo < hi:
-        mid = (lo + hi) // 2
-        r = Fraction(mid, den)
-        if sets_equal(g, _cached_ball(g, p, r), _cached_ball(g, q, r)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo, den)
-
-
-def extinction_radius(g: MetricGraph, p: GraphPoint) -> Fraction:
-    """Smallest radius at which the ball about p is the whole graph.
-
-    Computed from balls alone; it must agree with the eccentricity of p.
-    """
-    p = g.canonical_point(p)
-    den = 2 * math.lcm(p.t.denominator, 2)
-    hi = (g.diameter() * den).__ceil__()
-    lo = 0
-    X = full_set(g)
-    if not sets_equal(g, _cached_ball(g, p, Fraction(hi, den)), X):
-        raise InternalConsistencyError(f"{g.name}: ball about {p} misses points at the diameter radius")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sets_equal(g, _cached_ball(g, p, Fraction(mid, den)), X):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo, den)
+    L = math.lcm(p.t.denominator, q.t.denominator)
+    D = g.vertex_distance_matrix()
+    sides = []  # (edge, L * offset, L * distance to every vertex) of p and of q
+    for x in (p, q):
+        T = x.t.numerator * (L // x.t.denominator)
+        du, dv = D[list(g.edges[x.edge])].tolist()
+        sides.append((x.edge, T, [min(T + L * a, L - T + L * b) for a, b in zip(du, dv)]))
+    (_, _, dp), (_, _, dq) = sides
+    inside = {e for e, T, _ in sides if 0 < T < L}
+    best = 0
+    for f, (u, v) in enumerate(g.edges):
+        if f in inside or dp[u] != dq[u] or dp[v] != dq[v]:
+            for e, T, d in sides:
+                best = max(best, max(d[u] + T, d[v] + L - T) if e == f else d[u] + d[v] + L)
+    return Fraction(best, 2 * L)
 
 
 def sample_points(g: MetricGraph, step: Fraction) -> list[GraphPoint]:
@@ -267,10 +266,6 @@ def build_merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
     if len(points) < 2:
         raise ValidationError("merge tree needs at least 2 points")
     return merge_tree(g, points)
-
-
-def merge_matrix(g: MetricGraph, points: list[GraphPoint]) -> MergeMatrix:
-    return merge_tree(g, points).matrix()
 
 
 def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:

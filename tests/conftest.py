@@ -15,10 +15,15 @@ key_rows_reference is `levelkeys.key_rows` by its first, two-clip formula,
 against which the kernel's rows are checked byte for byte.
 orientation_oracle keys the quarter points of a level's segment classes to
 check the gluing direction that the `quotient` docstring proves.
+merge_radius_oracle and extinction_oracle find the first radius of equal
+balls, and of the whole graph, by bisection over exact balls memoized in
+`mergetree._ball_cache`, against the closed forms `merge_radius` and
+`eccentricity` and the merge sweep.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from fractions import Fraction
 from typing import Sequence
@@ -29,10 +34,10 @@ import pytest
 from ballflow import fixtures, quotient
 from ballflow.balls import _FULL_ROW, BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
 from ballflow.canon import _twin_representatives, refine_colors
-from ballflow.errors import ValidationError
+from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
 from ballflow.levelkeys import _center_edge, key_rows
-from ballflow.mergetree import MergeMatrix, merge_radius
+from ballflow.mergetree import MergeMatrix, _cached_ball
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
 ZERO = Fraction(0)
@@ -167,11 +172,54 @@ def brute_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]) -> list[li
     return classes
 
 
+def merge_radius_oracle(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
+    """Smallest radius at which the closed balls about p and q are equal, by
+    bisection on the grid of twice the sweep's den over exact balls."""
+    p = g.canonical_point(p)
+    q = g.canonical_point(q)
+    if p == q:
+        return Fraction(0)
+    qhat = math.lcm(p.t.denominator, q.t.denominator, 2)
+    den = 2 * qhat
+    hi = (g.diameter() * den).__ceil__()
+    lo = 1
+    if not sets_equal(g, _cached_ball(g, p, Fraction(hi, den)), _cached_ball(g, q, Fraction(hi, den))):
+        raise InternalConsistencyError(f"{g.name}: balls of {p} and {q} differ at the diameter radius")
+    # smallest m in [1, hi] with equality, by bisection on monotone equality
+    while lo < hi:
+        mid = (lo + hi) // 2
+        r = Fraction(mid, den)
+        if sets_equal(g, _cached_ball(g, p, r), _cached_ball(g, q, r)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, den)
+
+
+def extinction_oracle(g: MetricGraph, p: GraphPoint) -> Fraction:
+    """Smallest radius at which the ball about p is the whole graph, by
+    bisection over exact balls; it must agree with the eccentricity of p."""
+    p = g.canonical_point(p)
+    den = 2 * math.lcm(p.t.denominator, 2)
+    hi = (g.diameter() * den).__ceil__()
+    lo = 0
+    X = full_set(g)
+    if not sets_equal(g, _cached_ball(g, p, Fraction(hi, den)), X):
+        raise InternalConsistencyError(f"{g.name}: ball about {p} misses points at the diameter radius")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sets_equal(g, _cached_ball(g, p, Fraction(mid, den)), X):
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, den)
+
+
 def pairwise_matrix(g: MetricGraph, points) -> MergeMatrix:
     """The merge-radius matrix by pairwise bisection on exact balls, which is
     not an ultrametric by construction."""
     pts = tuple(g.canonical_point(p) for p in points)
-    return MergeMatrix(pts, tuple(tuple(merge_radius(g, p, q) for q in pts) for p in pts))
+    return MergeMatrix(pts, tuple(tuple(merge_radius_oracle(g, p, q) for q in pts) for p in pts))
 
 
 def cell_partition(sub, q) -> list[set[int]]:

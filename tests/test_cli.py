@@ -483,7 +483,7 @@ class TestMergeTreeRoute:
         def refuse(*args):
             raise AssertionError("the matrix route ran")
 
-        for name in ("dendrogram_from_matrix", "merge_matrix", "ultrametric_check", "MergeMatrix"):
+        for name in ("dendrogram_from_matrix", "ultrametric_check", "MergeMatrix"):
             monkeypatch.setattr(mergetree, name, refuse)
         assert run(capsys, *self.ARGV, "--json") == (0, expected, "")
 

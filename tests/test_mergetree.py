@@ -17,15 +17,13 @@ from ballflow.mergetree import (
     ball_check,
     build_merge_tree,
     dendrogram_from_matrix,
-    extinction_radius,
-    merge_matrix,
     merge_radius,
     merge_tree,
     sample_points,
     ultrametric_check,
 )
 
-from conftest import brute_classes, grid_points, pairwise_matrix
+from conftest import brute_classes, extinction_oracle, grid_points, merge_radius_oracle, pairwise_matrix
 
 
 def star4():
@@ -49,23 +47,27 @@ def tips(g):
 class TestMergeRadius:
     def test_ball_cache_never_serves_another_graphs_balls(self):
         # graphs are built and dropped in turn, so a cache keyed on id(g)
-        # would hand one graph's balls to a later graph that reuses the id
+        # would hand one graph's balls to a later graph that reuses the id;
+        # the bisection oracle is the one reader of the cache
         p, q = GraphPoint(0, F(1, 2)), GraphPoint(2, F(1, 2))
         makers = [lambda: fixtures.cycle(4), star4]
         expected = []
         for make in makers:
             mergetree._ball_cache.clear()
-            expected.append(merge_radius(make(), p, q))
+            expected.append(merge_radius_oracle(make(), p, q))
         assert expected == [F(2), F(3, 2)]
-        wrong = 0
+        wrong = unfilled = 0
         for i in range(400):
-            wrong += merge_radius(makers[i % 2](), p, q) != expected[i % 2]
+            g = makers[i % 2]()
+            wrong += merge_radius_oracle(g, p, q) != expected[i % 2]
+            unfilled += not mergetree._ball_cache.get(g)
         mergetree._ball_cache.clear()
-        assert wrong == 0
+        assert (wrong, unfilled) == (0, 0)
 
     def test_ball_cache_lets_a_dropped_graph_go(self):
         g = fixtures.cycle(4)
-        assert merge_radius(g, GraphPoint(0, F(1, 2)), GraphPoint(2, F(1, 2))) == 2
+        assert merge_radius_oracle(g, GraphPoint(0, F(1, 2)), GraphPoint(2, F(1, 2))) == 2
+        assert mergetree._ball_cache[g]
         dead = weakref.ref(g)
         del g
         gc.collect()
@@ -80,6 +82,12 @@ class TestMergeRadius:
 
     def test_theta_parallel_midpoints(self, theta_g):
         assert merge_radius(theta_g, GraphPoint(0, F(1, 2)), GraphPoint(1, F(1, 2))) == 1
+
+    def test_offsets_past_int64_match_the_oracle(self, theta_g):
+        """The closed form counts in Python integers, so offsets on 1/2^71,
+        which the merge sweep refuses, still give the bisection's radius."""
+        p, q = GraphPoint(0, F(1, 2**70)), GraphPoint(1, F(3, 2**71))
+        assert merge_radius(theta_g, p, q) == merge_radius_oracle(theta_g, p, q) == 2
 
     def test_path_samples(self, path_g):
         b = path_g.vertex_point(1)
@@ -134,12 +142,13 @@ def assert_matches_pairwise(g, m):
     for i, p in enumerate(m.points):
         assert m.mu[i][i] == 0
         for j in range(i + 1, len(m.points)):
-            mu = merge_radius(g, p, m.points[j])
-            assert m.mu[i][j] == m.mu[j][i] == mu, (i, j)
+            mu = merge_radius_oracle(g, p, m.points[j])
+            assert m.mu[i][j] == m.mu[j][i] == mu == merge_radius(g, p, m.points[j]), (i, j)
 
 
 class TestMergeSweep:
-    """The radius sweep of merge_matrix against pairwise bisection."""
+    """The radius sweep's matrix against pairwise bisection and the closed
+    form."""
 
     @pytest.mark.parametrize(
         "step", [F(1, 2), F(1, 3), F(1, 4), F(1, 6)], ids=["half", "third", "quarter", "sixth"]
@@ -148,12 +157,12 @@ class TestMergeSweep:
     def test_matches_pairwise_bisection(self, name, step):
         g = SWEEP_GRAPHS[name]()
         pts = sample_points(g, step)
-        m = merge_matrix(g, pts)
+        m = merge_tree(g, pts).matrix()
         assert m.points == tuple(g.canonical_point(p) for p in pts)
         assert_matches_pairwise(g, m)
 
     def test_duplicate_vertex_and_third_offset(self, theta_g):
-        m = merge_matrix(theta_g, duplicate_vertex_points(theta_g))
+        m = merge_tree(theta_g, duplicate_vertex_points(theta_g)).matrix()
         assert m.mu[0][2] == m.mu[2][0] == 0
         assert_matches_pairwise(theta_g, m)
 
@@ -187,7 +196,7 @@ class TestMergeSweep:
             mergetree, "ball_keys", lambda g, r, cells, S: np.arange(len(cells))
         )
         with pytest.raises(InternalConsistencyError, match="differ at the diameter"):
-            merge_matrix(path_g, sample_points(path_g, F(1, 2)))
+            merge_tree(path_g, sample_points(path_g, F(1, 2))).matrix()
 
 
 class TestSweepTree:
@@ -256,16 +265,19 @@ class TestBallCheck:
 
 
 class TestExtinction:
+    """The extinction radius of p is Phi(p): the bisection oracle against
+    `eccentricity`."""
+
     def test_equals_eccentricity(self):
         for name in ["path", "theta", "c6"]:
             g = fixtures.builtin(name)
             for p in grid_points(g, 2):
-                assert extinction_radius(g, p) == g.eccentricity(p), (name, p)
+                assert extinction_oracle(g, p) == g.eccentricity(p), (name, p)
 
     def test_comb_center(self):
         g = fixtures.comb(3)
         for p in tips(g):
-            assert extinction_radius(g, p) == g.eccentricity(p)
+            assert extinction_oracle(g, p) == g.eccentricity(p)
 
 
 class TestSampling:

@@ -16,7 +16,9 @@ of those points against `closed_ball_oracle`.  Each
 graph's distance matrix is checked against `distance_oracle`, its potential
 profile against `potential_oracle` and `eccentricity` against the same
 piecewise-linear Phi at every k/24, its merge tree at step 1/2 against the
-threshold partitions of the pairwise merge radii, and the canonical code of
+threshold partitions of the pairwise merge radii of `merge_radius_oracle`,
+the closed form `merge_radius` on every pair of those points against both the
+sweep's matrix and that bisection, and the canonical code of
 its unit graph under relabellings: every vertex permutation up to 5 unit
 vertices, 24 seeded ones above, each with the edges shuffled and some of
 them reversed.
@@ -26,7 +28,7 @@ import os
 import random
 from fractions import Fraction as F
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from ballflow.balls import closed_ball
 from ballflow.canon import canonical_multigraph_code
 from ballflow.graph import load_graph
 from ballflow.levelkeys import ball_keys
-from ballflow.mergetree import dendrogram_from_matrix, merge_tree, sample_points
+from ballflow.mergetree import dendrogram_from_matrix, merge_radius, merge_tree, sample_points
 from ballflow.quotient import fingerprint, project
 
 from conftest import (
@@ -120,7 +122,11 @@ def test_every_small_graph_potential():
 def test_every_small_graph_merge_tree():
     for g in small_graphs(*BOUNDS):
         pts = sample_points(g, F(1, 2))
-        assert merge_tree(g, pts) == dendrogram_from_matrix(pairwise_matrix(g, pts)), g.name
+        d, oracle = merge_tree(g, pts), pairwise_matrix(g, pts)
+        assert d == dendrogram_from_matrix(oracle), g.name
+        mu = d.matrix().mu
+        for i, j in combinations(range(len(pts)), 2):
+            assert merge_radius(g, pts[i], pts[j]) == mu[i][j] == oracle.mu[i][j], (g.name, i, j)
 
 
 def test_every_small_graph_code_under_relabelling():
