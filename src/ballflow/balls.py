@@ -10,10 +10,12 @@ of the edge and meets the interval first at its boundary) or is zero.
 `closed_ball(g, p, r)` computes in integer units of 1/L, L = lcm(den r,
 den p.t).  Vertex distances are integers, so every distance from p to a
 vertex, r minus it, and every endpoint of the ball's intervals (r - d(p, u),
-1 - (r - d(p, v)), p.t - r, p.t + r, 0 and 1) lies in (1/L)Z.  Scaling by L turns
-each comparison and each clip of the `Fraction` construction into the same
-comparison of Python integers, which cannot overflow, so the ball is exact;
-a `Fraction` is built only for the endpoints of partly covered edges.
+1 - (r - d(p, v)), p.t - r, p.t + r, 0 and 1) lies in (1/L)Z.  It reads the
+distances, scaled by L, from the graph's one distance row of p
+(`MetricGraph.scaled_distances`).  Scaling by L turns each comparison and
+each clip of the `Fraction` construction into the same comparison of Python
+integers, which cannot overflow, so the ball is exact; a `Fraction` is built
+only for the endpoints of partly covered edges.
 """
 
 from __future__ import annotations
@@ -110,15 +112,10 @@ def closed_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
     p = g.canonical_point(p)
     L = math.lcm(r.denominator, p.t.denominator)
     R = r.numerator * (L // r.denominator)
-    T = p.t.numerator * (L // p.t.denominator)
-    D = g.vertex_distance_matrix()
-    u0, v0 = g.edges[p.edge]
-    # reach[w] = (r - d(p, w)) * L, through the tail or the head of p's edge
-    via_u, via_v = R - T, R - L + T
-    reach = [max(via_u - L * a, via_v - L * b) for a, b in zip(D[u0].tolist(), D[v0].tolist())]
+    T, d = g.scaled_distances(p, L)
     cov: list[tuple[Interval, ...]] = []
     for e, (u, v) in enumerate(g.edges):
-        ru, rv = reach[u], reach[v]
+        ru, rv = R - d[u], R - d[v]  # the reaches (r - d(p, w)) * L of its ends
         if e == p.edge:
             cov.append(_centre_row(L, ru, rv, T, R))
         elif ru + rv >= L:

@@ -8,13 +8,16 @@ The stored scale factor G maps internal distances back to user units.  All
 distance, eccentricity and potential computations are exact.  The vertex
 distance matrix is built once, at construction, by one breadth-first search
 from all vertices at once (`_distance_matrix`); a pair it never joins
-refuses the graph as disconnected.
+refuses the graph as disconnected.  Every scalar quantity of a point reads
+its one distance row (`scaled_distances`) and peak list (`peaks`), in
+Python integers; only the numpy kernels `_quarter_eccentricities` and
+`levelkeys.key_rows` write these formulas again, in dtypes of their own.
 
 Phi(p), the largest distance from p, is linear on every unit edge between
 the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)
 the distance to a vertex w is min(s + d(u, w), 1 - s + d(v, w)).  Phi(s) is
 the maximum over the edges f of the farthest distance within f, given by
-`eccentricity`: (a + b + 1)/2 for f != e, with a, b the distances to the ends
+`peaks`: (a + b + 1)/2 for f != e, with a, b the distances to the ends
 of f (|a - b| <= 1, so its other tent terms never bind).  On e, a point at
 y <= s is at distance min(s - y, d(p, u) + y), as any other route passes p,
 so the part [0, s] peaks at (s + d(p, u))/2 = min(s, c), c = (1 + d(u, v))/2,
@@ -173,62 +176,67 @@ class MetricGraph:
     def same_point(self, p: GraphPoint, q: GraphPoint) -> bool:
         return self.canonical_point(p) == self.canonical_point(q)
 
-    # -- vertex distances --------------------------------------------------
+    # -- distances to vertices and per-edge peaks ---------------------------
 
     def vertex_distance_matrix(self) -> np.ndarray:
         """All-pairs graph distance on unit edges, as a (V, V) int64 matrix
         filled at construction by `_distance_matrix`."""
         return self._dist
 
-    def point_vertex_distances(self, p: GraphPoint) -> list[Fraction]:
-        """Exact distance from p to every vertex."""
-        p = self.canonical_point(p)
-        D = self.vertex_distance_matrix()
+    def scaled_distances(self, p: GraphPoint, L: int) -> tuple[int, list[int]]:
+        """(L * t, [L * d(p, w) for every vertex w]) in Python integers, which
+        cannot overflow, for p at an offset t on (1/L)Z:
+        d(p, w) = min(t + d(tail, w), 1 - t + d(head, w))."""
+        T = p.t.numerator * (L // p.t.denominator)
         u, v = self.edges[p.edge]
-        du, dv = D[u].tolist(), D[v].tolist()
-        t, s = p.t, ONE - p.t
-        return [min(t + du[w], s + dv[w]) for w in range(self.num_vertices)]
+        du, dv = self._dist[u].tolist(), self._dist[v].tolist()
+        return T, [min(T + L * a, L - T + L * b) for a, b in zip(du, dv)]
+
+    def peaks(self, p: GraphPoint, L: int) -> list[int]:
+        """2L times the farthest distance from p within each edge, for p at an
+        offset t on (1/L)Z.  With a, b the distances to the edge's ends it is
+        (a + b + 1)/2, and max(a + t, b + 1 - t)/2 on p's own edge (proof in
+        the module docstring)."""
+        T, d = self.scaled_distances(p, L)
+        return [
+            max(d[u] + T, d[v] + L - T) if f == p.edge else d[u] + d[v] + L
+            for f, (u, v) in enumerate(self.edges)
+        ]
+
+    def point_vertex_distances(self, p: GraphPoint) -> list[Fraction]:
+        """Exact distance from p to every vertex: `scaled_distances` over L."""
+        p = self.canonical_point(p)
+        L = p.t.denominator
+        return [Fraction(x, L) for x in self.scaled_distances(p, L)[1]]
 
     # -- point-to-point distance -------------------------------------------
 
     def point_distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
-        """Exact geodesic distance between two points."""
+        """Exact geodesic distance between two points: along their common
+        edge, or through the vertex w that minimises d(p, w) + d(w, q), as a
+        path that leaves an edge's interior passes one of its ends."""
         p = self.canonical_point(p)
         q = self.canonical_point(q)
-        pu, pv = self.edges[p.edge]
-        qu, qv = self.edges[q.edge]
-        uu, uv, vu, vv = self.vertex_distance_matrix()[[pu, pu, pv, pv], [qu, qv, qu, qv]].tolist()
-        tp, sp = p.t, ONE - p.t
-        tq, sq = q.t, ONE - q.t
-        best = min(tp + uu + tq, tp + uv + sq, sp + vu + tq, sp + vv + sq)
+        L = lcm(p.t.denominator, q.t.denominator)
+        (tp, dp), (tq, dq) = self.scaled_distances(p, L), self.scaled_distances(q, L)
+        best = min(a + b for a, b in zip(dp, dq))
         if p.edge == q.edge:
             best = min(best, abs(tp - tq))
-        return best
+        return Fraction(best, L)
 
     # -- eccentricity (potential at a point) --------------------------------
 
     def eccentricity(self, p: GraphPoint) -> Fraction:
-        """Phi(p): the maximal distance from p, via exact per-edge peaks.
-
-        For an edge f with endpoint distances a, b, the farthest point of f
-        is at distance (a + b + 1)/2; on p's own edge it is
-        max(a + p.t, b + 1 - p.t)/2 (proof in the module docstring).
-        """
+        """Phi(p): the maximal distance from p, the largest of its peaks."""
         p = self.canonical_point(p)
-        dp = self.point_vertex_distances(p)
-        best = ZERO
-        for f, (u, v) in enumerate(self.edges):
-            a, b = dp[u], dp[v]
-            val = max(a + p.t, b + 1 - p.t) / 2 if f == p.edge else (a + b + 1) / 2
-            if val > best:
-                best = val
-        return best
+        L = p.t.denominator
+        return Fraction(max(self.peaks(p, L)), 2 * L)
 
     # -- potential and diameter on the quarter grid ---------------------------
 
     def _quarter_eccentricities(self) -> np.ndarray:
         """Phi at the offsets k/4, k = 0..4, of every unit edge, in eighths: an
-        (E, 5) read-only int64 table of `eccentricity`'s formulas (see the module
+        (E, 5) read-only int64 table of `peaks`' formulas (see the module
         docstring), computed once per graph."""
         if self._phi8 is not None:
             return self._phi8

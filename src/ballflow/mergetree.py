@@ -40,23 +40,25 @@ t_q the merge radius of p and q lies in (1/2)Z u (1/2)Z +- t_p u
 (1/2)Z +- t_q.
 
 Proof of the closed form.  Let p lie at distances a, b from the ends of an
-edge f.  If p is not inside f, d(p, y) = min(a + y, b + 1 - y) at offset y,
-a tent with peak (a + b + 1)/2 at y = (1 + b - a)/2.  Inside f at t, [0, t]
-peaks at (t + a)/2 at y = (t - a)/2, and [t, 1] at (1 - t + b)/2 at
-y = (1 + t + b)/2 (see `graph`); p's peak on f is the larger.  At r = P - e,
-e small, the ball leaves out of f only (y - e, y + e) within [0, 1] about
-each place y of its peak P.  Say p and q differ on f if an end distance
-differs or f holds p or q inside.  If not, their balls agree on f at every
-r.  If so, let P >= Q be their peaks on f: for Q <= r < P one ball covers f
-and the other does not.  If P = Q, their gaps are at different places: a
-place y of peak P gives a = P - y on a tent or [0, t], b = P + y - 1 on a
-tent or [t, 1], t = P + y on [0, t] and t = y - P on [t, 1], so a shared
-place forces equal ends off f, one point inside f, a negative distance or
-t >= 1.  So the balls differ on f just below max(P, Q) and agree on f from
-there on.  Agreement on one edge is not monotone in r, so the merge radius
-is the largest max(P, Q) over the edges where p and q differ: all edges
-agree there, and one does not just below.  Distances to vertices lie in
-(1/L)Z, L = lcm(den t_p, den t_q), so peaks are integers in 1/(2L) units.
+edge f.  p's peak on f, its farthest distance within f, is
+`MetricGraph.peaks` (derived in the `graph` docstring).  If p is not inside
+f, d(p, y) at offset y is a tent that peaks at y = (1 + b - a)/2.  Inside f
+at t, the parts [0, t] and [t, 1] peak at y = (t - a)/2 and
+y = (1 + t + b)/2, and p's peak is the higher of the two.  At r = P - e, e
+small, the ball leaves out of f only (y - e, y + e) within [0, 1] about each
+place y of its peak P.  Say p and q differ on f if an end distance differs
+or f holds p or q inside.  If not, their balls agree on f at every r.  If
+so, let P >= Q be their peaks on f: for Q <= r < P one ball covers f and the
+other does not.  If P = Q, their gaps are at different places: a place y of
+peak P gives a = P - y on a tent or [0, t], b = P + y - 1 on a tent or
+[t, 1], t = P + y on [0, t] and t = y - P on [t, 1], so a shared place
+forces equal ends off f, one point inside f, a negative distance or t >= 1.
+So the balls differ on f just below max(P, Q) and agree on f from there on.
+Agreement on one edge is not monotone in r, so the merge radius is the
+largest max(P, Q) over the edges where p and q differ: all edges agree
+there, and one does not just below.  Distances to vertices lie in (1/L)Z,
+L = lcm(den t_p, den t_q), so `merge_radius` compares the points'
+`scaled_distances` rows and takes their `peaks`, integers in 1/(2L) units.
 """
 
 from __future__ import annotations
@@ -101,19 +103,10 @@ def merge_radius(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     if p == q:
         return Fraction(0)
     L = math.lcm(p.t.denominator, q.t.denominator)
-    D = g.vertex_distance_matrix()
-    sides = []  # (edge, L * offset, L * distance to every vertex) of p and of q
-    for x in (p, q):
-        T = x.t.numerator * (L // x.t.denominator)
-        du, dv = D[list(g.edges[x.edge])].tolist()
-        sides.append((x.edge, T, [min(T + L * a, L - T + L * b) for a, b in zip(du, dv)]))
-    (_, _, dp), (_, _, dq) = sides
-    inside = {e for e, T, _ in sides if 0 < T < L}
-    best = 0
-    for f, (u, v) in enumerate(g.edges):
-        if f in inside or dp[u] != dq[u] or dp[v] != dq[v]:
-            for e, T, d in sides:
-                best = max(best, max(d[u] + T, d[v] + L - T) if e == f else d[u] + d[v] + L)
+    (_, dp), (_, dq) = g.scaled_distances(p, L), g.scaled_distances(q, L)
+    inside = {x.edge for x in (p, q) if 0 < x.t < 1}
+    differ = [f in inside or dp[u] != dq[u] or dp[v] != dq[v] for f, (u, v) in enumerate(g.edges)]
+    best = max(max(a, b) for a, b, bad in zip(g.peaks(p, L), g.peaks(q, L), differ) if bad)
     return Fraction(best, 2 * L)
 
 
@@ -258,14 +251,6 @@ def merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
         raise ValidationError(f"{g.name}: the 1/{S} grid of the points is too fine for int64 key rows")
     cells = np.array([(p.edge, int(p.t * S)) for p in pts], dtype=np.int64).reshape(-1, 2)
     return Dendrogram(tuple(pts), _events(len(pts), _merge_sweep(g, cells, S)))
-
-
-def build_merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
-    """Single-linkage dendrogram of the pairwise merge radii, with all merges
-    at a common radius grouped into one event."""
-    if len(points) < 2:
-        raise ValidationError("merge tree needs at least 2 points")
-    return merge_tree(g, points)
 
 
 def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:

@@ -135,12 +135,17 @@ def potential_oracle(g: MetricGraph) -> PotentialProfile:
 
 def closed_ball_oracle(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
     """The closed ball about p: per-edge sublevel set of the tent envelope,
-    in `Fraction` arithmetic on every edge."""
+    in `Fraction` arithmetic on every edge, from distances of its own to
+    the vertices, so that it shares no kernel with `closed_ball`."""
     r = Fraction(r)
     if r < 0:
         raise ValidationError(f"negative radius {r}")
     p = g.canonical_point(p)
-    dp = g.point_vertex_distances(p)
+    D = g.vertex_distance_matrix()
+    u0, v0 = g.edges[p.edge]
+    du, dv = D[u0].tolist(), D[v0].tolist()
+    t, s = p.t, ONE - p.t
+    dp = [min(t + du[w], s + dv[w]) for w in range(g.num_vertices)]
     per_edge: list[list[Interval]] = []
     for e, (u, v) in enumerate(g.edges):
         ivs: list[Interval] = []

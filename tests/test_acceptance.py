@@ -23,8 +23,8 @@ from ballflow.balls import (
 from ballflow.evolution import distinct_types, timeline
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
-    build_merge_tree,
     merge_radius,
+    merge_tree,
     sample_points,
     ultrametric_check,
 )
@@ -403,7 +403,7 @@ def test_criterion_10_ultrametric():
             ok = False
             detail.append(f"{g.name}: triangle violation")
             continue
-        d = build_merge_tree(g, pts)
+        d = merge_tree(g, pts)
         for r in candidate_grid(g):
             cut = sorted(tuple(sorted(c)) for c in d.clusters_at(r))
             brute = sorted(tuple(sorted(c)) for c in brute_classes(g, r, pts))

@@ -8,6 +8,7 @@ import pytest
 
 from ballflow import cli, fixtures
 from ballflow import mergetree
+from ballflow.balls import closed_ball, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
@@ -15,7 +16,6 @@ from ballflow.mergetree import (
     MergeEvent,
     MergeMatrix,
     ball_check,
-    build_merge_tree,
     dendrogram_from_matrix,
     merge_radius,
     merge_tree,
@@ -23,7 +23,14 @@ from ballflow.mergetree import (
     ultrametric_check,
 )
 
-from conftest import brute_classes, extinction_oracle, grid_points, merge_radius_oracle, pairwise_matrix
+from conftest import (
+    brute_classes,
+    closed_ball_oracle,
+    extinction_oracle,
+    grid_points,
+    merge_radius_oracle,
+    pairwise_matrix,
+)
 
 
 def star4():
@@ -84,10 +91,21 @@ class TestMergeRadius:
         assert merge_radius(theta_g, GraphPoint(0, F(1, 2)), GraphPoint(1, F(1, 2))) == 1
 
     def test_offsets_past_int64_match_the_oracle(self, theta_g):
-        """The closed form counts in Python integers, so offsets on 1/2^71,
-        which the merge sweep refuses, still give the bisection's radius."""
-        p, q = GraphPoint(0, F(1, 2**70)), GraphPoint(1, F(3, 2**71))
+        """The graph's distance row and peaks count in Python integers, so
+        offsets on 1/2^71, which the merge sweep refuses, still give the
+        oracles' merge radius, Phi and balls, and the distances by hand."""
+        eps = F(1, 2**70)
+        p, q = GraphPoint(0, eps), GraphPoint(1, F(3, 2**71))
         assert merge_radius(theta_g, p, q) == merge_radius_oracle(theta_g, p, q) == 2
+        for x in (p, q):
+            assert theta_g.eccentricity(x) == extinction_oracle(theta_g, x) == 2
+            for r in (eps / 2, F(1, 2), F(1), F(3, 2) + eps):
+                assert repr(closed_ball(theta_g, x, r)) == repr(closed_ball_oracle(theta_g, x, r)), (x, r)
+        # p lies eps past u on u-v, q 3/2 eps past u on the parallel u-v, and
+        # the vertices are u, v, w1, w2 on the cycle u-w1-w2-v-u
+        assert theta_g.point_distance(p, q) == F(5, 2) * eps
+        assert theta_g.point_distance(p, GraphPoint(3, F(1, 2))) == F(3, 2) + eps
+        assert theta_g.point_vertex_distances(p) == [eps, 1 - eps, 1 + eps, 2 - eps]
 
     def test_path_samples(self, path_g):
         b = path_g.vertex_point(1)
@@ -104,8 +122,6 @@ class TestMergeRadius:
 
     def test_merge_is_first_equality_radius(self, theta_g):
         # dual route: at mu the exact balls agree, just below they do not
-        from ballflow.balls import closed_ball, sets_equal
-
         p, q = GraphPoint(2, F(1, 2)), GraphPoint(2, F(3, 4))
         mu = merge_radius(theta_g, p, q)
         assert sets_equal(
@@ -211,7 +227,7 @@ class TestSweepTree:
         else:
             g = SWEEP_GRAPHS[name]()
             pts = sample_points(g, F(1, 2))
-        assert build_merge_tree(g, pts) == dendrogram_from_matrix(pairwise_matrix(g, pts))
+        assert merge_tree(g, pts) == dendrogram_from_matrix(pairwise_matrix(g, pts))
 
 
 class TestBallCheck:
@@ -220,11 +236,11 @@ class TestBallCheck:
     @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
     def test_passes_on_the_sweep(self, name):
         g = SWEEP_GRAPHS[name]()
-        assert ball_check(g, build_merge_tree(g, sample_points(g, F(1, 4)))) == ()
+        assert ball_check(g, merge_tree(g, sample_points(g, F(1, 4)))) == ()
 
     def test_flags_a_radius_one_step_off(self, theta_g):
         # ball_check's step 1 / (2 * lcm(2, 1, 2)) = 1/4, half a sweep step
-        d = build_merge_tree(theta_g, [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2))])
+        d = merge_tree(theta_g, [GraphPoint(0, F(0)), GraphPoint(2, F(1, 2))])
         (ev,) = d.events
         assert ball_check(theta_g, d) == ()
         for wrong in (ev.radius - F(1, 4), ev.radius + F(1, 4)):
@@ -234,7 +250,7 @@ class TestBallCheck:
     @pytest.mark.parametrize("name", ["path", "theta", "comb3"])
     def test_flags_exactly_the_joins_of_a_moved_event(self, name):
         g = SWEEP_GRAPHS[name]()
-        d = build_merge_tree(g, sample_points(g, F(1, 2)))
+        d = merge_tree(g, sample_points(g, F(1, 2)))
         step = F(1, 4)  # ball_check's step 1 / (2 * lcm(2, 2)), half a sweep step
         mu = d.matrix().mu
         # j's first nearest earlier point, as ball_check picked it off the matrix
@@ -317,17 +333,13 @@ class TestUltrametric:
 class TestDendrogram:
     def test_path_events(self, path_g):
         pts = sample_points(path_g, F(1, 2))
-        d = build_merge_tree(path_g, pts)
+        d = merge_tree(path_g, pts)
         assert [e.radius for e in d.events] == [F(3, 2), F(2)]
         assert d.root_radius == 2
         # at 3/2 the center vertex and both edge midpoints coincide
         merged = next(c for c in d.events[0].clusters if len(c) > 1)
         merged_pts = {(pts[i].edge, pts[i].t) for i in merged}
         assert merged_pts == {(0, F(1, 2)), (0, F(1)), (1, F(1, 2))}
-
-    def test_needs_two_points(self, path_g):
-        with pytest.raises(ValidationError):
-            build_merge_tree(path_g, [path_g.vertex_point(0)])
 
     @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3", "duplicate-vertex"])
     def test_cuts_match_brute_ball_classes(self, name):
@@ -337,7 +349,7 @@ class TestDendrogram:
         else:
             g = SWEEP_GRAPHS[name]()
             pts = [g.canonical_point(p) for p in sample_points(g, F(1, 2))]
-        d = build_merge_tree(g, pts)
+        d = merge_tree(g, pts)
         # 0, every event radius, the midpoints between them, and past the root
         radii = [F(0)] + [ev.radius for ev in d.events] + [d.root_radius + 1]
         for r in sorted(set(radii) | {(a + b) / 2 for a, b in zip(radii, radii[1:])}):
@@ -347,7 +359,7 @@ class TestDendrogram:
 
     def test_root_is_max_eccentricity_of_samples(self, c6_g):
         pts = sample_points(c6_g, F(1, 2))
-        d = build_merge_tree(c6_g, pts)
+        d = merge_tree(c6_g, pts)
         assert d.root_radius == max(c6_g.eccentricity(p) for p in pts)
 
 

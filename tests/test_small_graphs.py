@@ -13,7 +13,10 @@ every k/8 up to diam + 1/2, the `ball_keys` classes of each level's vertex
 cells, midpoints, quarter and three-quarter points are checked against the
 exact `Fraction` balls of `coverage_classes`, and `closed_ball` about each
 of those points against `closed_ball_oracle`.  Each
-graph's distance matrix is checked against `distance_oracle`, its potential
+graph's distance matrix is checked against `distance_oracle`, and so are
+`point_distance` between every two quarter points and `point_vertex_distances`
+at each: `distance_oracle` on the unit graph cut into quarter edges, over 4.
+Also checked are its potential
 profile against `potential_oracle` and `eccentricity` against the same
 piecewise-linear Phi at every k/24, its merge tree at step 1/2 against the
 threshold partitions of the pairwise merge radii of `merge_radius_oracle`,
@@ -34,7 +37,7 @@ import numpy as np
 
 from ballflow.balls import closed_ball
 from ballflow.canon import canonical_multigraph_code
-from ballflow.graph import load_graph
+from ballflow.graph import GraphPoint, load_graph
 from ballflow.levelkeys import ball_keys
 from ballflow.mergetree import dendrogram_from_matrix, merge_radius, merge_tree, sample_points
 from ballflow.quotient import fingerprint, project
@@ -98,6 +101,22 @@ def test_every_small_graph_at_every_24th():
 def test_every_small_graph_distance_matrix():
     for g in small_graphs(*BOUNDS):
         assert np.array_equal(g.vertex_distance_matrix(), distance_oracle(g.num_vertices, g.edges)), g.name
+
+
+def test_every_small_graph_point_distances_on_the_quarter_grid():
+    for g in small_graphs(*BOUNDS):
+        n = g.num_vertices
+        # the unit graph cut into quarter edges: vertex n + 3e + k - 1 is (e, k/4)
+        pts = [g.vertex_point(v) for v in range(n)]
+        edges = []
+        for e, (u, v) in enumerate(g.edges):
+            pts += [GraphPoint(e, F(k, 4)) for k in (1, 2, 3)]
+            chain = [u, n + 3 * e, n + 3 * e + 1, n + 3 * e + 2, v]
+            edges += zip(chain, chain[1:])
+        D = [[F(d, 4) for d in row] for row in distance_oracle(len(pts), edges).tolist()]
+        for i, p in enumerate(pts):
+            assert g.point_vertex_distances(p) == D[i][:n], (g.name, p)
+            assert [g.point_distance(p, q) for q in pts] == D[i], (g.name, p)
 
 
 def test_every_small_graph_ball_classes_at_every_8th():
