@@ -3,8 +3,9 @@
 Used to certify homeomorphism of quotient levels: after suppressing
 degree-2 vertices, two levels are homeomorphic iff their smoothed
 multigraphs are isomorphic.  Canonical labeling is individualization plus
-color refinement with full backtracking; smoothed quotients have few
-essential vertices, so this is fast in practice.
+color refinement with backtracking, pruned by twins and by automorphisms
+(McKay and Piperno, J. Symb. Comput. 60, 2014); the code is the least leaf
+code of the full search tree.
 
 The initial coloring is each vertex's BFS distance profile (its sorted
 distances to all vertices, -1 for unreachable) with its sorted edge
@@ -17,18 +18,41 @@ number of sources first reached at hop h, so comparing sorted profiles
 lexicographically is comparing (-u, -c_1, -c_2, ...): the profiles are
 ranked from the per-hop popcounts without an n x n distance matrix.
 
-The search over individualized vertices runs on an explicit stack, so a
-level with thousands of twin vertices does not hit Python's recursion
-limit.  Codes are memoized by value on (n, edges), in a bounded
-`functools.lru_cache` that holds no graph: a timeline meets the same
-smoothed multigraph at many levels.
+A color is the first position of its class in the ordered partition: a
+split renumbers only the class it splits, and a discrete coloring is the
+canonical numbering.  A refinement round splits classes by loop count and
+sorted (neighbour color, multiplicity) pairs, in signature order, as dense
+colors would.  It re-signs only the classes with a neighbour in a part split
+off in the round before, other than the largest part of its class; any
+other class sees in that largest part what it saw in the whole class, which
+its members shared, so it cannot split.
+
+The search individualizes one vertex per twin class (swapping twins is an
+automorphism) of the first class of two or more vertices.  A class that is
+one twin class takes its positions in index order at once: twins share their
+neighbours outside the class, so one-by-one steps would split nothing.  Two
+leaves with equal codes give an automorphism gamma(v) = best_inv[pos[v]].
+The initial coloring, refinement and individualization commute with
+automorphisms and the least code below a node depends only on its coloring,
+so a gamma fixing the vertices individualized above a node (twin steps
+included) maps the subtree of its child u onto that of gamma(u).  So a node
+skips a child in the orbit of an explored one under such automorphisms (one
+union-find per node, with the explored children joined to -1), and a leaf
+equal to the best abandons its child of the deepest node whose prefix gamma
+fixes, which gamma maps to the best leaf's, explored earlier.
+
+The search runs on an explicit stack, so a level with thousands of twin
+vertices does not hit Python's recursion limit.  Codes are memoized by value
+on (n, edges), in a bounded `functools.lru_cache` that holds no graph: a
+timeline meets the same smoothed multigraph at many levels.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -36,19 +60,38 @@ import numpy as np
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def refine_colors(n: int, adj: list[dict[int, int]], loops: list[int], colors: list[int]) -> list[int]:
-    """Equitable refinement: split color classes by loop count and the
-    multiset of (neighbor color, edge multiplicity) pairs."""
-    while True:
-        signatures = [
-            (colors[v], loops[v], tuple(sorted((colors[w], m) for w, m in adj[v].items())))
-            for v in range(n)
+def _split(colors: list[int], cells: dict[int, list[int]], c: int, keyed: list[tuple]) -> list[list[int]]:
+    """Split class c by the sorted (key, vertex) pairs of its members into
+    groups of equal keys, in order, each colored by its first position.
+    cells keeps the groups of two or more vertices.  Returns the groups."""
+    del cells[c]
+    parts = [[v for _, v in group] for _, group in groupby(keyed, key=itemgetter(0))]
+    for part in parts:
+        if len(part) > 1:
+            cells[c] = part
+        for v in part:
+            colors[v] = c
+        c += len(part)
+    return parts
+
+
+def refine_colors(adj: list[dict[int, int]], loops: list[int], colors: list[int],
+                  cells: dict[int, list[int]], touched: set[int]) -> list[int]:
+    """Equitable refinement, in place, from a first round that re-signs
+    the classes in touched.  colors[v] is the first position of v's class;
+    cells maps that of each class of two or more vertices to its members."""
+    while touched:
+        signed = [
+            (c, sorted(((loops[v], sorted([(colors[w], m) for w, m in adj[v].items()])), v) for v in cells[c]))
+            for c in touched & cells.keys()
         ]
-        remap = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [remap[s] for s in signatures]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        moved = []
+        for c, keyed in signed:
+            parts = _split(colors, cells, c, keyed)
+            largest = max(parts, key=len)
+            moved += [v for part in parts if part is not largest for v in part]
+        touched = {colors[w] for v in moved for w in adj[v]}
+    return colors
 
 
 def _twin_representatives(adj: list[dict[int, int]], loops: list[int], cell: list[int]) -> list[int]:
@@ -93,12 +136,17 @@ def _distance_ranks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     return rank.ravel().tolist()
 
 
-def _individualized(colors: list[int], target: int, reps: list[int]):
-    """The colorings that give each of reps its own color strictly below
-    its former cell `target`."""
-    for v in reps:
-        yield [c + (1 if c > target or (c == target and w != v) else 0)
-               for w, c in enumerate(colors)]
+def _encode(adj: list[dict[int, int]], loops: list[int], pos: list[int]) -> tuple:
+    """The code of a leaf, whose colors pos[v] are the canonical indices."""
+    items = [(*sorted((pos[v], pos[w])), m) for v, row in enumerate(adj) for w, m in row.items() if v < w]
+    items += [(p, p, -k) for p, k in zip(pos, loops) if k]
+    return tuple(sorted(items))
+
+
+def _find(orbit: dict[int, int], v: int) -> int:
+    while orbit[v] != v:
+        orbit[v] = v = orbit[orbit[v]]
+    return v
 
 
 def canonical_multigraph_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
@@ -128,34 +176,49 @@ def _canonical_code(n: int, edges: tuple[tuple[int, int], ...]) -> str:
     # cuts the search tree sharply on levels with many essential vertices
     ranks = _distance_ranks(n, edges)
     profiles = [(ranks[s], tuple(sorted(adj[s].values())), loops[s]) for s in range(n)]
-    remap = {p: i for i, p in enumerate(sorted(set(profiles)))}
-    initial = [remap[p] for p in profiles]
+    colors, cells = [0] * n, {0: list(range(n))}
+    _split(colors, cells, 0, sorted(zip(profiles, range(n))))
 
-    def encode(pos: list[int]) -> tuple:
-        # pos[v] = canonical index of v
-        items = [(*sorted((pos[v], pos[w])), m) for v in range(n) for w, m in adj[v].items() if v < w]
-        items += [(pos[v], pos[v], -loops[v]) for v in range(n) if loops[v]]
-        return tuple(sorted(items))
-
-    best = None
-    stack = [iter([initial])]  # depth-first: the colorings still to visit per level
-    while stack:
-        colors = next(stack[-1], None)
-        if colors is None:
-            stack.pop()
-            continue
-        colors = refine_colors(n, adj, loops, colors)
-        cells = defaultdict(list)
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        target = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
-        if target is None:
-            code = encode(colors)  # discrete: colors are a permutation of 0..n-1
+    best = best_inv = None
+    automorphisms: list[list[int]] = []  # from leaves whose code equals the best
+    # depth first; a frame is [colors, cells, fixed, target, reps, orbits, automorphisms seen]
+    stack: list[list] = []
+    node = (refine_colors(adj, loops, colors, cells, set(cells)), cells, ())
+    while node:
+        colors, cells, fixed = node
+        while cells:
+            target = min(cells)
+            reps = _twin_representatives(adj, loops, cells[target])
+            if len(reps) > 1:
+                stack.append([colors, cells, fixed, target, reps, {v: v for v in [-1, *cells[target]]}, 0])
+                break
+            fixed += tuple(cells[target])  # one twin class: individualize it whole, in index order
+            _split(colors, cells, target, list(enumerate(cells[target])))
+        else:
+            code = _encode(adj, loops, colors)  # discrete: colors are a permutation of 0..n-1
             if best is None or code < best:
-                best = code
-            continue
-        reps = _twin_representatives(adj, loops, cells[target])
-        stack.append(_individualized(colors, target, reps))
+                best, best_inv = code, sorted(range(n), key=colors.__getitem__)
+            elif code == best:
+                gamma = [best_inv[c] for c in colors]
+                automorphisms.append(gamma)
+                while not all(gamma[v] == v for v in stack[-1][2]):
+                    stack.pop()  # the image of the rest of this subtree is explored
+        node = None
+        while stack and node is None:
+            colors, cells, fixed, target, reps, orbit, seen = frame = stack[-1]
+            for gamma in automorphisms[seen:]:
+                if all(gamma[v] == v for v in fixed):
+                    for v in cells[target]:
+                        orbit[_find(orbit, v)] = _find(orbit, gamma[v])
+            frame[-1] = len(automorphisms)
+            v = next((v for v in reps if _find(orbit, v) != _find(orbit, -1)), None)
+            if v is None:
+                stack.pop()
+                continue
+            orbit[_find(orbit, v)] = _find(orbit, -1)
+            colors, cells = colors[:], dict(cells)
+            _split(colors, cells, target, sorted((w != v, w) for w in cells[target]))
+            node = (refine_colors(adj, loops, colors, cells, {colors[w] for w in adj[v]}), cells, fixed + (v,))
 
     edge_part = ",".join(f"{a}-{b}x{m}" if m > 0 else f"{a}-{a}L{-m}" for a, b, m in best)
     return f"V{n}|{edge_part}"

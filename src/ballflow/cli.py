@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+
+# nothing in ballflow calls BLAS, so an OpenBLAS thread pool would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import evolution, fixtures, mergetree, quotient
 from .balls import ball_to_json, closed_ball, set_length

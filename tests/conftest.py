@@ -7,8 +7,11 @@ by a second, independent route.  closed_ball itself is checked against
 closed_ball_oracle, its construction in `Fraction` arithmetic on every edge,
 and the array-based smoothing and canonical code of `canon` against
 smooth_oracle and canonical_code_oracle, their chain walk and per-vertex
-Python BFS with recursive search.  distance_oracle is the vertex distance
-matrix by one Python BFS per source, against which the graph's search
+Python BFS with recursive search; canonical_code_oracle imports nothing from
+`canon`, and its refine_colors_oracle, which re-signs every vertex each round
+with dense colors, is the reference for the search's incremental
+refinement.  distance_oracle is the vertex distance matrix by one Python
+BFS per source, against which the graph's search
 from all sources at once is checked.  level_oracle is the one-pass level that
 keys every cell's ball, against which the level's selective keying is checked.
 key_rows_reference is `levelkeys.key_rows` by its first, two-clip formula,
@@ -33,7 +36,6 @@ import pytest
 
 from ballflow import fixtures, quotient
 from ballflow.balls import _FULL_ROW, BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
-from ballflow.canon import _twin_representatives, refine_colors
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
 from ballflow.levelkeys import _center_edge, key_rows
@@ -488,6 +490,38 @@ def components_oracle(n: int, edges: Sequence[tuple[int, int]]) -> int:
     return len({find(v) for v in range(n)})
 
 
+def refine_colors_oracle(n: int, adj: list[dict[int, int]], loops: list[int], colors: list[int]) -> list[int]:
+    """Equitable refinement: split color classes by loop count and the
+    multiset of (neighbor color, edge multiplicity) pairs, re-signing every
+    vertex each round; colors are dense ranks."""
+    while True:
+        signatures = [
+            (colors[v], loops[v], tuple(sorted((colors[w], m) for w, m in adj[v].items())))
+            for v in range(n)
+        ]
+        remap = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new_colors = [remap[s] for s in signatures]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def twin_representatives_oracle(adj: list[dict[int, int]], loops: list[int], cell: list[int]) -> list[int]:
+    """One vertex per twin class of a cell.  Two vertices are twins when
+    swapping them is an automorphism (identical rows up to each other), so
+    individualizing both explores identical subtrees."""
+    reps: list[int] = []
+    for v in cell:
+        if not any(
+            loops[u] == loops[v]
+            and adj[u].get(v, 0) == adj[v].get(u, 0)
+            and {w: m for w, m in adj[u].items() if w != v} == {w: m for w, m in adj[v].items() if w != u}
+            for u in reps
+        ):
+            reps.append(v)
+    return reps
+
+
 def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:
     """`canon.canonical_multigraph_code` by one Python BFS per vertex and a
     recursive search: a string equal for two multigraphs iff they are isomorphic.
@@ -542,7 +576,7 @@ def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:
         return tuple(sorted(items))
 
     def search(colors: list[int]):
-        colors = refine_colors(n, adj, loops, colors)
+        colors = refine_colors_oracle(n, adj, loops, colors)
         cells = defaultdict(list)
         for v, c in enumerate(colors):
             cells[c].append(v)
@@ -557,7 +591,7 @@ def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:
             if best[0] is None or code < best[0]:
                 best[0] = code
             return
-        for v in _twin_representatives(adj, loops, cells[target]):
+        for v in twin_representatives_oracle(adj, loops, cells[target]):
             branched = [c + (1 if c > target or (c == target and w != v) else 0)
                         for w, c in enumerate(colors)]
             # give v its own color strictly below its former cell

@@ -1,9 +1,19 @@
 """The array-based smoothing and canonical code against their oracles in
-conftest, on random multigraphs and on every level of three timelines."""
+conftest, on random multigraphs, on every level of three timelines and on
+families of twins and interchangeable blocks.  The incremental refinement is
+checked against conftest's refinement of every class at each call of the
+search, and the search's refinement and leaf counts are pinned on the cases
+that once blew up.  With BALLFLOW_DEEP=1 the oracle comparison runs on 1,200
+more random multigraphs and on larger twin-heavy families."""
 
+import hashlib
 import inspect
+import json
+import os
 import random
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +21,10 @@ from ballflow import canon, evolution, fixtures
 from ballflow.canon import canonical_multigraph_code, smooth_multigraph
 from ballflow.quotient import fingerprint, project
 
-from conftest import canonical_code_oracle, components_oracle, smooth_oracle
+from conftest import canonical_code_oracle, components_oracle, refine_colors_oracle, smooth_oracle
+
+DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
+LEVEL_R131_8 = Path(__file__).resolve().parent / "data" / "canon_rand2000_r131_8.json"
 
 
 def random_multigraph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
@@ -104,8 +117,8 @@ def test_timeline_searches_each_distinct_smoothed_level_once(timeline_levels):
 
 
 def test_deep_search_needs_no_recursion():
-    """Twin leaves are individualized one per search level: the recursive
-    oracle needs one frame per leaf, the search none."""
+    """The recursive oracle individualizes twin leaves one per level, so it
+    needs one frame per leaf; the search needs none."""
     n, edges = 301, [(0, leaf) for leaf in range(1, 301)]
     expected = canonical_code_oracle(n, edges)
     canon._canonical_code.cache_clear()
@@ -118,3 +131,165 @@ def test_deep_search_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == expected
+
+
+def relabelled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[a], label[b]) for a, b in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def assert_match_oracle(rng: random.Random, cases: list[tuple[int, list[tuple[int, int]]]]) -> None:
+    """Each multigraph and a relabelled copy get the oracle's code."""
+    for n, edges in cases:
+        expected = canonical_code_oracle(n, edges)
+        assert canonical_multigraph_code(n, edges) == expected, (n, edges)
+        assert canonical_multigraph_code(n, relabelled(rng, n, edges)) == expected, (n, edges)
+
+
+def star(k: int) -> tuple[int, list[tuple[int, int]]]:
+    return k + 1, [(0, leaf) for leaf in range(1, k + 1)]
+
+
+def k4_blades(k: int) -> tuple[int, list[tuple[int, int]]]:
+    """k copies of K4 that share one vertex: the blades are interchangeable
+    blocks whose vertices are not twins of another blade's."""
+    blade = lambda b: (0, 3 * b + 1, 3 * b + 2, 3 * b + 3)
+    return 3 * k + 1, [(vs[i], vs[j]) for vs in map(blade, range(k)) for i in range(4) for j in range(i + 1, 4)]
+
+
+def disjoint_edges(k: int) -> tuple[int, list[tuple[int, int]]]:
+    return 2 * k, [(2 * i, 2 * i + 1) for i in range(k)]
+
+
+def twin_families(stars: int, blades: int, edges: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Stars, K4 blades and disjoint edges up to the given sizes, and each
+    with a pendant path or a doubled, looped spoke so that twin classes sit
+    beside classes that are not."""
+    cases = [star(k) for k in range(1, stars + 1)]
+    cases += [k4_blades(k) for k in range(1, blades + 1)]
+    cases += [disjoint_edges(k) for k in range(1, edges + 1)]
+    cases += [(n + 2, e + [(0, n), (n, n + 1)]) for n, e in list(cases)]
+    cases += [(n, e + [e[0], (e[0][1], e[0][1])]) for n, e in cases[: stars + blades + edges]]
+    return cases
+
+
+def test_twin_families_match_oracle():
+    assert_match_oracle(random.Random("twins"), twin_families(stars=8, blades=4, edges=5))
+
+
+def random_regular(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
+    """A simple d-regular graph on n vertices, from the configuration model."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        if all(a != b for a, b in edges) and len(set(map(frozenset, edges))) == len(edges):
+            return edges
+
+
+def test_regular_graphs_match_oracle():
+    """Refinement splits nothing on a regular graph, so its code rests on
+    the search and on automorphisms found at its leaves."""
+    rng = random.Random("regular")
+    cases = [(n, random_regular(rng, n, d)) for n in range(6, 15, 2) for d in (3, 4) for _ in range(4)]
+    cases += [(n, [(i, (i + s) % n) for i in range(n) for s in steps]) for n in (8, 9, 12) for steps in ((1, 2), (1, 3))]
+    assert_match_oracle(rng, cases)
+
+
+def dense(colors: list[int]) -> list[int]:
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [rank[c] for c in colors]
+
+
+def test_refinement_matches_oracle_at_every_call(monkeypatch, timeline_levels):
+    """At each call of the search, the ordered partition that the touched
+    classes reach is the one that re-signing every vertex reaches, and cells
+    holds exactly its classes of two or more vertices."""
+    refine, calls = canon.refine_colors, []
+
+    def checked(adj, loops, colors, cells, touched):
+        before = dense(colors)
+        got = refine(adj, loops, colors, cells, touched)
+        assert dense(got) == refine_colors_oracle(len(got), adj, loops, before)
+        members = {}
+        for v, c in enumerate(got):
+            members.setdefault(c, []).append(v)
+        assert cells == {c: vs for c, vs in members.items() if len(vs) > 1}
+        assert all(c == sum(len(vs) for d, vs in members.items() if d < c) for c in members)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(canon, "refine_colors", checked)
+    rng = random.Random(77)
+    cases = [random_multigraph(rng) for _ in range(200)]
+    cases += [(n, relabelled(rng, n, edges)) for n, edges in SYMMETRIC.values()]
+    cases += twin_families(stars=5, blades=4, edges=5)
+    for _g, levels in timeline_levels.values():
+        cases += [smooth_multigraph(q.num_vertices, q.q_edges)[:2] for q in levels]
+    data = json.loads(LEVEL_R131_8.read_text())
+    cases.append((data["n"], [tuple(e) for e in data["edges"]]))
+    for n, edges in cases:
+        canon._canonical_code.cache_clear()
+        canonical_multigraph_code(n, edges)
+    canon._canonical_code.cache_clear()
+    assert len(calls) >= sum(n > 0 for n, _edges in cases)
+
+
+def search_counts(monkeypatch, n: int, edges: list[tuple[int, int]]) -> tuple[str, int, int]:
+    """The code, the number of refinements and the number of leaves of one
+    search, counted at `canon.refine_colors` and the leaf encoder."""
+    counts = Counter()
+    refine, encode = canon.refine_colors, canon._encode
+    monkeypatch.setattr(canon, "refine_colors", lambda *a: (counts.update(["refine"]), refine(*a))[1])
+    monkeypatch.setattr(canon, "_encode", lambda *a: (counts.update(["leaf"]), encode(*a))[1])
+    canon._canonical_code.cache_clear()
+    code = canonical_multigraph_code(n, edges)
+    canon._canonical_code.cache_clear()
+    monkeypatch.undo()
+    return code, counts["refine"], counts["leaf"]
+
+
+def test_natural_level_that_blew_up(monkeypatch):
+    """The smoothed level of random_connected(2000, 850, 1) at r = 131/8 (492
+    vertices, one of degree 292, 227 leaves), with the code the search gave
+    before orbit pruning and incremental refinement: it then took 18,549
+    refinements."""
+    data = json.loads(LEVEL_R131_8.read_text())
+    n, edges = data["n"], [tuple(e) for e in data["edges"]]
+    assert (n, len(edges)) == (492, 820)
+    assert hashlib.md5(data["code"].encode()).hexdigest() == "786d321e8f746543ab8073d7529367a5"
+    assert search_counts(monkeypatch, n, edges) == (data["code"], 28, 7)
+
+
+def test_star_of_1200_leaves_is_one_twin_step(monkeypatch):
+    n, edges = star(1200)
+    expected = "V1201|" + ",".join(f"0-{leaf}x1" for leaf in range(1, 1201))
+    assert search_counts(monkeypatch, n, edges) == (expected, 1, 1)
+    assert canonical_multigraph_code(n, relabelled(random.Random(1200), n, edges)) == expected
+
+
+def test_twenty_disjoint_edges(monkeypatch):
+    n, edges = disjoint_edges(20)
+    expected = "V40|" + ",".join(f"{2 * i}-{2 * i + 1}x1" for i in range(20))
+    assert search_counts(monkeypatch, n, edges) == (expected, 210, 20)
+    assert canonical_multigraph_code(n, relabelled(random.Random(20), n, edges)) == expected
+
+
+def test_ten_k4_blades(monkeypatch):
+    """Without orbit pruning the leaves grow about sevenfold per blade; the
+    oracle cannot afford ten, so the code is checked by relabelling."""
+    n, edges = k4_blades(10)
+    code, refinements, leaves = search_counts(monkeypatch, n, edges)
+    assert (refinements, leaves) == (55, 10)
+    rng = random.Random(10)
+    for _ in range(5):
+        assert canonical_multigraph_code(n, relabelled(rng, n, edges)) == code
+
+
+@pytest.mark.skipif(not DEEP, reason="set BALLFLOW_DEEP=1")
+def test_deep_random_and_twin_heavy_multigraphs_match_oracle():
+    cases = [random_multigraph(random.Random(seed)) for seed in range(600)]
+    assert_match_oracle(random.Random("deep"), cases + twin_families(stars=60, blades=6, edges=7))

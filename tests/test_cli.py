@@ -711,3 +711,27 @@ class TestDeterminism:
         run(capsys, "timeline", "builtin:c6", "--csv", str(out_path))
         _, stdout, _ = run(capsys, "timeline", "builtin:c6", "--csv")
         assert out_path.read_text() == stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+class TestBlasThreads:
+    """Nothing in ballflow calls BLAS, so the CLI asks OpenBLAS for no thread
+    pool, unless the user has chosen a size."""
+
+    @staticmethod
+    def child(value):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        code = "import os, ballflow.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        tasks, value = result.stdout.split()
+        return int(tasks), value
+
+    def test_unset_leaves_one_thread(self):
+        assert self.child(None) == (1, "1")
+
+    def test_users_value_wins(self):
+        assert self.child("3")[1] == "3"
