@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
-from .quotient import Fingerprint, _cells, fingerprint, is_injective, project
+from .quotient import HALF, Fingerprint, _cells, _injective, _layout, _level, _project, fingerprint, level_radius
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,19 @@ def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
 
 
 def timeline(g: MetricGraph) -> Timeline:
-    loci = timeline_loci(g)
+    """Each locus's level, keyed on the layout of its radius mod 1/2: the
+    loci of one layout in turn, with one layout alive at a time."""
+    groups: dict[Fraction, list[tuple[Fraction, bool]]] = {}
+    for r, on_grid in timeline_loci(g):
+        groups.setdefault(level_radius(g, r) % HALF, []).append((r, on_grid))
     entries = []
-    for r, on_grid in loci:
-        q = project(g, r)
-        entries.append(
-            TimelineEntry(
-                radius=r,
-                on_grid=on_grid,
-                fingerprint=fingerprint(q),
-                injective=q.injective,
-            )
-        )
+    for loci in groups.values():
+        layout = _layout(g, loci[0][0])
+        for r, on_grid in loci:
+            q = _project(g, r, layout)
+            entries.append(TimelineEntry(radius=r, on_grid=on_grid, fingerprint=fingerprint(q), injective=q.injective))
+        del layout
+    entries.sort(key=lambda e: e.radius)
     critical = []
     left_sided = []
     right_sided = []
@@ -124,11 +125,13 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
     larger than r_star: on `builtin:path`, r_star = 1 and exact = 17/16,
     yet the level at 1001/1000 does not embed.
     """
-    loci = timeline_loci(g)
+    layouts: dict = {}  # built the first time a locus needs one
     prev = Fraction(0)
     fail = None
-    for r, _on_grid in loci:
-        if not is_injective(g, r):
+    for r, _on_grid in timeline_loci(g):
+        key = level_radius(g, r) % HALF
+        layout = layouts.get(key) or layouts.setdefault(key, _layout(g, r))
+        if not _injective(_level(g, r, layout)[0]):
             fail = r
             break
         prev = r

@@ -1,7 +1,11 @@
 """Classes of equal closed balls at a fixed radius, on a scaled-integer grid.
 
 Points come as an integer cell array, one row (edge, offset * S) per point,
-where S is a common denominator with R = r * S an integer.  All coverage
+where S is a common denominator with R = r * S an integer, or as the rows
+of `with_distances`, which append the point's distance to every vertex,
+scaled by S.  Those distances do not depend on R, so a caller that keys one
+set of points at many radii (a timeline layout, the merge sweep) computes
+them once, and each call only clips and gathers.  All coverage
 endpoints are then integers, and each ball becomes one row of integers, two
 per edge: its part [0, h] u [l, S] as (h, l), with h = -1 or l = S + 1 for
 an uncovered side and (S, 0) for the whole edge, merged on the centre's edge
@@ -17,8 +21,9 @@ its row is the exact (h, l) form of the set: rows are equal iff balls are.
 Values lie in [-S - 1, S + 1].  Rows are built in chunks of points, in the
 narrowest signed integer type that holds every intermediate, and stored in
 the narrowest one that holds that range (int8 for every level, whose S is
-at most 32).  Equal rows are grouped exactly, with no hash, by `np.unique`
-on a `np.void` view of the rows.
+at most 32).  Equal rows are grouped by a dict over each row's bytes, the
+first index winning: exact, as a dict compares whole keys on a hash match,
+with no sort and one copy of the rows.
 
 With d scaled by S, the sides of an edge (u, v) are h = clip(R - d(p, u),
 -1, S) and l = clip(S - R + d(p, v), 0, S + 1).  As clip(S - x, 0, S + 1) =
@@ -46,54 +51,76 @@ INT64_SAFE = 1 << 60
 
 def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
     """Classes of equal closed balls of radius r about the points `cells`,
-    an (P, 2) integer array of rows (edge, offset * S).
+    the rows that `key_rows` takes.
 
     Returns labels: labels[i] is the least j with ball(j) == ball(i).
     """
-    rows = key_rows(g, r, cells, S)
+    return group_rows(key_rows(g, r, cells, S))
+
+
+def group_rows(rows: np.ndarray) -> np.ndarray:
+    """labels[i], the least j with rows[j] == rows[i]: a dict over each row's
+    bytes in which the first index wins."""
+    first: dict[bytes, int] = {}
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, index, inverse = np.unique(void, return_index=True, return_inverse=True)
-    return index[inverse]
+    return np.array([first.setdefault(k, i) for i, k in enumerate(void.tolist())], dtype=np.int64)
+
+
+def with_distances(g: MetricGraph, cells, S: int) -> np.ndarray:
+    """The rows (edge, offset * S) of `cells`, each followed by its point's
+    distance to every vertex w scaled by S, min(t + d(tail, w), S - t + d(head, w)):
+    the rows that `key_rows` keys at any R up to S * (max d + 2), in the
+    narrowest signed type that holds R - d, vertex-major (Fortran order) so
+    that `key_rows` reads each vertex's distances contiguously."""
+    D = g.vertex_distance_matrix()
+    bound = max(2 * S * (int(D.max()) + 2), g.num_edges)
+    if bound >= INT64_SAFE:
+        raise ValidationError(f"{g.name}: the 1/{S} grid is too fine for int64 key rows")
+    work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
+    cells, SD = np.asarray(cells).reshape(-1, 2), S * D.astype(work)
+    out = np.empty((len(cells), 2 + g.num_vertices), dtype=work, order="F")
+    out[:, :2] = cells
+    step = max(1, _CHUNK_ENTRIES // g.num_vertices)
+    for lo in range(0, len(cells), step):
+        e, t = cells[lo : lo + step, 0], cells[lo : lo + step, 1].astype(work)
+        np.minimum(t[:, None] + SD[g.tails[e]], (S - t)[:, None] + SD[g.heads[e]], out=out[lo : lo + step, 2:])
+    return out
 
 
 def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
-    """The (P, 2E) rows of the module docstring, one per cell."""
+    """The (P, 2E) rows of the module docstring, one per cell: `cells` are
+    rows (edge, offset * S), or the rows of `with_distances`."""
     r = Fraction(r)
     E, V, P = g.num_edges, g.num_vertices, len(cells)
     if (r * S).denominator != 1:
         raise InternalConsistencyError(f"{g.name}: radius {r} is off the 1/{S} grid of the cells")
-    R = int(r * S)
-    cells = np.asarray(cells).reshape(P, 2)
-    off = np.flatnonzero((cells < 0).any(axis=1) | (cells[:, 0] >= E) | (cells[:, 1] > S))[:8]
+    cells = np.asarray(cells)
+    off = np.flatnonzero((cells[:, :2] < 0).any(axis=1) | (cells[:, 0] >= E) | (cells[:, 1] > S))[:8]
     if len(off):
         raise InternalConsistencyError(f"{g.name}: cells {off.tolist()} lie off the graph at radius {r}")
-    D = g.vertex_distance_matrix()
-    # every intermediate below lies within +-bound
-    bound = S * (int(D.max()) + 2) + R
-    if bound >= INT64_SAFE:
-        raise ValidationError(f"{g.name}: the 1/{S} grid at radius {r} is too fine for int64 key rows")
-    work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
+    if cells.shape[1] == 2:
+        cells = with_distances(g, cells, S)
+    R = int(r * S)
     narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
-    SD = S * D.astype(work)
     ends = np.concatenate([g.tails, V + g.heads])  # the reach rows of h's columns, then l's
     rows = np.empty((P, 2 * E), dtype=narrow)
     step = max(1, _CHUNK_ENTRIES // max(E, V))
     for lo in range(0, P, step):
         e = cells[lo : lo + step, 0].astype(np.int64)
-        t = cells[lo : lo + step, 1].astype(work)
-        # distance from each point to each vertex, scaled by S
-        dp = np.minimum(t[:, None] + SD[g.tails[e]], (S - t)[:, None] + SD[g.heads[e]])
+        t = cells[lo : lo + step, 1]
         # c(w), then S - c(w), vertex-major so that the gather copies whole rows
         reach = np.empty((2 * V, len(e)), dtype=narrow)
-        np.clip(R - dp.T, -1, S, out=reach[:V], casting="unsafe")
+        np.clip(R - cells[lo : lo + step, 2:].T, -1, S, out=reach[:V], casting="unsafe")
         np.subtract(S, reach[:V], out=reach[V:])
-        rows[lo : lo + step] = reach[ends].T
-        h, l = rows[lo : lo + step, :E], rows[lo : lo + step, E:]
+        # the rows edge-major, then one transposed copy
+        cols = reach[ends]
+        h, l = cols[:E], cols[E:]
         w = (h >= l).view(np.int8)
         h += (S - h) * w
         l *= 1 - w
         own = np.arange(len(e))
-        h[own, e], l[own, e] = _center_edge(S, R, t, h[own, e], l[own, e])
+        h[e, own], l[e, own] = _center_edge(S, R, t, h[e, own], l[e, own])
+        rows[lo : lo + step] = cols.T
     return rows
 
 

@@ -73,7 +73,7 @@ import numpy as np
 from .balls import BallSet, closed_ball, sets_equal
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import INT64_SAFE, ball_keys
+from .levelkeys import INT64_SAFE, ball_keys, group_rows, with_distances
 
 # Cap on the points of `sample_points`.  The cost grows about as the square
 # of the point count: `merge-tree builtin:path --csv`, which writes one row
@@ -139,14 +139,13 @@ def _merge_sweep(g: MetricGraph, cells, S: int):
     """Yield (r, label) at each grid radius where classes of equal balls about
     the points `cells`, integer rows (edge, offset * S) that give each point
     by one row only, merge; label[i] is the least index in i's class."""
-    first: dict[tuple, int] = {}
-    label = np.array([first.setdefault(tuple(c), i) for i, c in enumerate(cells.tolist())], dtype=np.int64)
-    reps = np.array(list(first.values()), dtype=np.int64)  # one point per class, ascending
+    label = group_rows(cells)
+    reps = np.flatnonzero(label == np.arange(len(cells)))  # one point per class, ascending
     if len(reps) < len(cells):
         yield Fraction(0), label.copy()
     m = S // math.gcd(S, *cells[:, 1].tolist())  # the offsets' least common denominator
     den = math.lcm(2, m)
-    cells = np.stack([cells[:, 0], cells[:, 1] // (S // m) * (den // m)], axis=1)
+    cells = with_distances(g, np.stack([cells[:, 0], cells[:, 1] // (S // m) * (den // m)], axis=1), den)
     hi = (g.diameter() * den).__ceil__()
     for k in range(1, hi + 1):
         if len(reps) < 2:

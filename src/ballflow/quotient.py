@@ -12,6 +12,11 @@ A level keys only the vertex cells:
   (proof in `graph`), so the full vertex cells, the class X, come from
   exact integer interpolation of the quarter-point table.
 * The other vertex cells are keyed in one `ball_keys` call.
+* `cut_offsets` reads r only through r mod 1/2, and so does
+  S = 4 lcm(2, den r), so the levels of a timeline share four layouts: the
+  cells, each vertex cell's 8q * Phi and its distances to the vertices
+  (`with_distances`), built once.  Keying a level then compares Phi with
+  r, and clips and gathers the open cells' distances.
 * A segment is full iff both its ends are (corollary 1), so X's least cell
   is a vertex cell.  If two open segment cells have equal midpoint balls
   they are identified whole, and as p -> B(p, r) is 1-Lipschitz into the Hausdorff
@@ -167,7 +172,7 @@ import numpy as np
 from .canon import canonical_multigraph_code, smooth_multigraph
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
-from .levelkeys import ball_keys
+from .levelkeys import ball_keys, with_distances
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -286,13 +291,11 @@ class Fingerprint:
 
 
 class _Cells(NamedTuple):
-    """The cells of the level at radius r as integer arrays, offsets times
-    S: the vertices, then each edge's `cut_offsets(r)` in order, and the
-    segments between them.  Built for the 1/8-grid radii of the engine (and
-    the small denominators of the tests' `level_oracle`), so int64 holds
-    every offset."""
+    """The cells cut at a radius r as integer arrays, offsets times S: the
+    vertices, then each edge's `cut_offsets(r)` in order, and the segments
+    between them.  Built for the 1/8-grid radii of the engine (and the small
+    denominators of the tests' `level_oracle`), so int64 holds every offset."""
 
-    r: Fraction
     S: int
     vertex: np.ndarray  # (vertex cells, 2): (edge, offset); a vertex at any incident end
     edge: np.ndarray  # per segment cell: its edge, end offsets and end cell ids
@@ -321,7 +324,6 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
     edge = np.repeat(edges, n + 1)
     k = np.tile(np.arange(n + 1), E)
     return _Cells(
-        r,
         S,
         vertex,
         edge,
@@ -330,6 +332,27 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
         np.where(k == 0, g.tails[edge], V + edge * n + k - 1),
         np.where(k == n, g.heads[edge], V + edge * n + k),
     )
+
+
+class _Layout(NamedTuple):
+    """The cells of the levels whose radii rho(r) share r mod 1/2, and per
+    vertex cell its 8q * Phi and `with_distances` row, both in `order`: by
+    descending Phi, then id, so a level's open cells (Phi > r) are a prefix.
+    Equal balls stay equal as r grows (`mergetree`), so they turn X
+    together: a class's members share Phi, and its least id comes first."""
+
+    cells: _Cells
+    order: np.ndarray
+    phi: np.ndarray
+    keyed: np.ndarray
+
+
+def _layout(g: MetricGraph, r: Fraction) -> _Layout:
+    """The layout of the level at r, cut at `level_radius(g, r)`."""
+    c = _cells(g, level_radius(g, r))
+    phi = _phi(g, c.vertex, c.S)
+    order = np.argsort(-phi, kind="stable")
+    return _Layout(c, order, phi[order], with_distances(g, c.vertex[order], c.S))
 
 
 def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
@@ -341,58 +364,67 @@ def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
     return r if (4 * r).denominator == 1 else Fraction(2 * (4 * r).__floor__() + 1, 8)
 
 
-def _level(g: MetricGraph, r: Fraction):
-    """The cells of the level at r, cut at `level_radius(g, r)`, and per cell
-    (vertex cells, then segment cells) the least cell with an equal ball and
-    whether that ball is X.  Only the vertex cells are keyed: by corollaries 1
-    and 2 of the module docstring a segment is full iff both its ends are, and
-    otherwise its class is the unordered pair of its end classes."""
-    c = _cells(g, level_radius(g, r))
+def _level(g: MetricGraph, r: Fraction, layout: _Layout):
+    """Per cell of the level at r (vertex cells, then segment cells), keyed at
+    `level_radius(g, r)` on `layout`, its layout: the least cell with an equal
+    ball and whether that ball is X.  Only the open vertex cells are keyed:
+    by corollaries 1 and 2 of the module docstring a segment is full iff both
+    its ends are, and otherwise its class is the unordered pair of its end
+    classes."""
+    rho, c = level_radius(g, r), layout.cells
     nv = len(c.vertex)
-    full = _full(g, c.r, c.vertex, c.S)
+    k = int(np.count_nonzero(layout.phi > int(2 * c.S * rho)))  # 8q * r, q = S / 4
+    open_v = layout.order[:k]
+    full = np.ones(nv, dtype=bool)
+    full[open_v] = False
     labels = np.arange(nv)
     labels[full] = np.argmax(full)
-    open_v = np.flatnonzero(~full)
-    if len(open_v):
-        labels[open_v] = open_v[ball_keys(g, c.r, c.vertex[open_v], c.S)]
+    if k:
+        labels[open_v] = open_v[ball_keys(g, rho, layout.keyed[:k], c.S)]
     a, b = labels[c.tail_cell], labels[c.head_cell]
     seg_full = full[c.tail_cell] & full[c.head_cell]
     pairs = np.minimum(a, b) * nv + np.maximum(a, b)
     _, first, pair = np.unique(pairs, return_index=True, return_inverse=True)
     # a full segment takes X's label, which its tail carries
     labels = np.concatenate([labels, np.where(seg_full, a, nv + first[pair])])
-    return c, labels, np.concatenate([full, seg_full])
+    return labels, np.concatenate([full, seg_full])
 
 
-def _full(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
-    """Whether Phi <= r, i.e. the ball is X, at each point (edge, offset * S),
-    such as a level's vertex cells: 8q * Phi interpolated between the
-    quarter-point table's eighths, q = S / 4."""
+def _phi(g: MetricGraph, cells, S: int) -> np.ndarray:
+    """8q * Phi at each point (edge, offset * S), such as a level's vertex
+    cells, q = S / 4: interpolated between the quarter-point table's eighths;
+    the ball of radius r is X iff it is at most 8q * r."""
     T = g._quarter_eccentricities()
-    q, bound = S // 4, int(2 * S * r)  # bound = 8q * r
+    q = S // 4
     e, t = cells[:, 0], cells[:, 1]
     k = np.minimum(t // q, 3)
     f = t - k * q
-    return T[e, k] * (q - f) + T[e, k + 1] * f <= bound
+    return T[e, k] * (q - f) + T[e, k + 1] * f
 
 
 def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     r = Fraction(r)
-    c, labels, full = _level(g, r)
-    nv = len(c.vertex)
-    # labels rise with their classes' least cells; X's class is numbered last
-    # among the vertex cells' and is no q-edge
-    _, vertex_class = np.unique(np.where(full[:nv], len(labels), labels[:nv]), return_inverse=True)
-    seg_full = full[nv:]
-    _, lead, edge_class = np.unique(np.where(seg_full, -1, labels[nv:]), return_index=True, return_inverse=True)
-    any_x = int(seg_full.any())
-    lead = lead[any_x:]
+    return _project(g, r, _layout(g, r))
+
+
+def _project(g: MetricGraph, r: Fraction, layout: _Layout) -> QuotientGraph:
+    """`project` on the layout of the level at r."""
+    labels, full = _level(g, r, layout)
+    c, nv = layout.cells, len(layout.cells.vertex)
+    # labels are least members, so a running count of the leaders numbers the
+    # classes in order; X's class is the vertex cells' last and no q-edge
+    lead = (labels == np.arange(len(labels))) & ~full
+    number = np.cumsum(lead) - 1
+    x = number[nv - 1] + 1
+    vertex_class = np.where(full[:nv], x, number[labels[:nv]])
+    edge_class = np.where(full[nv:], -1, number[labels[nv:]] - x)
+    leaders = np.flatnonzero(lead[nv:])
     return QuotientGraph(
         radius=r,
         vertex_class=tuple(vertex_class.tolist()),
-        edge_class=tuple((edge_class - any_x).tolist()),
-        q_edges=tuple(zip(vertex_class[c.tail_cell[lead]].tolist(), vertex_class[c.head_cell[lead]].tolist())),
-        x_vertex=int(vertex_class.max()) if full[:nv].any() else None,
+        edge_class=tuple(edge_class.tolist()),
+        q_edges=tuple(zip(vertex_class[c.tail_cell[leaders]].tolist(), vertex_class[c.head_cell[leaders]].tolist())),
+        x_vertex=int(x) if full[:nv].any() else None,
         injective=_injective(labels),
     )
 
@@ -426,7 +458,8 @@ def is_injective(g: MetricGraph, r: Fraction) -> bool:
 
     Equal to ``project(g, r).injective``, from the cell classes alone.
     """
-    return _injective(_level(g, Fraction(r))[1])
+    r = Fraction(r)
+    return _injective(_level(g, r, _layout(g, r))[0])
 
 
 def _injective(labels: np.ndarray) -> bool:

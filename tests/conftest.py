@@ -13,7 +13,11 @@ with dense colors, is the reference for the search's incremental
 refinement.  distance_oracle is the vertex distance matrix by one Python
 BFS per source, against which the graph's search
 from all sources at once is checked.  level_oracle is the one-pass level that
-keys every cell's ball, against which the level's selective keying is checked.
+keys every cell's ball, against which the level's selective keying is checked;
+its grouping, `np.unique` on a `np.void` view, is group_rows_oracle, against
+which `levelkeys.group_rows` is checked.  timeline_oracle is the timeline by
+one `project` per locus, against which the timeline's shared layouts are
+checked.
 key_rows_reference is `levelkeys.key_rows` by its first, two-clip formula,
 against which the kernel's rows are checked byte for byte.
 orientation_oracle keys the quarter points of a level's segment classes to
@@ -37,6 +41,7 @@ import pytest
 from ballflow import fixtures, quotient
 from ballflow.balls import _FULL_ROW, BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
+from ballflow.evolution import TimelineEntry, timeline_loci
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
 from ballflow.levelkeys import _center_edge, key_rows
 from ballflow.mergetree import MergeMatrix, _cached_ball
@@ -382,16 +387,40 @@ def assert_cells_match_subdivision(g: MetricGraph, r: Fraction) -> None:
     assert same(np.stack([c.lo, c.hi], axis=1).tolist(), [(s.lo, s.hi) for s in segments]), r
 
 
-def level_oracle(g: MetricGraph, r: Fraction):
-    """`quotient._level` by keying every vertex cell and segment midpoint,
-    grouping equal key rows and reading X off them: (cells, labels, full)."""
+def group_rows_oracle(rows: np.ndarray) -> np.ndarray:
+    """labels[i], the least j with rows[j] == rows[i], by `np.unique` on a
+    `np.void` view of the rows: sorted, with no hash."""
+    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+    return first[inverse].reshape(-1)
+
+
+def level_oracle(g: MetricGraph, r: Fraction, layout=None):
+    """`quotient._level` by keying every vertex cell and segment midpoint
+    of the cells cut at r itself (the layout argument is ignored), grouping
+    equal key rows and reading X off them: (labels, full)."""
     c = quotient._cells(g, r)
     cells = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
     rows, E = key_rows(g, r, cells, c.S), g.num_edges
     full = (rows[:, :E] == c.S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
-    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
-    return c, first[inverse], full
+    return group_rows_oracle(rows), full
+
+
+def timeline_oracle(g: MetricGraph) -> tuple:
+    """`evolution.timeline`'s entries by its earlier per-locus loop: `project`,
+    then `fingerprint`, at each locus in order, with no shared layout."""
+    entries = []
+    for r, on_grid in timeline_loci(g):
+        q = quotient.project(g, r)
+        entries.append(
+            TimelineEntry(
+                radius=r,
+                on_grid=on_grid,
+                fingerprint=quotient.fingerprint(q),
+                injective=q.injective,
+            )
+        )
+    return tuple(entries)
 
 
 def orientation_oracle(g: MetricGraph, q) -> int:
@@ -403,7 +432,8 @@ def orientation_oracle(g: MetricGraph, q) -> int:
     three-quarter ball, compared as `key_rows` keyed at the level's
     representative radius, which are equal iff the balls are.
     """
-    c = quotient._cells(g, quotient.level_radius(g, q.radius))
+    rho = quotient.level_radius(g, q.radius)
+    c = quotient._cells(g, rho)
     multi = [cls for cls in q.edge_classes if len(cls) > 1]
     if not multi:
         return 0
@@ -414,7 +444,7 @@ def orientation_oracle(g: MetricGraph, q) -> int:
     lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
     quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
     three_quarter = np.stack([edge[first], lo[first] + 3 * (hi - lo)[first] // 4], axis=1)
-    rows = key_rows(g, c.r, np.concatenate([quarter, three_quarter]), c.S)
+    rows = key_rows(g, rho, np.concatenate([quarter, three_quarter]), c.S)
     kq, k3q = rows[: len(members)], np.repeat(rows[len(members) :], sizes, axis=0)
     bad = np.flatnonzero(~(kq == kq[lead]).all(axis=1) & ~(kq == k3q).all(axis=1))
     assert not len(bad), (

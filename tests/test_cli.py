@@ -139,7 +139,7 @@ class TestExitCodes:
 
     def test_no_failing_locus_is_an_engine_bug(self, monkeypatch, capsys):
         # every level embeds, which the diameter's balls rule out
-        monkeypatch.setattr(evolution, "is_injective", lambda g, r: True)
+        monkeypatch.setattr(evolution, "_injective", lambda labels: True)
         code, out, err = run(capsys, "robustness", "builtin:path")
         assert code == 3
         assert err.startswith("error: internal-consistency: path: no failure radius")

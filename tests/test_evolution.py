@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballflow import fixtures, mergetree
+from ballflow import evolution, fixtures, mergetree, quotient
 from ballflow.evolution import (
     _exact_failure,
     distinct_types,
@@ -16,7 +16,8 @@ from ballflow.graph import load_graph
 from ballflow.mergetree import merge_radius
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import candidate_grid, relabeled
+from conftest import candidate_grid, relabeled, timeline_oracle
+from test_acceptance import big_graph
 
 
 class TestGrid:
@@ -166,3 +167,33 @@ class TestRobustness:
         reps |= {c.midpoint for c in sub.segment_cells}
         expected = min(merge_radius(g, p, q) for p, q in itertools.combinations(reps, 2))
         assert _exact_failure(g, fail) == expected
+
+
+TIMELINE_GRAPHS = {
+    **{name: make for name, make in fixtures.BUILTIN.items()},
+    "big200": big_graph,
+    "comb5": lambda: fixtures.comb(5),
+    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(TIMELINE_GRAPHS))
+def test_timeline_equals_the_per_locus_oracle(name):
+    """Keying each layout's loci in turn gives the entries of one `project`
+    and `fingerprint` per locus, in radius order."""
+    g = TIMELINE_GRAPHS[name]()
+    assert timeline(g).entries == timeline_oracle(g)
+
+
+def test_big200_timeline_builds_four_layouts(monkeypatch):
+    """One layout per r mod 1/2 of the representative radii, each built once."""
+    real = evolution._layout
+    built = []
+
+    def counted(g, r):
+        built.append(quotient.level_radius(g, r) % F(1, 2))
+        return real(g, r)
+
+    monkeypatch.setattr(evolution, "_layout", counted)
+    timeline(big_graph())
+    assert sorted(built) == [F(k, 8) for k in range(4)]

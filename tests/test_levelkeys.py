@@ -16,6 +16,7 @@ import conftest
 from conftest import (
     center_edge_oracle,
     coverage_classes,
+    group_rows_oracle,
     integer_coverage,
     key_rows_reference,
     level_oracle,
@@ -88,7 +89,7 @@ def test_phi_full_matches_fraction_balls(name):
     g = GRAPHS[name]()
     for r in level_radii(g):
         cells, S, pts = level_points(g, r)
-        assert quotient._full(g, r, cells, S).tolist() == coverage_classes(g, r, pts)[1], r
+        assert (quotient._phi(g, cells, S) <= 2 * S * r).tolist() == coverage_classes(g, r, pts)[1], r
 
 
 def kite():
@@ -123,8 +124,8 @@ LEVEL_GRAPHS = {
 
 
 def assert_level_matches_oracle(g, r):
-    _, labels, full = quotient._level(g, r)
-    _, want_labels, want_full = level_oracle(g, r)
+    labels, full = quotient._level(g, r, quotient._layout(g, r))
+    want_labels, want_full = level_oracle(g, r)
     assert labels.tolist() == want_labels.tolist(), r
     assert full.tolist() == want_full.tolist(), r
     assert quotient._injective(labels) == quotient._injective(want_labels), r
@@ -163,7 +164,7 @@ def test_no_midpoint_ball_equals_two_points_common_ball():
         X = full_set(g).coverage
         tails, heads = np.array(g.edges).T
         for r in level_radii(g):
-            c, labels, full = level_oracle(g, r)
+            c, (labels, full) = quotient._cells(g, r), level_oracle(g, r)
             V, n = g.num_vertices, (len(c.vertex) - g.num_vertices) // g.num_edges
             for e in range(g.num_edges):
                 ids = [tails[e], *range(V + e * n, V + e * n + n), heads[e]]
@@ -230,6 +231,38 @@ def test_integer_coverage_agrees_with_ball_equality(name):
         assert len(set(forms)) == len(set(balls)) == len(set(zip(forms, balls))), r
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_group_rows_matches_unique_oracle(dtype):
+    """The dict grouping against `np.unique` on void rows: random rows, rows
+    with many duplicates, rows that differ only in their last byte (so a
+    grouping that dropped trailing bytes, or NULs, would merge them),
+    all-zero rows, and 0 or 1 rows."""
+    rng = np.random.default_rng(25)
+    info = np.iinfo(dtype)
+
+    def rand(*shape):
+        return rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+
+    base = rand(6, 7)
+    last_byte = np.repeat(base[:1], 6, axis=0)
+    last_byte.view(np.uint8)[:, -1] = [0, 1, 0, 255, 1, 0]
+    cases = [
+        rand(0, 5),
+        rand(1, 5),
+        rand(300, 4),
+        base[rng.integers(0, 6, 500)],
+        rng.integers(-1, 2, (400, 3)).astype(dtype),
+        last_byte,
+        np.zeros((9, 4), dtype=dtype),
+        np.concatenate([np.zeros((3, 4), dtype=dtype), rand(5, 4), np.zeros((2, 4), dtype=dtype)]),
+    ]
+    for rows in cases:
+        got = levelkeys.group_rows(rows)
+        assert (got.dtype, got.shape) == (np.int64, (len(rows),))
+        assert got.tolist() == group_rows_oracle(rows).tolist(), rows
+    assert levelkeys.group_rows(last_byte).tolist() == [0, 1, 0, 3, 1, 0]
+
+
 def test_rows_are_int8_on_the_timeline_grid():
     g = fixtures.c6()
     assert levelkeys.key_rows(g, F(9, 8), [(0, 5), (2, 32)], 32).dtype == np.int8
@@ -248,7 +281,7 @@ def level_key_cells(g, r):
     c = quotient._cells(g, quotient.level_radius(g, r))
     w = c.hi - c.lo
     quarters = [np.stack([c.edge, c.lo + k * w // 4], axis=1) for k in (1, 3)]
-    return c.r, np.concatenate([c.vertex, *quarters]), c.S
+    return quotient.level_radius(g, r), np.concatenate([c.vertex, *quarters]), c.S
 
 
 BENCHMARK_GRAPHS = {

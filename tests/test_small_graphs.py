@@ -37,6 +37,7 @@ import numpy as np
 
 from ballflow.balls import closed_ball
 from ballflow.canon import canonical_multigraph_code
+from ballflow.evolution import timeline
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.levelkeys import ball_keys
 from ballflow.mergetree import dendrogram_from_matrix, merge_radius, merge_tree, sample_points
@@ -52,6 +53,7 @@ from conftest import (
     orientation_oracle,
     pairwise_matrix,
     potential_oracle,
+    timeline_oracle,
 )
 from test_levelkeys import assert_level_matches_oracle, level_points
 
@@ -96,6 +98,11 @@ def test_every_small_graph_at_every_24th():
             assert_cells_match_subdivision(g, r)
             levels += 1
     assert (len(graphs), levels, classes) == (*COUNTS[:2], COUNTS[4])
+
+
+def test_every_small_timeline_equals_the_per_locus_oracle():
+    for g in small_graphs(*BOUNDS):
+        assert timeline(g).entries == timeline_oracle(g), g.name
 
 
 def test_every_small_graph_distance_matrix():
