@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
-from .quotient import HALF, Fingerprint, _cells, _injective, _layout, _level, _project, fingerprint, level_radius
+from .quotient import Fingerprint, _cells, _grid, _injective, _layout, _level, _project, fingerprint, level_radius
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,6 @@ class Timeline:
     def distinct_type_count(self) -> int:
         return len({e.fingerprint.canonical_code for e in self.entries})
 
-    def summary_runs(self) -> list[tuple[Fraction, Fraction, Fingerprint]]:
-        """Maximal runs of consecutive loci sharing a canonical code, as
-        (first radius, last radius, fingerprint) triples."""
-        runs = []
-        for e in self.entries:
-            if runs and runs[-1][2].canonical_code == e.fingerprint.canonical_code:
-                runs[-1] = (runs[-1][0], e.radius, runs[-1][2])
-            else:
-                runs.append((e.radius, e.radius, e.fingerprint))
-        return runs
-
 
 def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
     """Grid points and interval midpoints covering (0, diameter]: the eighths
@@ -61,16 +50,17 @@ def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
 
 
 def timeline(g: MetricGraph) -> Timeline:
-    """Each locus's level, keyed on the layout of its radius mod 1/2: the
-    loci of one layout in turn, with one layout alive at a time."""
-    groups: dict[Fraction, list[tuple[Fraction, bool]]] = {}
+    """Each locus's level, keyed at its rho(r) on the layout of rho's grid S:
+    the loci of one layout in turn, with one of the three alive at a time."""
+    groups: dict[int, list[tuple[Fraction, Fraction, bool]]] = {}
     for r, on_grid in timeline_loci(g):
-        groups.setdefault(level_radius(g, r) % HALF, []).append((r, on_grid))
+        rho = level_radius(g, r)
+        groups.setdefault(_grid(rho), []).append((r, rho, on_grid))
     entries = []
     for loci in groups.values():
-        layout = _layout(g, loci[0][0])
-        for r, on_grid in loci:
-            q = _project(g, r, layout)
+        layout = _layout(g, loci[0][1])
+        for r, rho, on_grid in loci:
+            q = _project(g, r, rho, layout)
             entries.append(TimelineEntry(radius=r, on_grid=on_grid, fingerprint=fingerprint(q), injective=q.injective))
         del layout
     entries.sort(key=lambda e: e.radius)
@@ -90,19 +80,6 @@ def timeline(g: MetricGraph) -> Timeline:
             else:
                 right_sided.append(e.radius)
     return Timeline(tuple(entries), tuple(critical), tuple(left_sided), tuple(right_sided))
-
-
-def distinct_types(g: MetricGraph) -> list[Fingerprint]:
-    """One fingerprint per homeomorphism type appearing along the evolution,
-    in order of first appearance."""
-    seen = set()
-    out = []
-    for e in timeline(g).entries:
-        code = e.fingerprint.canonical_code
-        if code not in seen:
-            seen.add(code)
-            out.append(e.fingerprint)
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,13 +102,14 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
     larger than r_star: on `builtin:path`, r_star = 1 and exact = 17/16,
     yet the level at 1001/1000 does not embed.
     """
-    layouts: dict = {}  # built the first time a locus needs one
+    layouts: dict = {}  # by grid S, built the first time a locus needs one
     prev = Fraction(0)
     fail = None
     for r, _on_grid in timeline_loci(g):
-        key = level_radius(g, r) % HALF
-        layout = layouts.get(key) or layouts.setdefault(key, _layout(g, r))
-        if not _injective(_level(g, r, layout)[0]):
+        rho = level_radius(g, r)
+        S = _grid(rho)
+        layout = layouts.get(S) or layouts.setdefault(S, _layout(g, rho))
+        if not _injective(_level(g, rho, layout)[0]):
             fail = r
             break
         prev = r
@@ -139,12 +117,7 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
         # diameter-radius balls cover X from any center, so this cannot happen
         raise InternalConsistencyError(f"{g.name}: no failure radius found below the diameter")
     r_star = Fraction((fail * 4).__floor__(), 4)
-    result = RobustnessResult(r_star=r_star, lower=prev, upper=fail, exact=None)
-    if not exact:
-        return result
-    return RobustnessResult(
-        r_star=r_star, lower=prev, upper=fail, exact=_exact_failure(g, fail)
-    )
+    return RobustnessResult(r_star=r_star, lower=prev, upper=fail, exact=_exact_failure(g, fail) if exact else None)
 
 
 def _exact_failure(g: MetricGraph, fail: Fraction) -> Fraction:

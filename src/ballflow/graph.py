@@ -173,9 +173,6 @@ class MetricGraph:
             return self.edges[p.edge][1]
         return None
 
-    def same_point(self, p: GraphPoint, q: GraphPoint) -> bool:
-        return self.canonical_point(p) == self.canonical_point(q)
-
     # -- distances to vertices and per-edge peaks ---------------------------
 
     def vertex_distance_matrix(self) -> np.ndarray:

@@ -12,11 +12,15 @@ A level keys only the vertex cells:
   (proof in `graph`), so the full vertex cells, the class X, come from
   exact integer interpolation of the quarter-point table.
 * The other vertex cells are keyed in one `ball_keys` call.
-* `cut_offsets` reads r only through r mod 1/2, and so does
-  S = 4 lcm(2, den r), so the levels of a timeline share four layouts: the
-  cells, each vertex cell's 8q * Phi and its distances to the vertices
-  (`with_distances`), built once.  Keying a level then compares Phi with
-  r, and clips and gathers the open cells' distances.
+* A level's cells, Phi and distance rows read rho = rho(r) (the theorem
+  below) only through its grid S = 4 lcm(2, den rho), so the levels of a
+  timeline share three layouts: the cells, each vertex cell's 8q * Phi and
+  its distances to the vertices (`with_distances`), built once per S.
+  Proof: rho is on the 1/8 grid, so S is 8, 16 or 32, and `cut_offsets`
+  reads r0 = rho mod 1/2: 0 for S = 8, 1/4 for S = 16, and 1/8 or 3/8 for
+  S = 32, where {r0, 1/2 - r0, 1/2, 1/2 + r0, 1 - r0} is one set for both.
+  Keying a level then compares Phi with rho, and clips and gathers the open
+  cells' distances.
 * A segment is full iff both its ends are (corollary 1), so X's least cell
   is a vertex cell.  If two open segment cells have equal midpoint balls
   they are identified whole, and as p -> B(p, r) is 1-Lipschitz into the Hausdorff
@@ -190,14 +194,6 @@ class SegmentCell:
     def midpoint(self) -> GraphPoint:
         return GraphPoint(self.edge, (self.lo + self.hi) / 2)
 
-    @property
-    def quarter(self) -> GraphPoint:
-        return GraphPoint(self.edge, self.lo + (self.hi - self.lo) / 4)
-
-    @property
-    def three_quarter(self) -> GraphPoint:
-        return GraphPoint(self.edge, self.lo + 3 * (self.hi - self.lo) / 4)
-
 
 @dataclass(frozen=True)
 class Subdivision:
@@ -237,7 +233,7 @@ def subdivision(g: MetricGraph, r: Fraction) -> Subdivision:
 class QuotientGraph:
     """The level at radius r as a multigraph of cell classes, numbered by
     least member: vertex_class and edge_class hold each cell's class, and
-    q_vertices, edge_classes and x_segments list each class's cells."""
+    q_vertices and edge_classes list each class's cells."""
 
     radius: Fraction
     vertex_class: tuple[int, ...]  # q-vertex id per vertex cell, the ball-X region's last
@@ -265,10 +261,6 @@ class QuotientGraph:
     @cached_property
     def edge_classes(self) -> tuple[tuple[int, ...], ...]:
         return _members(self.edge_class, self.num_edges)
-
-    @cached_property
-    def x_segments(self) -> tuple[int, ...]:
-        return tuple(j for j, k in enumerate(self.edge_class) if k < 0)
 
 
 def _members(numbers: tuple[int, ...], count: int) -> tuple[tuple[int, ...], ...]:
@@ -309,9 +301,13 @@ class _Cells(NamedTuple):
         return np.concatenate([self.vertex, np.stack([self.edge, (self.lo + self.hi) // 2], axis=1)])
 
 
+def _grid(r: Fraction) -> int:
+    """S: the midpoints and quarter points of the cuts' 1/lcm(2, den r) grid lie on 1/S."""
+    return 4 * lcm(2, r.denominator)
+
+
 def _cells(g: MetricGraph, r: Fraction) -> _Cells:
-    # midpoints and quarter points of the cuts' 1/lcm(2, den r) grid lie on 1/S
-    S = 4 * lcm(2, r.denominator)
+    S = _grid(r)
     cuts = [int(c * S) for c in cut_offsets(r)]
     n, E, V = len(cuts), g.num_edges, g.num_vertices
     edges = np.arange(E)
@@ -335,9 +331,9 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
 
 
 class _Layout(NamedTuple):
-    """The cells of the levels whose radii rho(r) share r mod 1/2, and per
+    """The cells of the levels whose radii rho(r) share their grid S, and per
     vertex cell its 8q * Phi and `with_distances` row, both in `order`: by
-    descending Phi, then id, so a level's open cells (Phi > r) are a prefix.
+    descending Phi, then id, so a level's open cells (Phi > rho) are a prefix.
     Equal balls stay equal as r grows (`mergetree`), so they turn X
     together: a class's members share Phi, and its least id comes first."""
 
@@ -347,9 +343,9 @@ class _Layout(NamedTuple):
     keyed: np.ndarray
 
 
-def _layout(g: MetricGraph, r: Fraction) -> _Layout:
-    """The layout of the level at r, cut at `level_radius(g, r)`."""
-    c = _cells(g, level_radius(g, r))
+def _layout(g: MetricGraph, rho: Fraction) -> _Layout:
+    """The layout of the levels at every rho(r) with the grid S of rho."""
+    c = _cells(g, rho)
     phi = _phi(g, c.vertex, c.S)
     order = np.argsort(-phi, kind="stable")
     return _Layout(c, order, phi[order], with_distances(g, c.vertex[order], c.S))
@@ -364,16 +360,16 @@ def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
     return r if (4 * r).denominator == 1 else Fraction(2 * (4 * r).__floor__() + 1, 8)
 
 
-def _level(g: MetricGraph, r: Fraction, layout: _Layout):
-    """Per cell of the level at r (vertex cells, then segment cells), keyed at
-    `level_radius(g, r)` on `layout`, its layout: the least cell with an equal
-    ball and whether that ball is X.  Only the open vertex cells are keyed:
-    by corollaries 1 and 2 of the module docstring a segment is full iff both
-    its ends are, and otherwise its class is the unordered pair of its end
-    classes."""
-    rho, c = level_radius(g, r), layout.cells
+def _level(g: MetricGraph, rho: Fraction, layout: _Layout):
+    """Per cell of the level at rho = rho(r) (vertex cells, then segment
+    cells), keyed on `layout`, the layout of its grid: the least cell with an
+    equal ball and whether that ball is X.  Only the open vertex cells are
+    keyed: by corollaries 1 and 2 of the module docstring a segment is full
+    iff both its ends are, and otherwise its class is the unordered pair of
+    its end classes."""
+    c = layout.cells
     nv = len(c.vertex)
-    k = int(np.count_nonzero(layout.phi > int(2 * c.S * rho)))  # 8q * r, q = S / 4
+    k = int(np.count_nonzero(layout.phi > int(2 * c.S * rho)))  # 8q * rho, q = S / 4
     open_v = layout.order[:k]
     full = np.ones(nv, dtype=bool)
     full[open_v] = False
@@ -404,12 +400,13 @@ def _phi(g: MetricGraph, cells, S: int) -> np.ndarray:
 
 def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     r = Fraction(r)
-    return _project(g, r, _layout(g, r))
+    rho = level_radius(g, r)
+    return _project(g, r, rho, _layout(g, rho))
 
 
-def _project(g: MetricGraph, r: Fraction, layout: _Layout) -> QuotientGraph:
-    """`project` on the layout of the level at r."""
-    labels, full = _level(g, r, layout)
+def _project(g: MetricGraph, r: Fraction, rho: Fraction, layout: _Layout) -> QuotientGraph:
+    """`project` at r, keyed at rho = rho(r) on the layout of its grid."""
+    labels, full = _level(g, rho, layout)
     c, nv = layout.cells, len(layout.cells.vertex)
     # labels are least members, so a running count of the leaders numbers the
     # classes in order; X's class is the vertex cells' last and no q-edge
@@ -458,8 +455,8 @@ def is_injective(g: MetricGraph, r: Fraction) -> bool:
 
     Equal to ``project(g, r).injective``, from the cell classes alone.
     """
-    r = Fraction(r)
-    return _injective(_level(g, r, _layout(g, r))[0])
+    rho = level_radius(g, Fraction(r))
+    return _injective(_level(g, rho, _layout(g, rho))[0])
 
 
 def _injective(labels: np.ndarray) -> bool:

@@ -241,7 +241,7 @@ def cell_partition(sub, q) -> list[set[int]]:
     nv = len(sub.vertex_cells)
     parts = [set(cls) for cls in q.q_vertices]
     if q.x_vertex is not None:
-        parts[q.x_vertex] |= {nv + s for s in q.x_segments}
+        parts[q.x_vertex] |= {nv + s for s, k in enumerate(q.edge_class) if k < 0}
     for cls in q.edge_classes:
         parts.append({nv + s for s in cls})
     return parts
@@ -421,6 +421,18 @@ def timeline_oracle(g: MetricGraph) -> tuple:
             )
         )
     return tuple(entries)
+
+
+def robustness_oracle(g: MetricGraph) -> tuple[Fraction, Fraction]:
+    """`robustness_radius`'s (lower, upper) by a scan of the timeline loci in
+    radius order that calls `quotient.is_injective` at each: the last locus
+    whose level embeds and the first whose level does not."""
+    prev = Fraction(0)
+    for r, _on_grid in timeline_loci(g):
+        if not quotient.is_injective(g, r):
+            return prev, r
+        prev = r
+    raise AssertionError(f"{g.name}: the level embeds at every locus")
 
 
 def orientation_oracle(g: MetricGraph, q) -> int:

@@ -20,7 +20,7 @@ from ballflow.balls import (
     sets_equal,
     union,
 )
-from ballflow.evolution import distinct_types, timeline
+from ballflow.evolution import timeline
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
     merge_radius,
@@ -144,7 +144,7 @@ def test_criterion_3_theta_fixture():
     inj = all(is_injective(g, r) for r in candidate_grid(g) if r < 1)
     b1_before = fingerprint(project(g, F(3, 4))).b1
     b1_at_one = fingerprint(project(g, F(1))).b1
-    types = len(distinct_types(g))
+    types = timeline(g).distinct_type_count
 
     # Brute-force sampling oracle at resolution 1/16.  Two segment cells are
     # identified exactly when their sampled interior points have equal balls

@@ -277,7 +277,7 @@ class TestSubcommands:
         and again for the document, but builds each derived tuple of the
         level at most once."""
         builds = Counter()
-        for name in ("q_vertices", "edge_classes", "x_segments"):
+        for name in ("q_vertices", "edge_classes"):
             derived = vars(quotient.QuotientGraph)[name]
             build = getattr(derived, "func", None) or derived.fget
 

@@ -5,19 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from ballflow import evolution, fixtures, mergetree, quotient
-from ballflow.evolution import (
-    _exact_failure,
-    distinct_types,
-    robustness_radius,
-    timeline,
-    timeline_loci,
-)
+from ballflow.evolution import _exact_failure, robustness_radius, timeline, timeline_loci
 from ballflow.graph import load_graph
 from ballflow.mergetree import merge_radius
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import candidate_grid, relabeled, timeline_oracle
+from conftest import candidate_grid, relabeled, robustness_oracle, timeline_oracle
 from test_acceptance import big_graph
+from test_small_graphs import BOUNDS, small_graphs
 
 
 class TestGrid:
@@ -69,14 +64,6 @@ class TestTimeline:
         assert timeline(theta_g).distinct_type_count == 3
         assert timeline(c6_g).distinct_type_count == 2
 
-    def test_runs_cover_timeline(self, theta_g):
-        t = timeline(theta_g)
-        runs = t.summary_runs()
-        assert runs[0][0] == t.entries[0].radius
-        assert runs[-1][1] == theta_g.diameter()
-        assert all(a[1] <= b[0] for a, b in zip(runs, runs[1:]))
-        assert len(runs) == t.distinct_type_count
-
     def test_off_grid_constant_between_grid_points(self, theta_g):
         # the shape between consecutive grid points matches the midpoint sample
         t = timeline(theta_g)
@@ -105,11 +92,10 @@ class TestDistinctTypes:
                 {"u": "p", "v": "r", "len": "1"},
             ],
         }
-        g = load_graph(doc)
-        base = sorted(f.canonical_code for f in distinct_types(g))
+        base = {e.fingerprint.canonical_code for e in timeline(load_graph(doc)).entries}
         for seed in [7, 8]:
             h = load_graph(relabeled(doc, seed))
-            assert sorted(f.canonical_code for f in distinct_types(h)) == base
+            assert {e.fingerprint.canonical_code for e in timeline(h).entries} == base
 
 
 class TestRobustness:
@@ -185,15 +171,56 @@ def test_timeline_equals_the_per_locus_oracle(name):
     assert timeline(g).entries == timeline_oracle(g)
 
 
-def test_big200_timeline_builds_four_layouts(monkeypatch):
-    """One layout per r mod 1/2 of the representative radii, each built once."""
-    real = evolution._layout
-    built = []
+def count_layouts(monkeypatch) -> list[int]:
+    """The grid S of every layout that `evolution` builds from now on."""
+    real, built = evolution._layout, []
 
-    def counted(g, r):
-        built.append(quotient.level_radius(g, r) % F(1, 2))
-        return real(g, r)
+    def counted(g, rho):
+        built.append(quotient._grid(rho))
+        return real(g, rho)
 
     monkeypatch.setattr(evolution, "_layout", counted)
+    return built
+
+
+def test_big200_timeline_builds_three_layouts(monkeypatch):
+    """One layout per grid S of the representative radii, each built once:
+    r mod 1/2 = 1/8 and 3/8 share S = 32 and its cells."""
+    built = count_layouts(monkeypatch)
     timeline(big_graph())
-    assert sorted(built) == [F(k, 8) for k in range(4)]
+    assert sorted(built) == [8, 16, 32]
+
+
+def test_big200_timeline_reduces_each_locus_once(monkeypatch):
+    """`level_radius` runs once per locus, where the locus is grouped."""
+    g, calls = big_graph(), []
+    real = quotient.level_radius
+
+    def counted(g, r):
+        calls.append(r)
+        return real(g, r)
+
+    monkeypatch.setattr(quotient, "level_radius", counted)
+    monkeypatch.setattr(evolution, "level_radius", counted)
+    timeline(g)
+    assert sorted(calls) == [r for r, _on_grid in timeline_loci(g)]
+
+
+ROBUSTNESS_GRAPHS = {
+    **{name: make for name, make in fixtures.BUILTIN.items()},
+    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+    "big200": big_graph,
+}
+
+
+@pytest.mark.parametrize("name", ["small graphs", *ROBUSTNESS_GRAPHS])
+def test_robustness_bracket_equals_the_scan_oracle(name, monkeypatch):
+    """`robustness_radius`'s bracket is the scan of `is_injective` over the
+    loci, and it holds at most one layout per grid S."""
+    built = count_layouts(monkeypatch)
+    graphs = small_graphs(*BOUNDS) if name == "small graphs" else [ROBUSTNESS_GRAPHS[name]()]
+    for g in graphs:
+        built.clear()
+        res = robustness_radius(g)
+        assert (res.lower, res.upper) == robustness_oracle(g), g.name
+        assert len(built) == len(set(built)) <= 3, g.name

@@ -111,7 +111,6 @@ class TestPoints:
         p1 = path_g.canonical_point(GraphPoint(0, F(1)))
         p2 = path_g.canonical_point(GraphPoint(1, F(0)))
         assert p1 == p2
-        assert path_g.same_point(GraphPoint(0, F(1)), GraphPoint(1, F(0)))
 
     def test_user_coordinate_round_trip(self):
         g = load_graph(doc(["a", "b", "c"], [("a", "b", "3/2"), ("b", "c", 1)]))

@@ -124,7 +124,8 @@ LEVEL_GRAPHS = {
 
 
 def assert_level_matches_oracle(g, r):
-    labels, full = quotient._level(g, r, quotient._layout(g, r))
+    rho = quotient.level_radius(g, r)
+    labels, full = quotient._level(g, rho, quotient._layout(g, rho))
     want_labels, want_full = level_oracle(g, r)
     assert labels.tolist() == want_labels.tolist(), r
     assert full.tolist() == want_full.tolist(), r

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ballflow import fixtures, levelkeys, quotient
 from ballflow.balls import closed_ball, full_set, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import timeline, timeline_loci
-from ballflow.graph import load_graph
+from ballflow.graph import GraphPoint, load_graph
 from ballflow.quotient import (
     Fingerprint,
     cut_offsets,
@@ -26,6 +27,11 @@ def cell_reps(sub):
     """One representative point per cell: the vertex itself, or the segment
     midpoint.  Cell ids follow cell_partition's convention (vertices first)."""
     return list(sub.vertex_cells) + [sc.midpoint for sc in sub.segment_cells]
+
+
+def quarter_ball(g, sc, k, r):
+    """The ball of radius r about the point k/4 of the way along the segment cell sc."""
+    return closed_ball(g, GraphPoint(sc.edge, sc.lo + k * (sc.hi - sc.lo) / 4), r)
 
 
 class TestCutOffsets:
@@ -142,12 +148,9 @@ class TestProjectionAgainstBruteForce:
             sub = subdivision(theta_g, q.radius)
             for cls in q.edge_classes:
                 cells = [sub.segment_cells[i] for i in cls]
-                lead = cells[0]
-                bq = closed_ball(theta_g, lead.quarter, r)
-                b3 = closed_ball(theta_g, lead.three_quarter, r)
+                bq, b3 = quarter_ball(theta_g, cells[0], 1, r), quarter_ball(theta_g, cells[0], 3, r)
                 for sc in cells[1:]:
-                    cq = closed_ball(theta_g, sc.quarter, r)
-                    c3 = closed_ball(theta_g, sc.three_quarter, r)
+                    cq, c3 = quarter_ball(theta_g, sc, 1, r), quarter_ball(theta_g, sc, 3, r)
                     straight = sets_equal(theta_g, bq, cq) and sets_equal(
                         theta_g, b3, c3
                     )
@@ -266,9 +269,37 @@ def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
     )
     got = {r: project(g, r) for r in radii}
     assert all(is_injective(g, r) == got[r].injective for r in radii if r.denominator <= 8)
+    # `project` hands `_level` rho(r); with rho(r) = r the oracle keys at r itself
+    monkeypatch.setattr(quotient, "level_radius", lambda g, r: r)
     monkeypatch.setattr(quotient, "_level", level_oracle)
     for r in radii:
         assert project(g, r) == got[r], (name, r)
+
+
+LAYOUT_GRAPHS = {
+    **fixtures.BUILTIN,
+    "rand8+4s5": lambda: fixtures.random_connected(8, 4, 5),
+    "rand6+4s3": lambda: fixtures.random_connected(6, 4, 3),
+    "big200": big_graph,
+}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_GRAPHS))
+def test_layout_is_a_function_of_the_grid(name):
+    """A level reads rho only through its grid S (module docstring): at every
+    1/8-grid rho below diam + 5/8, the layout equals that of the first rho
+    with the same S, and `_level` keyed on that shared layout equals
+    `_level` on rho's own."""
+    g = LAYOUT_GRAPHS[name]()
+    first = {}
+    for k in range(1, (8 * g.diameter() + 5).__ceil__()):
+        rho = F(k, 8)
+        own = quotient._layout(g, rho)
+        shared = first.setdefault(quotient._grid(rho), own)
+        assert all(np.array_equal(a, b) for a, b in zip([*own.cells, *own[1:]], [*shared.cells, *shared[1:]])), rho
+        got, want = quotient._level(g, rho, shared), quotient._level(g, rho, own)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], rho
+    assert sorted(first) == [8, 16, 32]
 
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
