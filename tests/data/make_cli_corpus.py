@@ -77,6 +77,10 @@ def commands() -> list[list[str]]:
         ]
         for radius in ("3/8", "1/3", "7/10"):
             cmds += [["project", g, "--radius", radius, "--json"], ["project", g, "--radius", radius, "--dot"]]
+    # radii of 10^-21 and of 21 digits, whose own 1/S grids pass the int64 range
+    for g in ("builtin:comb5", "big200.json"):
+        for radius in ("1/1000000000000000000000", "123456789012345678901/100000000000000000000"):
+            cmds += [["project", g, "--radius", radius, "--json"], ["project", g, "--radius", radius, "--dot"]]
     cmds += [
         ["timeline", "kite.json", "--json"],
         ["robustness", "kite.json", "--exact", "--approx"],
@@ -88,6 +92,8 @@ def commands() -> list[list[str]]:
         ["selftest"],
         ["merge-tree", "builtin:c6", "--resolution", "1/2", "--json"],
         ["merge-tree", "builtin:theta", "--resolution", "1/4", "--csv"],
+        ["merge-tree", "builtin:comb5", "--resolution", "1/4", "--json"],
+        ["merge-tree", "builtin:comb5", "--resolution", "1/4", "--csv"],
         # refused inputs
         ["info", "missing.json"],
         ["info", "builtin:nope"],
