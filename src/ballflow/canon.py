@@ -9,14 +9,15 @@ code of the full search tree.
 
 The initial coloring is each vertex's BFS distance profile (its sorted
 distances to all vertices, -1 for unreachable) with its sorted edge
-multiplicities and loop count.  All n searches run as one frontier expansion:
-each vertex holds the set of sources that have reached it as bits packed
-into uint64 words, and one hop ORs the neighbours' frontier sets over the
-half-edge list with `np.bitwise_or.reduceat`.  A sorted profile is
--1 repeated u times, one 0, then h repeated c_h times, where c_h is the
-number of sources first reached at hop h, so comparing sorted profiles
-lexicographically is comparing (-u, -c_1, -c_2, ...): the profiles are
-ranked from the per-hop popcounts without an n x n distance matrix.
+multiplicities and loop count.  The searches from all vertices of a batch of
+graphs run as one frontier expansion over their disjoint union: each vertex
+holds the set of its graph's sources that have reached it as bits packed into
+uint64 words, and one hop ORs the neighbours' frontier sets over the
+half-edge list with `np.bitwise_or.reduceat`.  A sorted profile is -1
+repeated u times, one 0, then h repeated c_h times, where c_h is the number
+of sources first reached at hop h, so comparing sorted profiles is comparing
+(graph, -u, -c_1, -c_2, ...): they are ranked from the per-hop popcounts
+without an n x n distance matrix, in chunks that fit `graph._CHUNK_ENTRIES`.
 
 A color is the first position of its class in the ordered partition: a
 split renumbers only the class it splits, and a discrete coloring is the
@@ -43,21 +44,22 @@ fixes, which gamma maps to the best leaf's, explored earlier.
 
 The search runs on an explicit stack, so a level with thousands of twin
 vertices does not hit Python's recursion limit.  Codes are memoized by value
-on (n, edges), in a bounded `functools.lru_cache` that holds no graph: a
-timeline meets the same smoothed multigraph at many levels.
+on (n, edges), at most 256, in `_memo`, which holds no graph and counts its
+hits and misses: a timeline meets the same smoothed multigraph at many levels.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import lru_cache
+from collections import OrderedDict, defaultdict
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+from . import graph
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _split(colors: list[int], cells: dict[int, list[int]], c: int, keyed: list[tuple]) -> list[list[int]]:
@@ -110,17 +112,24 @@ def _twin_representatives(adj: list[dict[int, int]], loops: list[int], cell: lis
     return reps
 
 
-def _distance_ranks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Each vertex's rank among the distinct sorted BFS distance profiles of
-    the underlying simple graph (equal profiles, equal ranks)."""
-    e = np.array([(a, b) for a, b in edges if a != b], dtype=np.int64).reshape(-1, 2)
+def _distance_ranks(graphs: list[tuple[int, tuple[tuple[int, int], ...]]]) -> list[list[int]]:
+    """Per graph, each vertex's rank among the distinct sorted BFS distance
+    profiles of its underlying simple graph (equal profiles, equal ranks), all
+    from one frontier expansion over the graphs' disjoint union."""
+    sizes = np.array([n for n, _ in graphs], dtype=np.int64)
+    first, counts = np.cumsum(sizes) - sizes, [len(edges) for _, edges in graphs]
+    gid = np.repeat(np.arange(len(graphs)), sizes)
+    e = np.fromiter(chain.from_iterable(chain.from_iterable(edges for _, edges in graphs)), np.int64, 2 * sum(counts))
+    e = e.reshape(-1, 2) + np.repeat(first, counts)[:, None]
+    e = e[e[:, 0] != e[:, 1]]
     src = np.concatenate([e[:, 0], e[:, 1]])
     order = np.argsort(src, kind="stable")
     src, dst = src[order], np.concatenate([e[:, 1], e[:, 0]])[order]
     starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]]) if len(src) else src
-    v = np.arange(n)
-    reached = np.zeros((n, (n + 63) // 64), dtype="<u8")
-    reached[v, v // 64] = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
+    v = np.arange(len(gid))
+    local = v - first[gid]  # each graph's sources take its own bit columns
+    reached = np.zeros((len(v), (int(sizes.max()) + 63) // 64), dtype="<u8")
+    reached[v, local // 64] = np.left_shift(np.uint64(1), (local % 64).astype(np.uint64))
     frontier, keys = reached, []
     while len(src):
         new = np.zeros_like(reached)
@@ -129,11 +138,16 @@ def _distance_ranks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         if not new.any():
             break
         reached = reached | new
-        keys.append(-_POPCOUNT[new.view(np.uint8)].sum(axis=1))
+        keys.append(-_POPCOUNT[new.view(np.uint8)].sum(axis=1, dtype=np.int64))
         frontier = new
-    unreached = n - _POPCOUNT[reached.view(np.uint8)].sum(axis=1)
-    _, rank = np.unique(np.stack([-unreached, *keys], axis=1), axis=0, return_inverse=True)
-    return rank.ravel().tolist()
+    key = np.stack([gid, _POPCOUNT[reached.view(np.uint8)].sum(axis=1, dtype=np.int64) - sizes[gid], *keys])
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    dense = np.cumsum(np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)])
+    rank = np.empty_like(dense)
+    rank[order] = dense - dense[np.searchsorted(key[0], key[0])]  # less its graph's first rank
+    rank = rank.tolist()
+    return [rank[a : a + n] for a, n in zip(first.tolist(), sizes.tolist())]
 
 
 def _encode(adj: list[dict[int, int]], loops: list[int], pos: list[int]) -> tuple:
@@ -155,13 +169,44 @@ def canonical_multigraph_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
     edges are unordered pairs (i, j) with multiplicity given by repetition;
     i == j is a loop.  Degree-0 vertices count.
     """
-    return _canonical_code(n, tuple(map(tuple, edges)))
+    return canonical_codes([(n, edges)])[0]
 
 
-@lru_cache(maxsize=256)
-def _canonical_code(n: int, edges: tuple[tuple[int, int], ...]) -> str:
-    if n == 0:
-        return "V0|"
+class _Memo(OrderedDict):
+    """Codes by value, (n, edges) -> code, least recently used first; hits
+    and misses count the graphs served without a search and searched."""
+
+    hits = misses = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.hits = self.misses = 0
+
+
+_memo = _Memo()
+
+
+def canonical_codes(graphs: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> list[str]:
+    """`canonical_multigraph_code` of each (n, edges).  The distinct graphs
+    missing from `_memo` are ranked largest first, as many at a time as fit
+    `graph._CHUNK_ENTRIES` frontier words, then searched."""
+    keys = [(n, tuple(map(tuple, edges))) for n, edges in graphs]
+    codes = {key: _memo.pop(key, None) if key[0] else "V0|" for key in dict.fromkeys(keys)}
+    todo = sorted((key for key, code in codes.items() if code is None), key=lambda key: -key[0])
+    _memo.hits, _memo.misses = _memo.hits + len(keys) - len(todo), _memo.misses + len(todo)
+    while todo:  # the block is the chunk's vertices by the words of its first, its largest
+        rows = np.cumsum([n for n, _ in todo]) * ((todo[0][0] + 63) // 64)
+        k = max(1, int(np.count_nonzero(rows <= graph._CHUNK_ENTRIES)))
+        for (n, edges), ranks in zip(todo[:k], _distance_ranks(todo[:k])):
+            codes[n, edges] = _search(n, edges, ranks)
+        todo = todo[k:]
+    _memo.update(codes)
+    while len(_memo) > 256:
+        _memo.popitem(last=False)
+    return [codes[key] for key in keys]
+
+
+def _search(n: int, edges: tuple[tuple[int, int], ...], ranks: list[int]) -> str:
     adj: list[dict[int, int]] = [defaultdict(int) for _ in range(n)]
     loops = [0] * n
     for i, j in edges:
@@ -174,7 +219,6 @@ def _canonical_code(n: int, edges: tuple[tuple[int, int], ...]) -> str:
 
     # initial invariant: BFS distance profile plus incident multiplicities;
     # cuts the search tree sharply on levels with many essential vertices
-    ranks = _distance_ranks(n, edges)
     profiles = [(ranks[s], tuple(sorted(adj[s].values())), loops[s]) for s in range(n)]
     colors, cells = [0] * n, {0: list(range(n))}
     _split(colors, cells, 0, sorted(zip(profiles, range(n))))
@@ -225,9 +269,10 @@ def _canonical_code(n: int, edges: tuple[tuple[int, int], ...]) -> str:
 
 
 def smooth_multigraph(
-    num_vertices: int, edges: Sequence[tuple[int, int]]
+    num_vertices: int, edges: np.ndarray | Sequence[tuple[int, int]]
 ) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Suppress degree-2 vertices of a multigraph.
+    """Suppress degree-2 vertices of a multigraph whose edges are an (m, 2)
+    array or a sequence of pairs.
 
     Returns (n_smoothed, smoothed_edges, kept_vertex_ids): essential vertices
     (degree != 2) survive; chains of degree-2 vertices collapse to single
@@ -243,7 +288,7 @@ def smooth_multigraph(
     equal pairs.  The walks that never stop are the pure cycles, two
     orientations each, counted by their least half-edge (min-label doubling).
     """
-    ends = np.fromiter(chain.from_iterable(edges), np.int64, count=2 * len(edges))
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1)
     halves = np.arange(len(ends))
     degree = np.bincount(ends, minlength=num_vertices)
     essential = np.flatnonzero(degree != 2)

@@ -131,43 +131,23 @@ def cmd_project(args) -> int:
             "x_vertex": q.x_vertex,
             "n0": q.n0,
         },
-        "fingerprint": _fp_doc(f),
+        "fingerprint": vars(f),
     }
     if args.dot is None or args.json is not None:
         _emit(json.dumps(doc, indent=2), args.json)
     return 0
 
 
-def _fp_doc(f: quotient.Fingerprint) -> dict:
-    return {
-        "b0": f.b0,
-        "b1": f.b1,
-        "chi": f.chi,
-        "n0": f.n0,
-        "degree_multiset": list(f.degree_multiset),
-        "canonical_code": f.canonical_code,
-        "is_point": f.is_point,
-    }
-
-
 def _project_dot(q: quotient.QuotientGraph, f: quotient.Fingerprint) -> str:
     from .canon import smooth_multigraph
 
-    n_sm, sm_edges, kept = smooth_multigraph(q.num_vertices, q.q_edges)
+    _n, sm_edges, kept = smooth_multigraph(q.num_vertices, q.q_edges)
     lines = ["graph level {"]
-    for i in range(n_sm):
-        orig = kept[i]
-        if orig == q.x_vertex and q.x_vertex is not None:
-            label = "X"
-        elif orig >= 0:
-            label = str(len(q.q_vertices[orig]))
-        else:
-            label = "cycle"
+    for i, orig in enumerate(kept):
+        label = "X" if orig == q.x_vertex else str(len(q.q_vertices[orig])) if orig >= 0 else "cycle"
         lines.append(f'  n{i} [label="{label}"];')
-    for a, b in sm_edges:
-        lines.append(f"  n{a} -- n{b};")
-    lines.append(f'  graph [label="b0={f.b0} b1={f.b1} code={f.canonical_code}"];')
-    lines.append("}")
+    lines += [f"  n{a} -- n{b};" for a, b in sm_edges]
+    lines += [f'  graph [label="b0={f.b0} b1={f.b1} code={f.canonical_code}"];', "}"]
     return "\n".join(lines)
 
 
@@ -183,7 +163,7 @@ def cmd_timeline(args) -> int:
                     "radius_internal": format_rational(e.radius),
                     "on_grid": e.on_grid,
                     "injective": e.injective,
-                    "fingerprint": _fp_doc(e.fingerprint),
+                    "fingerprint": vars(e.fingerprint),
                     "is_critical": e.radius in critical,
                 }
                 for e in tl.entries
@@ -198,21 +178,9 @@ def cmd_timeline(args) -> int:
     rows = ["locus_user_units,locus_internal,b0,b1,chi,n0,is_point,canonical_code,is_critical"]
     for e in tl.entries:
         f = e.fingerprint
-        rows.append(
-            ",".join(
-                [
-                    format_rational(g.to_user(e.radius)),
-                    format_rational(e.radius),
-                    str(f.b0),
-                    str(f.b1),
-                    str(f.chi),
-                    str(f.n0),
-                    str(f.is_point).lower(),
-                    f.canonical_code,
-                    str(e.radius in critical).lower(),
-                ]
-            )
-        )
+        cols = [format_rational(g.to_user(e.radius)), format_rational(e.radius), f.b0, f.b1, f.chi, f.n0]
+        cols += [str(f.is_point).lower(), f.canonical_code, str(e.radius in critical).lower()]
+        rows.append(",".join(map(str, cols)))
     _emit("\n".join(rows), args.csv)
     return 0
 

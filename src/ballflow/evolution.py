@@ -4,7 +4,8 @@ and the robustness radius of the embedding property.
 The level at radius r, and so its fingerprint, is constant on each open
 interval between consecutive quarter-integer radii (the theorem of
 `quotient`), so sampling at the grid points and at interval midpoints
-captures the whole evolution exactly.
+captures the whole evolution exactly.  A timeline keys its levels one
+layout at a time and fingerprints them all in one `quotient.fingerprints` batch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
-from .quotient import Fingerprint, _cells, _grid, _injective, _layout, _level, _project, fingerprint, level_radius
+from .quotient import Fingerprint, _cells, _classes, _grid, _injective, _layout, _level, fingerprints, level_radius
 
 
 @dataclass(frozen=True)
@@ -51,34 +52,33 @@ def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
 
 def timeline(g: MetricGraph) -> Timeline:
     """Each locus's level, keyed at its rho(r) on the layout of rho's grid S:
-    the loci of one layout in turn, with one of the three alive at a time."""
+    the loci of one layout in turn, with one of the three alive at a time,
+    whose class arrays stream into one `fingerprints` batch."""
     groups: dict[int, list[tuple[Fraction, Fraction, bool]]] = {}
     for r, on_grid in timeline_loci(g):
         rho = level_radius(g, r)
         groups.setdefault(_grid(rho), []).append((r, rho, on_grid))
-    entries = []
-    for loci in groups.values():
-        layout = _layout(g, loci[0][1])
-        for r, rho, on_grid in loci:
-            q = _project(g, r, rho, layout)
-            entries.append(TimelineEntry(radius=r, on_grid=on_grid, fingerprint=fingerprint(q), injective=q.injective))
-        del layout
+    loci = []  # (r, on_grid, injective), in the order of the levels
+
+    def levels():
+        for group in groups.values():
+            layout = _layout(g, group[0][1])
+            for r, rho, on_grid in group:
+                level = _classes(g, rho, layout)
+                loci.append((r, on_grid, level.injective))
+                yield level
+            del layout
+
+    found = fingerprints(levels())
+    entries = [TimelineEntry(r, on_grid, f, injective) for (r, on_grid, injective), f in zip(loci, found)]
     entries.sort(key=lambda e: e.radius)
-    critical = []
-    left_sided = []
-    right_sided = []
+    codes = [e.fingerprint.canonical_code for e in entries]
+    critical, left_sided, right_sided = [], [], []
     for i, e in enumerate(entries):
-        if not e.on_grid:
-            continue
-        code = e.fingerprint.canonical_code
-        left = entries[i - 1].fingerprint.canonical_code
-        right = entries[i + 1].fingerprint.canonical_code if i + 1 < len(entries) else code
-        if code != left or left != right:
+        code, left, right = codes[i], codes[i - 1], codes[min(i + 1, len(codes) - 1)]
+        if e.on_grid and (code != left or left != right):
             critical.append(e.radius)
-            if code != left:
-                left_sided.append(e.radius)
-            else:
-                right_sided.append(e.radius)
+            (left_sided if code != left else right_sided).append(e.radius)
     return Timeline(tuple(entries), tuple(critical), tuple(left_sided), tuple(right_sided))
 
 

@@ -55,7 +55,7 @@ ONE = Fraction(1)
 # random_connected graphs, and loading a star of 4,000 unit edges at 299 MB (2
 # x86-64 cores).  No fixture or benchmark graph has more than 200.
 MAX_UNIT_EDGES = 4_000
-# entries per (points x edges) array of _quarter_eccentricities' chunks
+# entries per chunk of _quarter_eccentricities, levelkeys and canon's frontier block
 _CHUNK_ENTRIES = 1 << 20
 # (source, vertex) pairs stepped per slice of _distance_matrix's frontier
 _BFS_SLICE = 1 << 18

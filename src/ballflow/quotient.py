@@ -4,7 +4,8 @@ multigraph by ball equality, and its topological fingerprint.
 Identification of cells is all-or-nothing per open segment cell, and a
 segment cell's balls are fixed by the balls of its two end cells
 (corollaries 1 and 2 below), so the quotient is computed from the vertex
-cells' balls alone.
+cells' balls alone.  `_classes` numbers a level's classes once, as arrays that
+`project` turns into tuples and `timeline` streams into `fingerprints`.
 
 A level keys only the vertex cells:
 
@@ -169,11 +170,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .canon import canonical_multigraph_code, smooth_multigraph
+from .canon import canonical_codes, smooth_multigraph
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
 from .levelkeys import ball_keys, with_distances
@@ -247,10 +248,6 @@ class QuotientGraph:
         return max(self.vertex_class) + 1
 
     @property
-    def num_edges(self) -> int:
-        return len(self.q_edges)
-
-    @property
     def n0(self) -> int:  # number of ball-X segment cells
         return self.edge_class.count(-1)
 
@@ -260,7 +257,7 @@ class QuotientGraph:
 
     @cached_property
     def edge_classes(self) -> tuple[tuple[int, ...], ...]:
-        return _members(self.edge_class, self.num_edges)
+        return _members(self.edge_class, len(self.q_edges))
 
 
 def _members(numbers: tuple[int, ...], count: int) -> tuple[tuple[int, ...], ...]:
@@ -398,14 +395,20 @@ def _phi(g: MetricGraph, cells, S: int) -> np.ndarray:
     return T[e, k] * (q - f) + T[e, k + 1] * f
 
 
-def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
-    r = Fraction(r)
-    rho = level_radius(g, r)
-    return _project(g, r, rho, _layout(g, rho))
+class _Classes(NamedTuple):
+    """A level's classes as arrays, numbered as in `QuotientGraph`."""
+
+    num_vertices: int
+    q_edges: np.ndarray  # (m, 2): endpoint q-vertex ids per edge class
+    n0: int  # number of ball-X segment cells
+    injective: bool
+    vertex_class: np.ndarray
+    edge_class: np.ndarray
+    x_vertex: int | None
 
 
-def _project(g: MetricGraph, r: Fraction, rho: Fraction, layout: _Layout) -> QuotientGraph:
-    """`project` at r, keyed at rho = rho(r) on the layout of its grid."""
+def _classes(g: MetricGraph, rho: Fraction, layout: _Layout) -> _Classes:
+    """The level at rho = rho(r), keyed on `layout`, the layout of its grid."""
     labels, full = _level(g, rho, layout)
     c, nv = layout.cells, len(layout.cells.vertex)
     # labels are least members, so a running count of the leaders numbers the
@@ -413,48 +416,47 @@ def _project(g: MetricGraph, r: Fraction, rho: Fraction, layout: _Layout) -> Quo
     lead = (labels == np.arange(len(labels))) & ~full
     number = np.cumsum(lead) - 1
     x = number[nv - 1] + 1
+    has_x = bool(full[:nv].any())
     vertex_class = np.where(full[:nv], x, number[labels[:nv]])
-    edge_class = np.where(full[nv:], -1, number[labels[nv:]] - x)
     leaders = np.flatnonzero(lead[nv:])
-    return QuotientGraph(
-        radius=r,
-        vertex_class=tuple(vertex_class.tolist()),
-        edge_class=tuple(edge_class.tolist()),
-        q_edges=tuple(zip(vertex_class[c.tail_cell[leaders]].tolist(), vertex_class[c.head_cell[leaders]].tolist())),
-        x_vertex=int(x) if full[:nv].any() else None,
-        injective=_injective(labels),
-    )
+    q_edges = np.stack([vertex_class[c.tail_cell[leaders]], vertex_class[c.head_cell[leaders]]], axis=1)
+    edge_class = np.where(full[nv:], -1, number[labels[nv:]] - x)
+    n0, x_vertex = int(np.count_nonzero(full[nv:])), int(x) if has_x else None
+    return _Classes(int(x) + has_x, q_edges, n0, _injective(labels), vertex_class, edge_class, x_vertex)
+
+
+def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
+    r = Fraction(r)
+    rho = level_radius(g, r)
+    c = _classes(g, rho, _layout(g, rho))
+    vertex_class, edge_class = tuple(c.vertex_class.tolist()), tuple(c.edge_class.tolist())
+    return QuotientGraph(r, vertex_class, edge_class, tuple(map(tuple, c.q_edges.tolist())), c.x_vertex, c.injective)
+
+
+def fingerprints(levels: Iterable) -> list[Fingerprint]:
+    """The fingerprint of each level, a `QuotientGraph` or `_Classes` (read for
+    num_vertices, q_edges and n0).  Each level is smoothed as it comes, so a
+    timeline holds one at a time, and the codes take one `canonical_codes` batch."""
+    parts, graphs = [], []
+    for q in levels:
+        n, edges, _kept = smooth_multigraph(q.num_vertices, q.q_edges)
+        degrees = np.bincount(np.asarray(edges, dtype=np.int64).ravel(), minlength=n).tolist()
+        parts.append((q.num_vertices, len(q.q_edges), q.n0, tuple(sorted(degrees))))
+        graphs.append((n, edges))
+    return [
+        # b0 = 1 and b1 = E - V + 1: every level is connected (corollary 3)
+        Fingerprint(1, E - V + 1, V - E, n0, degrees, code, E == 0 and V == 1)
+        for (V, E, n0, degrees), code in zip(parts, canonical_codes(graphs))
+    ]
 
 
 def fingerprint(q: QuotientGraph) -> Fingerprint:
-    V = q.num_vertices
-    E = q.num_edges
-    chi = V - E
-    n_sm, sm_edges, _kept = smooth_multigraph(V, q.q_edges)
-    b1 = E - V + 1  # every level is connected (corollary 3)
-    is_point = E == 0 and V == 1
-    degs = [0] * n_sm
-    for a, b in sm_edges:
-        degs[a] += 1
-        degs[b] += 1
-    degree_multiset = tuple(sorted(degs))
-    code = canonical_multigraph_code(n_sm, sm_edges)
-    return Fingerprint(
-        b0=1,
-        b1=b1,
-        chi=chi,
-        n0=q.n0,
-        degree_multiset=degree_multiset,
-        canonical_code=code,
-        is_point=is_point,
-    )
+    return fingerprints([q])[0]
 
 
 def is_injective(g: MetricGraph, r: Fraction) -> bool:
-    """True iff the projection at radius r is a topological embedding.
-
-    Equal to ``project(g, r).injective``, from the cell classes alone.
-    """
+    """True iff the projection at radius r is a topological embedding:
+    ``project(g, r).injective``, from the cell classes alone."""
     rho = level_radius(g, Fraction(r))
     return _injective(_level(g, rho, _layout(g, rho))[0])
 

@@ -564,6 +564,28 @@ def twin_representatives_oracle(adj: list[dict[int, int]], loops: list[int], cel
     return reps
 
 
+def distance_profiles_oracle(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Each vertex's sorted BFS distances to all n vertices, -1 for
+    unreachable, by one Python BFS per vertex on the underlying simple graph."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    profiles = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        for v in queue:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        profiles.append(tuple(sorted(dist)))
+    return profiles
+
+
 def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:
     """`canon.canonical_multigraph_code` by one Python BFS per vertex and a
     recursive search: a string equal for two multigraphs iff they are isomorphic.
@@ -583,22 +605,12 @@ def canonical_code_oracle(n: int, edges: Sequence[tuple[int, int]]) -> str:
             adj[j][i] += 1
     adj = [dict(a) for a in adj]
 
-    # initial invariant: BFS distance profile plus incident multiplicities,
-    # computed on the underlying simple graph; cuts the search tree sharply
-    # on levels with many essential vertices
-    profiles = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for v in queue:
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        profiles.append(
-            (tuple(sorted(dist)), tuple(sorted(adj[s].values())), loops[s])
-        )
+    # initial invariant: BFS distance profile plus incident multiplicities;
+    # cuts the search tree sharply on levels with many essential vertices
+    profiles = [
+        (dist, tuple(sorted(adj[s].values())), loops[s])
+        for s, dist in enumerate(distance_profiles_oracle(n, edges))
+    ]
     remap = {p: i for i, p in enumerate(sorted(set(profiles)))}
     initial = [remap[p] for p in profiles]
 

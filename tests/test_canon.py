@@ -3,7 +3,9 @@ conftest, on random multigraphs, on every level of three timelines and on
 families of twins and interchangeable blocks.  The incremental refinement is
 checked against conftest's refinement of every class at each call of the
 search, and the search's refinement and leaf counts are pinned on the cases
-that once blew up.  With BALLFLOW_DEEP=1 the oracle comparison runs on 1,200
+that once blew up.  A batch must give each graph the distance ranks and the
+code it gets alone, across the chunk limit too, and the memo's counts are
+pinned.  With BALLFLOW_DEEP=1 the oracle comparison runs on 1,200
 more random multigraphs and on larger twin-heavy families."""
 
 import hashlib
@@ -17,11 +19,18 @@ from pathlib import Path
 
 import pytest
 
-from ballflow import canon, evolution, fixtures
+from ballflow import canon, evolution, fixtures, graph
 from ballflow.canon import canonical_multigraph_code, smooth_multigraph
 from ballflow.quotient import fingerprint, project
 
-from conftest import canonical_code_oracle, components_oracle, refine_colors_oracle, smooth_oracle
+from conftest import (
+    canonical_code_oracle,
+    components_oracle,
+    distance_profiles_oracle,
+    refine_colors_oracle,
+    smooth_oracle,
+)
+from test_acceptance import big_graph
 
 DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
 LEVEL_R131_8 = Path(__file__).resolve().parent / "data" / "canon_rand2000_r131_8.json"
@@ -109,11 +118,21 @@ def test_timeline_searches_each_distinct_smoothed_level_once(timeline_levels):
     for q in levels:
         n, edges, _kept = smooth_multigraph(q.num_vertices, q.q_edges)
         distinct.add((n, tuple(edges)))
-    canon._canonical_code.cache_clear()
+    canon._memo.clear()
     entries = evolution.timeline(g).entries
-    info = canon._canonical_code.cache_info()
-    assert info.misses == len(distinct) < len(entries)
-    assert info.hits + info.misses == len(entries)
+    assert canon._memo.misses == len(distinct) < len(entries)
+    assert canon._memo.hits + canon._memo.misses == len(entries)
+
+
+def test_big200_timeline_runs_one_rank_expansion(monkeypatch):
+    """Counted, not timed: the distinct smoothed levels of the big200
+    timeline are ranked in one frontier expansion."""
+    real, batches = canon._distance_ranks, []
+    monkeypatch.setattr(canon, "_distance_ranks", lambda graphs: (batches.append(len(graphs)), real(graphs))[1])
+    canon._memo.clear()
+    entries = evolution.timeline(big_graph()).entries
+    assert batches == [canon._memo.misses] == [44]
+    assert canon._memo.hits + canon._memo.misses == len(entries) == 76
 
 
 def test_deep_search_needs_no_recursion():
@@ -121,7 +140,7 @@ def test_deep_search_needs_no_recursion():
     needs one frame per leaf; the search needs none."""
     n, edges = 301, [(0, leaf) for leaf in range(1, 301)]
     expected = canonical_code_oracle(n, edges)
-    canon._canonical_code.cache_clear()
+    canon._memo.clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -232,9 +251,9 @@ def test_refinement_matches_oracle_at_every_call(monkeypatch, timeline_levels):
     data = json.loads(LEVEL_R131_8.read_text())
     cases.append((data["n"], [tuple(e) for e in data["edges"]]))
     for n, edges in cases:
-        canon._canonical_code.cache_clear()
+        canon._memo.clear()
         canonical_multigraph_code(n, edges)
-    canon._canonical_code.cache_clear()
+    canon._memo.clear()
     assert len(calls) >= sum(n > 0 for n, _edges in cases)
 
 
@@ -245,9 +264,9 @@ def search_counts(monkeypatch, n: int, edges: list[tuple[int, int]]) -> tuple[st
     refine, encode = canon.refine_colors, canon._encode
     monkeypatch.setattr(canon, "refine_colors", lambda *a: (counts.update(["refine"]), refine(*a))[1])
     monkeypatch.setattr(canon, "_encode", lambda *a: (counts.update(["leaf"]), encode(*a))[1])
-    canon._canonical_code.cache_clear()
+    canon._memo.clear()
     code = canonical_multigraph_code(n, edges)
-    canon._canonical_code.cache_clear()
+    canon._memo.clear()
     monkeypatch.undo()
     return code, counts["refine"], counts["leaf"]
 
@@ -293,3 +312,84 @@ def test_ten_k4_blades(monkeypatch):
 def test_deep_random_and_twin_heavy_multigraphs_match_oracle():
     cases = [random_multigraph(random.Random(seed)) for seed in range(600)]
     assert_match_oracle(random.Random("deep"), cases + twin_families(stars=60, blades=6, edges=7))
+
+
+def rank_cases() -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Graphs of 1, 63, 64, 65 and 129 vertices around the 64-bit word
+    bounds (the last in two components), loops only, isolated vertices, V0
+    and the stored 492-vertex level."""
+    rng = random.Random("ranks")
+    cases = []
+    for n in (1, 63, 64, 65, 100):
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        cases.append((n, tree + [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]))
+    cases[-1] = (129, cases[-1][1] + [(100 + i, 100 + (i + 1) % 29) for i in range(29)])
+    cases += [(3, [(0, 0), (1, 1), (1, 1)]), (6, [(0, 1), (1, 2), (1, 2), (4, 4)]), (0, [])]
+    data = json.loads(LEVEL_R131_8.read_text())
+    cases.append((data["n"], data["edges"]))
+    return [(n, tuple(map(tuple, edges))) for n, edges in cases]
+
+
+def profile_ranks_oracle(n: int, edges) -> list[int]:
+    """Each vertex's rank among the distinct sorted BFS profiles of conftest."""
+    profiles = distance_profiles_oracle(n, edges)
+    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    return [rank[p] for p in profiles]
+
+
+def test_batched_ranks_equal_each_graph_alone():
+    cases = rank_cases()
+    shuffled = random.Random(5).sample(cases, len(cases))
+    again = dict(zip(shuffled, canon._distance_ranks(shuffled)))
+    for (n, edges), ranks in zip(cases, canon._distance_ranks(cases)):
+        alone = canon._distance_ranks([(n, edges)])[0] if n else []
+        assert ranks == again[n, edges] == alone == profile_ranks_oracle(n, edges), n
+
+
+def test_a_batch_of_codes_equals_each_code_alone():
+    """Repeats in a batch, graphs already in the memo and V0 are hits; each
+    distinct graph missing from it is searched once."""
+    rng = random.Random("batch")
+    cases = rank_cases() + [random_multigraph(rng) for _ in range(30)]
+    alone = []
+    for n, edges in cases:
+        canon._memo.clear()
+        alone.append(canonical_multigraph_code(n, edges))
+    canon._memo.clear()
+    distinct = len({(n, tuple(map(tuple, edges))) for n, edges in cases if n})
+    assert canon.canonical_codes(cases + cases[:4]) == alone + alone[:4]
+    assert (canon._memo.hits, canon._memo.misses) == (len(cases) + 4 - distinct, distinct)
+    assert canon.canonical_codes(cases[:2]) == alone[:2]
+    assert canon._memo.misses == distinct
+    canon._memo.clear()
+
+
+def test_a_batch_split_at_the_chunk_limit(monkeypatch):
+    """With `graph._CHUNK_ENTRIES` at 200 words, a chunk holds several graphs
+    only while its vertices times its largest graph's words fit."""
+    cases = [case for case in rank_cases() if case[0]]
+    alone = [canonical_multigraph_code(n, edges) for n, edges in cases]
+    real, chunks = canon._distance_ranks, []
+
+    def counted(graphs):
+        chunks.append((len(graphs), sum(n for n, _ in graphs) * ((max(n for n, _ in graphs) + 63) // 64)))
+        return real(graphs)
+
+    monkeypatch.setattr(canon, "_distance_ranks", counted)
+    monkeypatch.setattr(graph, "_CHUNK_ENTRIES", 200)
+    canon._memo.clear()
+    assert canon.canonical_codes(cases) == alone
+    assert sum(k for k, _ in chunks) == len(cases)
+    assert all(k == 1 or words <= 200 for k, words in chunks)
+    assert any(k > 1 for k, _ in chunks) and any(words > 200 for _, words in chunks)
+    canon._memo.clear()
+
+
+def test_the_memo_keeps_the_256_codes_used_last():
+    stars = [star(k) for k in range(300)]
+    canon._memo.clear()
+    canon.canonical_codes(stars)
+    canon.canonical_codes(stars[:1])
+    assert len(canon._memo) == 256
+    assert list(canon._memo)[-2:] == [(300, tuple(stars[-1][1])), (1, ())]
+    canon._memo.clear()

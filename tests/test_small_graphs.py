@@ -11,8 +11,9 @@ level connected by union-find, b0 = 1, its gluing direction by
 `orientation_oracle`, and `subdivision`'s cells against `_cells`'.  At
 every k/8 up to diam + 1/2, the `ball_keys` classes of each level's vertex
 cells, midpoints, quarter and three-quarter points are checked against the
-exact `Fraction` balls of `coverage_classes`, and `closed_ball` about each
-of those points against `closed_ball_oracle`.  Each
+exact `Fraction` balls of `coverage_classes`, `closed_ball` about each
+of those points against `closed_ball_oracle`, and the class arrays of
+`quotient._classes` against `project`.  Each
 graph's distance matrix is checked against `distance_oracle`, and so are
 `point_distance` between every two quarter points and `point_vertex_distances`
 at each: `distance_oracle` on the unit graph cut into quarter edges, over 4.
@@ -35,6 +36,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
+from ballflow import quotient
 from ballflow.balls import closed_ball
 from ballflow.canon import canonical_multigraph_code
 from ballflow.evolution import timeline
@@ -98,6 +100,24 @@ def test_every_small_graph_at_every_24th():
             assert_cells_match_subdivision(g, r)
             levels += 1
     assert (len(graphs), levels, classes) == (*COUNTS[:2], COUNTS[4])
+
+
+def test_every_small_graph_numbers_its_classes_once():
+    """At every k/8 up to diam + 1/2, the class arrays of `quotient._classes`,
+    which the timeline fingerprints, give `project`'s V, q-edges, n0 and
+    injectivity, and a connected multigraph."""
+    levels = 0
+    for g in small_graphs(*BOUNDS):
+        for k in range(1, int(8 * (g.diameter() + F(1, 2))) + 1):
+            r = F(k, 8)
+            rho = quotient.level_radius(g, r)
+            c, q = quotient._classes(g, rho, quotient._layout(g, rho)), project(g, r)
+            assert (c.num_vertices, c.q_edges.tolist(), c.n0, c.injective) == (
+                q.num_vertices, list(map(list, q.q_edges)), q.n0, q.injective
+            ), (g.name, r)
+            assert components_oracle(c.num_vertices, c.q_edges.tolist()) == 1, (g.name, r)
+            levels += 1
+    assert levels == COUNTS[3]
 
 
 def test_every_small_timeline_equals_the_per_locus_oracle():
