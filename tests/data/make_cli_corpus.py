@@ -94,6 +94,13 @@ def commands() -> list[list[str]]:
         ["merge-tree", "builtin:theta", "--resolution", "1/4", "--csv"],
         ["merge-tree", "builtin:comb5", "--resolution", "1/4", "--json"],
         ["merge-tree", "builtin:comb5", "--resolution", "1/4", "--csv"],
+        ["merge-tree", "builtin:comb5", "--resolution", "1/8", "--json"],
+        # a non-dyadic grid
+        ["merge-tree", "builtin:theta", "--resolution", "1/3", "--json"],
+        ["merge-tree", "builtin:path", "--resolution", "1/5", "--csv"],
+        ["ball", "builtin:theta", "--edge", "0", "--t", "1/3", "--radius", "123456789012345678901/100000000000000000000", "--json"],
+        ["ball", "builtin:comb5", "--edge", "5", "--t", "1/7", "--radius", "1/1000000000000000000000", "--json"],
+        ["ball", "builtin:c6", "--edge", "2", "--t", "2/5", "--radius", "7/10", "--user-units", "--json"],
         # refused inputs
         ["info", "missing.json"],
         ["info", "builtin:nope"],
