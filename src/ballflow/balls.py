@@ -7,15 +7,16 @@ the distance from any point to a closed interval inside an edge is attained
 at an interval endpoint (every path into the edge enters through an endpoint
 of the edge and meets the interval first at its boundary) or is zero.
 
-`closed_ball(g, p, r)` computes in integer units of 1/L, L = lcm(den r,
-den p.t).  Vertex distances are integers, so every distance from p to a
-vertex, r minus it, and every endpoint of the ball's intervals (r - d(p, u),
-1 - (r - d(p, v)), p.t - r, p.t + r, 0 and 1) lies in (1/L)Z.  It reads the
-distances, scaled by L, from the graph's one distance row of p
-(`MetricGraph.scaled_distances`).  Scaling by L turns each comparison and
-each clip of the `Fraction` construction into the same comparison of Python
-integers, which cannot overflow, so the ball is exact; a `Fraction` is built
-only for the endpoints of partly covered edges.
+A ball is built once, by `ball_row`, in integer units of 1/L for p and r on
+(1/L)Z (`closed_ball` takes L = lcm(den r, den p.t)).  Vertex distances are
+integers, so every distance from p to a vertex, r minus it, and every
+endpoint of the ball's intervals (r - d(p, u), 1 - (r - d(p, v)), p.t - r,
+p.t + r, 0 and 1) lies in (1/L)Z.  `ball_row` reads the distances, scaled by
+L, from the graph's one distance row of p (`MetricGraph.scaled_distances`),
+so each comparison and clip is one of Python integers, which cannot
+overflow.  Its rows are the interval ends times L: at one L, equal rows are
+equal balls, as `mergetree.ball_check` compares them; `closed_ball` is their
+`Fraction` view.
 """
 
 from __future__ import annotations
@@ -105,41 +106,48 @@ def full_set(g: MetricGraph) -> BallSet:
 
 
 def closed_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
-    """The closed ball about p, computed in integer units of 1/L."""
+    """The closed ball about p, the `Fraction` view of its `ball_row`."""
     r = Fraction(r)
     if r < 0:
         raise ValidationError(f"negative radius {r}")
     p = g.canonical_point(p)
     L = math.lcm(r.denominator, p.t.denominator)
-    R = r.numerator * (L // r.denominator)
-    T, d = g.scaled_distances(p, L)
-    cov: list[tuple[Interval, ...]] = []
-    for e, (u, v) in enumerate(g.edges):
+    rows = ball_row(g, p.edge, *g.scaled_distances(p, L), r.numerator * (L // r.denominator), L)
+    view = {(): (), (0, L): _FULL_ROW}  # each distinct row in Fraction ends, built once
+    for row in set(rows) - view.keys():
+        ends = [Fraction(x, L) for x in row]
+        view[row] = tuple(zip(ends[::2], ends[1::2]))
+    return BallSet(tuple(map(view.get, rows)), meta=(p, r))
+
+
+def ball_row(g: MetricGraph, edge: int, T: int, d: Sequence[int], R: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """The closed ball of radius R/L about the point at offset T/L on `edge`,
+    whose `scaled_distances` row is d: per edge the ends of its canonical
+    intervals, in order, in units of 1/L; (0, L) is a full edge and () an
+    empty one.  At one L, two balls are equal iff their rows are."""
+    full = (0, L)
+    rows = []
+    for u, v in g.edges:
         ru, rv = R - d[u], R - d[v]  # the reaches (r - d(p, w)) * L of its ends
-        if e == p.edge:
-            cov.append(_centre_row(L, ru, rv, T, R))
-        elif ru + rv >= L:
+        if ru + rv >= L:
             # the two end intervals meet; reaches of adjacent vertices differ
             # by at most L, so this also holds whenever ru >= L or rv >= L
-            cov.append(_FULL_ROW)
+            rows.append(full)
         elif rv < 0:
-            cov.append(((ZERO, Fraction(ru, L)),) if ru >= 0 else ())
+            rows.append((0, ru) if ru >= 0 else ())
         elif ru < 0:
-            cov.append(((Fraction(L - rv, L), ONE),))
+            rows.append((L - rv, L))
         else:
-            cov.append(((ZERO, Fraction(ru, L)), (Fraction(L - rv, L), ONE)))
-    return BallSet(tuple(cov), meta=(p, r))
-
-
-def _centre_row(L: int, ru: int, rv: int, T: int, R: int) -> tuple[Interval, ...]:
-    """[0, ru] u [L - rv, L] u [T - R, T + R] clipped to [0, L] and merged,
-    as a row of offsets in [0, 1]."""
+            rows.append((0, ru, L - rv, L))
+    # p's own edge adds [T - R, T + R] to [0, ru] u [L - rv, L], clipped to [0, L] and merged
+    ru, rv = (R - d[w] for w in g.edges[edge])
     ivs = [(max(T - R, 0), min(T + R, L))]
     if ru >= 0:
         ivs.append((0, min(ru, L)))
     if rv >= 0:
         ivs.append((max(L - rv, 0), L))
-    return tuple((Fraction(a, L), Fraction(b, L)) for a, b in merge_intervals(ivs))
+    rows[edge] = tuple([x for iv in merge_intervals(ivs) for x in iv])
+    return tuple(rows)
 
 
 def sets_equal(g: MetricGraph, A: BallSet, B: BallSet) -> bool:

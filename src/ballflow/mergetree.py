@@ -7,9 +7,9 @@ grid k/den, den = lcm(2, offset denominators).  `merge_tree` therefore sweeps
 that grid once, with one `ball_keys` call per radius for one point of each
 class of equal balls, until one class is left; each radius where classes
 merge is one event of the dendrogram, and the merge-radius matrix and
-`ball_check` read the events.  `merge_radius` takes one pair's radius in
-closed form (proof below).  The bisections over exact balls in
-`tests/conftest.py` (`merge_radius_oracle`, `extinction_oracle`),
+`ball_check` (on integer `ball_row`s) read the events.  `merge_radius` takes
+one pair's radius in closed form (proof below).  The bisections over exact
+balls in `tests/conftest.py` (`merge_radius_oracle`, `extinction_oracle`),
 `ultrametric_check` and `dendrogram_from_matrix` are the oracles.
 
 Proof of the grid.  Let p lie at offset t on its edge; every offset of the
@@ -70,7 +70,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .balls import BallSet, closed_ball, sets_equal
+from .balls import BallSet, ball_row, closed_ball
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
 from .levelkeys import INT64_SAFE, ball_keys, group_rows, with_distances
@@ -84,7 +84,7 @@ from .levelkeys import INT64_SAFE, ball_keys, group_rows, with_distances
 MAX_SAMPLE_POINTS = 2_000
 
 # each graph's own {(point, radius): ball} memo for the tests' bisections, dropped with
-# the graph; kept while perfbench/layertrace.py counts `_cached_ball` (ROADMAP 5(b))
+# the graph; kept while perfbench/layertrace.py counts `_cached_ball` (ROADMAP 5)
 _ball_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -254,24 +254,31 @@ def merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
 
 def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
-    interval balls (`closed_ball`) are unequal at their merge radius or equal
-    half a sweep step below it.  By the ultrametric property, i is the least
-    member of the first cluster that holds j and an earlier point.  It never
-    reads `ball_keys` rows, so it checks the sweep by an independent route."""
-    step = Fraction(1, 2 * math.lcm(2, *(p.t.denominator for p in d.points)))
-    joins: dict[int, tuple[int, Fraction]] = {}
+    interval balls are unequal at their merge radius or equal half a sweep
+    step below it, ascending in j.  By the ultrametric property, i is the
+    least member of the first cluster that holds j and an earlier point.  It
+    compares `ball_row`s at one L, lcm(2 den, the radii's denominators), and
+    never reads `ball_keys` rows, so it checks the sweep by another route."""
+    pts = [g.canonical_point(p) for p in d.points]
+    den = math.lcm(2, *(p.t.denominator for p in pts))
+    L = math.lcm(2 * den, *(ev.radius.denominator for ev in d.events))
+    step = L // (2 * den)  # half a sweep step, in units of 1/L
+    dist = [(p.edge, *g.scaled_distances(p, L)) for p in pts]  # each point's distance row, read once
+
+    def ball(i: int, R: int) -> tuple:
+        return ball_row(g, *dist[i], R, L)
+
+    joined, bad = set(), []
     for ev in d.events:
+        R = ev.radius.numerator * (L // ev.radius.denominator)
         for c in ev.clusters:
-            for j in c[1:]:
-                joins.setdefault(j, (c[0], ev.radius))
-    bad = []
-    for j, (i, r) in sorted(joins.items()):
-        p, q = d.points[i], d.points[j]
-        if not sets_equal(g, closed_ball(g, p, r), closed_ball(g, q, r)) or (
-            r > 0 and sets_equal(g, closed_ball(g, p, r - step), closed_ball(g, q, r - step))
-        ):
-            bad.append((i, j))
-    return tuple(bad)
+            new = [j for j in c[1:] if j not in joined]
+            joined.update(new)
+            at, below = ball(c[0], R), R > 0 and ball(c[0], R - step)
+            for j in new:
+                if ball(j, R) != at or (R > 0 and ball(j, R - step) == below):
+                    bad.append((c[0], j))
+    return tuple(sorted(bad, key=lambda ij: ij[1]))
 
 
 def dendrogram_from_matrix(m: MergeMatrix) -> Dendrogram:

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from ballflow import fixtures, quotient
-from ballflow.balls import _FULL_ROW, BallSet, Interval, closed_ball, full_set, make_coverage, sets_equal
+from ballflow.balls import _FULL_ROW, BallSet, Interval, ball_row, closed_ball, full_set, make_coverage, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import TimelineEntry, timeline_loci
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
@@ -349,6 +349,14 @@ def integer_coverage(cov, D: int) -> tuple[tuple[int, ...], ...]:
         return tuple([x.numerator * (D // x.denominator) for iv in ivs for x in iv]) if ivs else ()
 
     return tuple([row(ivs) for ivs in cov])
+
+
+def integer_ball(g: MetricGraph, p: GraphPoint, r: Fraction, L: int) -> tuple[tuple[int, ...], ...]:
+    """`ball_row` of the closed ball about p at radius r, both on (1/L)Z: the
+    ball's `integer_coverage` at L."""
+    p = g.canonical_point(p)
+    assert L % p.t.denominator == 0 and L % Fraction(r).denominator == 0, (p, r, L)
+    return ball_row(g, p.edge, *g.scaled_distances(p, L), int(r * L), L)
 
 
 def coverage_classes(g: MetricGraph, r: Fraction, pts: list[GraphPoint]):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,7 @@ from ballflow.balls import (
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint
 
-from conftest import closed_ball_oracle, grid_points, hausdorff_oracle
+from conftest import closed_ball_oracle, grid_points, hausdorff_oracle, integer_ball, integer_coverage
 
 
 def rand_point(g, rng):
@@ -42,11 +43,29 @@ ORACLE_GRAPHS = {
 }
 
 
+def assert_rows_are_balls(g, offsets=(F(1, 3), F(5, 8))):
+    """At each k/24 up to the diameter, where every ball is X, the `ball_row`
+    at L = 24 about each vertex and each point at the given offsets of each
+    edge is the integer coverage of `closed_ball` and of `closed_ball_oracle`,
+    and two rows are equal iff `sets_equal` holds of their balls."""
+    pts = [g.vertex_point(v) for v in range(g.num_vertices)]
+    pts += [GraphPoint(e, t) for e in range(g.num_edges) for t in offsets]
+    for k in range(int(24 * g.diameter()) + 1):
+        r = F(k, 24)
+        rows = [integer_ball(g, p, r, 24) for p in pts]
+        balls = [closed_ball(g, p, r) for p in pts]
+        for p, row, ball in zip(pts, rows, balls):
+            assert row == integer_coverage(ball.coverage, 24), (g.name, p, r)
+            assert row == integer_coverage(closed_ball_oracle(g, p, r).coverage, 24), (g.name, p, r)
+        for (a, A), (b, B) in combinations(zip(rows, balls), 2):
+            assert (a == b) == sets_equal(g, A, B), (g.name, r, A.meta, B.meta)
+
+
 class TestClosedBall:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_matches_fraction_oracle(self, name):
         # coverage and meta, Fraction for Fraction, against the per-edge
-        # Fraction construction
+        # Fraction construction; then the integer rows at every k/24
         g = ORACLE_GRAPHS[name]()
         tiny = F(1, 10**20)
         centres = [g.vertex_point(v) for v in range(g.num_vertices)]
@@ -59,6 +78,7 @@ class TestClosedBall:
         for p in centres:
             for r in sorted(radii):
                 assert repr(closed_ball(g, p, r)) == repr(closed_ball_oracle(g, p, r)), (p, r)
+        assert_rows_are_balls(g)
 
     def test_zero_radius_is_singleton(self, path_g):
         b = closed_ball(path_g, GraphPoint(0, F(1, 4)), F(0))

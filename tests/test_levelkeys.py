@@ -17,6 +17,7 @@ from conftest import (
     center_edge_oracle,
     coverage_classes,
     group_rows_oracle,
+    integer_ball,
     integer_coverage,
     key_rows_reference,
     level_oracle,
@@ -191,13 +192,14 @@ def segment_radii(g):
 
 
 def test_segment_balls_are_fixed_by_their_ends():
-    """Corollaries 1 and 2 of `quotient`, on `Fraction` balls: at every k/8
-    up to diam + 1/2, a segment cell's midpoint ball is X iff both its end
-    balls are, and non-full segments with equal unordered pairs of end balls
-    have equal midpoint balls (19,350 such segments after the first of their
-    pair).  Balls are compared by their integer coverages over 16.  big200 is
-    left out for time: its 2,000-odd balls per radius take about 50 s on 2
-    x86-64 cores."""
+    """Corollaries 1 and 2 of `quotient`, on exact balls: at every k/8 up to
+    diam + 1/2, a segment cell's midpoint ball is X iff both its end balls
+    are, and non-full segments with equal unordered pairs of end balls have
+    equal midpoint balls (19,350 such segments after the first of their
+    pair).  Balls are compared by their integer rows (`balls.ball_row`) at
+    L = 16, which are their integer coverages over 16.  big200 is left out
+    for time: its 2,000-odd balls per radius take about 50 s on 2 x86-64
+    cores."""
     shared = 0
     for name, make in LEVEL_GRAPHS.items():
         if name == "big200":
@@ -206,11 +208,11 @@ def test_segment_balls_are_fixed_by_their_ends():
         X = integer_coverage(full_set(g).coverage, 16)
         for r in segment_radii(g):
             sub = quotient.subdivision(g, r)
-            ends = [integer_coverage(closed_ball(g, p, r).coverage, 16) for p in sub.vertex_cells]
+            ends = [integer_ball(g, p, r, 16) for p in sub.vertex_cells]
             mids: dict = {}
             for s in sub.segment_cells:
                 a, b = ends[s.tail_cell], ends[s.head_cell]
-                mid = integer_coverage(closed_ball(g, s.midpoint, r).coverage, 16)
+                mid = integer_ball(g, s.midpoint, r, 16)
                 assert (mid == X) == (a == X == b), (name, r, s)
                 if mid != X:
                     pair = frozenset((a, b))

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction as F
@@ -263,6 +264,25 @@ class TestBallCheck:
                 events[k] = MergeEvent(wrong, ev.clusters)
                 moved = Dendrogram(d.points, tuple(events))
                 assert sorted(ball_check(g, moved)) == joins, (name, ev.radius, wrong)
+
+    @pytest.mark.parametrize("name, step", [("path", F(1, 2)), ("theta", F(1, 3)), ("comb3", F(1, 2))])
+    def test_off_grid_radii(self, name, step):
+        """An event moved up by 1/(3 den) keeps equal balls at its radius and
+        unequal ones half a step below; moved down by as much, it flags its
+        joins.  Neither radius lies on ball_check's 1/(2 den) grid, so only
+        an L that holds the radii's own denominators reads them right."""
+        g = SWEEP_GRAPHS[name]()
+        d = merge_tree(g, sample_points(g, step))
+        third = F(1, 3 * math.lcm(2, step.denominator))
+        mu = d.matrix().mu
+        nearest = {j: min(range(j), key=lambda i: mu[i][j]) for j in range(1, len(mu))}
+        for k, ev in enumerate(d.events):
+            joins = sorted((i, j) for j, i in nearest.items() if mu[i][j] == ev.radius)
+            for shift, flagged in ((third, []), (-third, joins)):
+                events = list(d.events)
+                events[k] = MergeEvent(ev.radius + shift, ev.clusters)
+                moved = Dendrogram(d.points, tuple(events))
+                assert sorted(ball_check(g, moved)) == flagged, (name, ev.radius, shift)
 
     def test_merge_tree_exits_3_on_a_wrong_matrix(self, monkeypatch, capsys):
         # the root event of path at step 1/2 comes one unit late: point 1

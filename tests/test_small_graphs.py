@@ -13,7 +13,9 @@ every k/8 up to diam + 1/2, the `ball_keys` classes of each level's vertex
 cells, midpoints, quarter and three-quarter points are checked against the
 exact `Fraction` balls of `coverage_classes`, `closed_ball` about each
 of those points against `closed_ball_oracle`, and the class arrays of
-`quotient._classes` against `project`.  Each
+`quotient._classes` against `project`.  At every k/24 up to the diameter,
+`ball_row` about each vertex and the point at 1/3 of each edge is checked
+against `closed_ball` and `closed_ball_oracle`.  Each
 graph's distance matrix is checked against `distance_oracle`, and so are
 `point_distance` between every two quarter points and `point_vertex_distances`
 at each: `distance_oracle` on the unit graph cut into quarter edges, over 4.
@@ -57,6 +59,7 @@ from conftest import (
     potential_oracle,
     timeline_oracle,
 )
+from test_balls import assert_rows_are_balls
 from test_levelkeys import assert_level_matches_oracle, level_points
 
 DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
@@ -157,6 +160,11 @@ def test_every_small_graph_ball_classes_at_every_8th():
                 assert repr(closed_ball(g, p, r)) == repr(closed_ball_oracle(g, p, r)), (g.name, p, r)
             levels += 1
     assert levels == COUNTS[3]
+
+
+def test_every_small_graph_ball_rows_at_every_24th():
+    for g in small_graphs(*BOUNDS):
+        assert_rows_are_balls(g, offsets=(F(1, 3),))
 
 
 def test_every_small_graph_potential():
