@@ -9,6 +9,11 @@ corpus and names each changed command:
 
 Commands run in a directory that holds the documents of `DOCUMENTS`, so every
 path on a command line (and in an error message) is relative.
+
+With `BALLFLOW_DEEP=1` the script also writes `cli_corpus_deep.json`, the
+commands of `deep_commands()` on random graphs of 2,028 and 3,967 unit edges
+(a minute or so), which `tests/test_cli_corpus.py` replays under the same
+variable.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 CORPUS = HERE / "cli_corpus.json"
+DEEP_CORPUS = HERE / "cli_corpus_deep.json"
+DEEP = os.environ.get("BALLFLOW_DEEP") == "1"
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
@@ -50,6 +57,11 @@ DOCUMENTS = {
         "vertices": ["a", "b", "c"],
         "edges": [{"u": "a", "v": "b", "len": "1"}, {"u": "b", "v": "c", "len": "1/100000"}],
     },
+}
+# the deep tier's graphs, of 2,028 and 3,967 unit edges
+DEEP_DOCUMENTS = {
+    "rand1000.json": workloads.random_connected_document(1000, 450, 1),
+    "rand2000.json": workloads.random_connected_document(2000, 850, 1),
 }
 # written as they stand, not through json.dumps
 RAW_DOCUMENTS = {"not_json.json": "{\"vertices\": "}
@@ -116,8 +128,15 @@ def commands() -> list[list[str]]:
     return cmds
 
 
-def write_documents(directory: Path) -> None:
-    for name, doc in DOCUMENTS.items():
+def deep_commands() -> list[list[str]]:
+    return [
+        ["timeline", "rand1000.json", "--json"],
+        ["project", "rand2000.json", "--radius", "131/8", "--json"],
+    ]
+
+
+def write_documents(directory: Path, documents: dict = DOCUMENTS) -> None:
+    for name, doc in documents.items():
         (directory / name).write_text(json.dumps(doc))
     for name, text in RAW_DOCUMENTS.items():
         (directory / name).write_text(text)
@@ -137,21 +156,25 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue())}
 
 
-def generate() -> list[dict]:
+def generate(cmds: list[list[str]], documents: dict = DOCUMENTS) -> list[dict]:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        write_documents(Path(tmp))
+        write_documents(Path(tmp), documents)
         os.chdir(tmp)
         try:
-            return [run(argv) for argv in commands()]
+            return [run(argv) for argv in cmds]
         finally:
             os.chdir(cwd)
 
 
 def main() -> int:
-    corpus = generate()
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
-    print(f"wrote {len(corpus)} commands to {CORPUS}")
+    tiers = [(CORPUS, commands(), DOCUMENTS)]
+    if DEEP:
+        tiers.append((DEEP_CORPUS, deep_commands(), DEEP_DOCUMENTS))
+    for path, cmds, documents in tiers:
+        corpus = generate(cmds, documents)
+        path.write_text(json.dumps(corpus, indent=1) + "\n")
+        print(f"wrote {len(corpus)} commands to {path}")
     return 0
 
 
