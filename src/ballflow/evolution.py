@@ -52,8 +52,10 @@ def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
 
 def timeline(g: MetricGraph) -> Timeline:
     """Each locus's level, keyed at its rho(r) on the layout of rho's grid S:
-    the loci of one layout in turn, with one of the three alive at a time,
-    whose class arrays stream into one `fingerprints` batch."""
+    the loci of one layout in turn, with one of the three alive at a time, by
+    descending rho, so that a level keys only the cells that shared a class at
+    the one before and the new ones (`quotient._Layout`).  The class arrays
+    stream into one `fingerprints` batch."""
     groups: dict[int, list[tuple[Fraction, Fraction, bool]]] = {}
     for r, on_grid in timeline_loci(g):
         rho = level_radius(g, r)
@@ -62,9 +64,11 @@ def timeline(g: MetricGraph) -> Timeline:
 
     def levels():
         for group in groups.values():
-            layout = _layout(g, group[0][1])
+            group.sort(key=lambda locus: locus[1], reverse=True)
+            layout, shared = _layout(g, group[0][1]), ()
             for r, rho, on_grid in group:
-                level = _classes(g, rho, layout)
+                level = _classes(g, rho, layout, shared)
+                shared = level.shared
                 loci.append((r, on_grid, level.injective))
                 yield level
             del layout

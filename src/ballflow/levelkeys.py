@@ -70,15 +70,16 @@ def with_distances(g: MetricGraph, cells, S: int) -> np.ndarray:
     """The rows (edge, offset * S) of `cells`, each followed by its point's
     distance to every vertex w scaled by S, min(t + d(tail, w), S - t + d(head, w)):
     the rows that `key_rows` keys at any R up to S * (max d + 2), in the
-    narrowest signed type that holds R - d, vertex-major (Fortran order) so
-    that `key_rows` reads each vertex's distances contiguously."""
+    narrowest signed type that holds R - d, in C order: a caller that keys a
+    subset of the points (a timeline level, the merge sweep's class
+    representatives) gathers whole rows."""
     D = g.vertex_distance_matrix()
     bound = max(2 * S * (int(D.max()) + 2), g.num_edges)
     if bound >= INT64_SAFE:
         raise ValidationError(f"{g.name}: the 1/{S} grid is too fine for int64 key rows")
     work = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
     cells, SD = np.asarray(cells).reshape(-1, 2), S * D.astype(work)
-    out = np.empty((len(cells), 2 + g.num_vertices), dtype=work, order="F")
+    out = np.empty((len(cells), 2 + g.num_vertices), dtype=work)
     out[:, :2] = cells
     step = max(1, _CHUNK_ENTRIES // g.num_vertices)
     for lo in range(0, len(cells), step):

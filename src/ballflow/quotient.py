@@ -12,7 +12,8 @@ A level keys only the vertex cells:
 * B(p, r) = X iff Phi(p) <= r, and Phi is linear between quarter points
   (proof in `graph`), so the full vertex cells, the class X, come from
   exact integer interpolation of the quarter-point table.
-* The other vertex cells are keyed in one `ball_keys` call.
+* The other vertex cells are keyed in one `ball_keys` call; a timeline keys
+  only those that can still share a ball (`_Layout`).
 * A level's cells, Phi and distance rows read rho = rho(r) (the theorem
   below) only through its grid S = 4 lcm(2, den rho), so the levels of a
   timeline share three layouts: the cells, each vertex cell's 8q * Phi and
@@ -330,9 +331,14 @@ def _cells(g: MetricGraph, r: Fraction) -> _Cells:
 class _Layout(NamedTuple):
     """The cells of the levels whose radii rho(r) share their grid S, and per
     vertex cell its 8q * Phi and `with_distances` row, both in `order`: by
-    descending Phi, then id, so a level's open cells (Phi > rho) are a prefix.
-    Equal balls stay equal as r grows (`mergetree`), so they turn X
-    together: a class's members share Phi, and its least id comes first."""
+    descending Phi, then id, so a level's open cells (Phi > rho) are a prefix
+    [0, k) that grows as rho falls.  Equal balls stay equal as r grows
+    (`mergetree`), so they turn X together: a class's members share Phi, and
+    its least id comes first.  So the classes at rho refine those at rho' >
+    rho: a cell open and alone in its class at rho' is alone at rho, and a
+    new cell, full at rho' and open at rho (in [k', k)), shares its ball only
+    with another: B(p, rho) = B(q, rho) gives B(q, rho') = B(p, rho') = X.
+    So the level at rho keys the cells that shared a class at rho' and [k', k)."""
 
     cells: _Cells
     order: np.ndarray
@@ -357,13 +363,14 @@ def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
     return r if (4 * r).denominator == 1 else Fraction(2 * (4 * r).__floor__() + 1, 8)
 
 
-def _level(g: MetricGraph, rho: Fraction, layout: _Layout):
+def _level(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()):
     """Per cell of the level at rho = rho(r) (vertex cells, then segment
     cells), keyed on `layout`, the layout of its grid: the least cell with an
     equal ball and whether that ball is X.  Only the open vertex cells are
     keyed: by corollaries 1 and 2 of the module docstring a segment is full
     iff both its ends are, and otherwise its class is the unordered pair of
-    its end classes."""
+    its end classes.  Given the `shared` flags of a larger rho's level on the
+    layout, it keys only those cells and the new ones (`_Layout`)."""
     c = layout.cells
     nv = len(c.vertex)
     k = int(np.count_nonzero(layout.phi > int(2 * c.S * rho)))  # 8q * rho, q = S / 4
@@ -372,8 +379,12 @@ def _level(g: MetricGraph, rho: Fraction, layout: _Layout):
     full[open_v] = False
     labels = np.arange(nv)
     labels[full] = np.argmax(full)
-    if k:
-        labels[open_v] = open_v[ball_keys(g, rho, layout.keyed[:k], c.S)]
+    pos = np.arange(k)
+    need = np.concatenate([np.flatnonzero(shared), pos[len(shared) :]])  # ascending
+    if len(need):
+        rows = layout.keyed[:k] if len(need) == k else layout.keyed[need]
+        pos[need] = need[ball_keys(g, rho, rows, c.S)]
+    labels[open_v] = open_v[pos]
     a, b = labels[c.tail_cell], labels[c.head_cell]
     seg_full = full[c.tail_cell] & full[c.head_cell]
     pairs = np.minimum(a, b) * nv + np.maximum(a, b)
@@ -405,11 +416,12 @@ class _Classes(NamedTuple):
     vertex_class: np.ndarray
     edge_class: np.ndarray
     x_vertex: int | None
+    shared: np.ndarray  # per open vertex cell, in the layout's order: its class has another member
 
 
-def _classes(g: MetricGraph, rho: Fraction, layout: _Layout) -> _Classes:
-    """The level at rho = rho(r), keyed on `layout`, the layout of its grid."""
-    labels, full = _level(g, rho, layout)
+def _classes(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()) -> _Classes:
+    """The level at rho = rho(r), keyed on `layout` given `shared` (`_level`)."""
+    labels, full = _level(g, rho, layout, shared)
     c, nv = layout.cells, len(layout.cells.vertex)
     # labels are least members, so a running count of the leaders numbers the
     # classes in order; X's class is the vertex cells' last and no q-edge
@@ -422,7 +434,10 @@ def _classes(g: MetricGraph, rho: Fraction, layout: _Layout) -> _Classes:
     q_edges = np.stack([vertex_class[c.tail_cell[leaders]], vertex_class[c.head_cell[leaders]]], axis=1)
     edge_class = np.where(full[nv:], -1, number[labels[nv:]] - x)
     n0, x_vertex = int(np.count_nonzero(full[nv:])), int(x) if has_x else None
-    return _Classes(int(x) + has_x, q_edges, n0, _injective(labels), vertex_class, edge_class, x_vertex)
+    vc = vertex_class[layout.order]
+    vc = vc[vc < x]  # the open cells, a prefix
+    shared = np.bincount(vc)[vc] > 1
+    return _Classes(int(x) + has_x, q_edges, n0, _injective(labels), vertex_class, edge_class, x_vertex, shared)
 
 
 def project(g: MetricGraph, r: Fraction) -> QuotientGraph:

@@ -403,10 +403,10 @@ def group_rows_oracle(rows: np.ndarray) -> np.ndarray:
     return first[inverse].reshape(-1)
 
 
-def level_oracle(g: MetricGraph, r: Fraction, layout=None):
+def level_oracle(g: MetricGraph, r: Fraction, layout=None, shared=()):
     """`quotient._level` by keying every vertex cell and segment midpoint
-    of the cells cut at r itself (the layout argument is ignored), grouping
-    equal key rows and reading X off them: (labels, full)."""
+    of the cells cut at r itself (the layout and shared arguments are
+    ignored), grouping equal key rows and reading X off them: (labels, full)."""
     c = quotient._cells(g, r)
     cells = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
     rows, E = key_rows(g, r, cells, c.S), g.num_edges

@@ -303,12 +303,14 @@ def test_layout_is_a_function_of_the_grid(name):
 
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
-    """The work of the big200 timeline's levels, counted, not timed: one
-    `ball_keys` call per level on its non-full vertex cells.  With the
-    gluing-orientation check, since moved to the tests, the levels keyed
-    63,340 points in 142 `key_rows` calls; keying both quarter points of
-    every member took 71,247 points, and keying every vertex cell and
-    midpoint took 143 calls and 155,710 points."""
+    """The work of the big200 timeline's levels, counted, not timed: at most
+    one `ball_keys` call per level, on the vertex cells whose class is not
+    known yet (`quotient._Layout`).  Keying every non-full vertex cell at each
+    level took 75 calls and 48,537 points; with the gluing-orientation check,
+    since moved to the tests, the levels keyed 63,340 points in 142
+    `key_rows` calls; keying both quarter points of every member took 71,247
+    points, and keying every vertex cell and midpoint took 143 calls and
+    155,710 points."""
     real = levelkeys.key_rows
     points = []
 
@@ -318,7 +320,42 @@ def test_big200_timeline_keys_only_unknown_balls(monkeypatch):
 
     monkeypatch.setattr(levelkeys, "key_rows", counted)  # under ball_keys
     timeline(big_graph())
-    assert (len(points), sum(points)) == (75, 48_537)
+    assert (len(points), sum(points)) == (70, 13_111)
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_GRAPHS))
+def test_timeline_keys_a_cell_while_its_class_is_shared(name, monkeypatch):
+    """Within a layout, walked by descending rho, a timeline keys each vertex
+    cell at its first open level, and after that only while its class at the
+    layout's previous level had another member: the cells that each
+    `ball_keys` call receives, against the levels keyed in full."""
+    g = LAYOUT_GRAPHS[name]()
+    groups, layouts, want = {}, {}, {}
+    for r, _ in timeline_loci(g):
+        rho = quotient.level_radius(g, r)
+        groups.setdefault(quotient._grid(rho), []).append(rho)
+    for S, radii in groups.items():
+        layout = layouts[S] = quotient._layout(g, radii[0])
+        nv = len(layout.cells.vertex)
+        was_open = was_shared = np.zeros(nv, dtype=bool)
+        for rho in sorted(radii, reverse=True):
+            labels, full = quotient._level(g, rho, layout)
+            labels, is_open = labels[:nv], ~full[:nv]
+            keyed = is_open & (~was_open | was_shared)
+            if keyed.any():
+                want[rho] = np.flatnonzero(keyed).tolist()
+            members = np.bincount(labels[is_open], minlength=nv)[labels]
+            was_open, was_shared = is_open, is_open & (members > 1)
+    real, got = quotient.ball_keys, {}
+
+    def counted(g, rho, rows, S):
+        ids = {tuple(row): i for i, row in enumerate(layouts[S].cells.vertex.tolist())}
+        got[rho] = sorted(ids[tuple(row)] for row in rows[:, :2].tolist())
+        return real(g, rho, rows, S)
+
+    monkeypatch.setattr(quotient, "ball_keys", counted)
+    timeline(g)
+    assert got == want
 
 
 class TestEulerBounds:
