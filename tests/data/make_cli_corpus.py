@@ -12,7 +12,7 @@ path on a command line (and in an error message) is relative.
 
 With `BALLFLOW_DEEP=1` the script also writes `cli_corpus_deep.json`, the
 commands of `deep_commands()` on random graphs of 2,028 and 3,967 unit edges
-(a minute or so), which `tests/test_cli_corpus.py` replays under the same
+(10–20 s), which `tests/test_cli_corpus.py` replays under the same
 variable.
 """
 
