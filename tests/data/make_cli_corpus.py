@@ -125,6 +125,17 @@ def commands() -> list[list[str]]:
     cmds += [["info", name] for name in sorted(DOCUMENTS) if name not in ("big200.json", "rand40.json", "kite.json")]
     cmds += [["info", name] for name in sorted(RAW_DOCUMENTS)]
     cmds += [["timeline", "oversized.json", "--json"]]
+    # usage: the top-level parser, one subparser's help, missing and unknown arguments
+    cmds += [
+        ["--help"],
+        [],
+        ["frobnicate", "builtin:path"],
+        ["potential", "--help"],
+        ["merge-tree", "builtin:comb5"],
+        ["project", "builtin:theta"],
+        ["timeline"],
+        ["info", "builtin:path", "--bogus"],
+    ]
     return cmds
 
 
@@ -147,12 +158,25 @@ def sha256(text: str) -> str:
 
 
 def run(argv: list[str]) -> dict:
-    """Run one command in-process, in the current directory."""
+    """Run one command in-process, in the current directory.  An argparse exit
+    (help, a usage error) records its `SystemExit` code.  COLUMNS is 80 while
+    the command runs, as argparse wraps help to the terminal width."""
     from ballflow import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"argv": argv, "exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue())}
 
 
