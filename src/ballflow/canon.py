@@ -59,8 +59,6 @@ import numpy as np
 
 from . import graph
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
 
 def _split(colors: list[int], cells: dict[int, list[int]], c: int, keyed: list[tuple]) -> list[list[int]]:
     """Split class c by the sorted (key, vertex) pairs of its members into
@@ -133,14 +131,14 @@ def _distance_ranks(graphs: list[tuple[int, tuple[tuple[int, int], ...]]]) -> li
     frontier, keys = reached, []
     while len(src):
         new = np.zeros_like(reached)
-        new[src[starts]] = np.bitwise_or.reduceat(frontier[dst], starts, axis=0)
+        new[src[starts]] = np.bitwise_or.reduceat(np.take(frontier, dst, axis=0), starts, axis=0)
         new &= ~reached
         if not new.any():
             break
         reached = reached | new
-        keys.append(-_POPCOUNT[new.view(np.uint8)].sum(axis=1, dtype=np.int64))
+        keys.append(-np.bitwise_count(new).sum(axis=1, dtype=np.int64))
         frontier = new
-    key = np.stack([gid, _POPCOUNT[reached.view(np.uint8)].sum(axis=1, dtype=np.int64) - sizes[gid], *keys])
+    key = np.stack([gid, np.bitwise_count(reached).sum(axis=1, dtype=np.int64) - sizes[gid], *keys])
     order = np.lexsort(key[::-1])
     key = key[:, order]
     dense = np.cumsum(np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)])

@@ -277,62 +277,77 @@ def _add_common(sp, approx_opt=False, json_opt=False, csv_opt=False, dot_opt=Fal
         sp.add_argument("--dot", nargs="?", const="-", default=None, metavar="PATH")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("info", "potential", "ball", "project", "timeline", "robustness", "merge-tree", "selftest")
+
+
+def _add_command(sub, name: str) -> None:
+    """Add the subparser of command `name` to `sub`."""
+    match name:
+        case "info":
+            sp = sub.add_parser(name, help="normalized edge table, scale, diameter")
+            _add_common(sp)
+            fn = cmd_info
+        case "potential":
+            sp = sub.add_parser(name, help="eccentricity range, centers, extrema")
+            _add_common(sp, approx_opt=True, json_opt=True)
+            fn = cmd_potential
+        case "ball":
+            sp = sub.add_parser(name, help="closed ball about a point")
+            _add_common(sp, json_opt=True)
+            sp.add_argument("--edge", required=True, help="user edge index")
+            sp.add_argument("--t", required=True, help="offset along the edge, user units")
+            sp.add_argument("--radius", required=True, help="radius, user units")
+            sp.add_argument("--user-units", action="store_true", dest="user_units")
+            fn = cmd_ball
+        case "project":
+            sp = sub.add_parser(name, help="quotient level at a radius")
+            _add_common(sp, json_opt=True, dot_opt=True)
+            sp.add_argument("--radius", required=True, help="radius, user units")
+            fn = cmd_project
+        case "timeline":
+            sp = sub.add_parser(name, help="fingerprints over the critical grid")
+            _add_common(sp, json_opt=True, csv_opt=True)
+            fn = cmd_timeline
+        case "robustness":
+            sp = sub.add_parser(name, help="embedding-radius bracket")
+            _add_common(sp, approx_opt=True)
+            sp.add_argument(
+                "--exact",
+                action="store_true",
+                help="also report the least merge radius among the failing level's representatives",
+            )
+            fn = cmd_robustness
+        case "merge-tree":
+            sp = sub.add_parser(name, help="merge-radius matrix and dendrogram")
+            _add_common(sp, json_opt=True, csv_opt=True)
+            sp.add_argument("--resolution", required=True, help="sample step 1/k")
+            sp.add_argument("--user-units", action="store_true", dest="user_units")
+            fn = cmd_merge_tree
+        case "selftest":
+            sp = sub.add_parser(name, help="run invariant checks on built-in fixtures")
+            fn = cmd_selftest
+    sp.set_defaults(fn=fn)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with the one subparser of `command` if it names one
+    of `COMMANDS`, else with all of them."""
     ap = argparse.ArgumentParser(
         prog="ballflow",
         description="Exact ball-expansion evolution engine for finite metric graphs",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("info", help="normalized edge table, scale, diameter")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_info)
-
-    sp = sub.add_parser("potential", help="eccentricity range, centers, extrema")
-    _add_common(sp, approx_opt=True, json_opt=True)
-    sp.set_defaults(fn=cmd_potential)
-
-    sp = sub.add_parser("ball", help="closed ball about a point")
-    _add_common(sp, json_opt=True)
-    sp.add_argument("--edge", required=True, help="user edge index")
-    sp.add_argument("--t", required=True, help="offset along the edge, user units")
-    sp.add_argument("--radius", required=True, help="radius, user units")
-    sp.add_argument("--user-units", action="store_true", dest="user_units")
-    sp.set_defaults(fn=cmd_ball)
-
-    sp = sub.add_parser("project", help="quotient level at a radius")
-    _add_common(sp, json_opt=True, dot_opt=True)
-    sp.add_argument("--radius", required=True, help="radius, user units")
-    sp.set_defaults(fn=cmd_project)
-
-    sp = sub.add_parser("timeline", help="fingerprints over the critical grid")
-    _add_common(sp, json_opt=True, csv_opt=True)
-    sp.set_defaults(fn=cmd_timeline)
-
-    sp = sub.add_parser("robustness", help="embedding-radius bracket")
-    _add_common(sp, approx_opt=True)
-    sp.add_argument(
-        "--exact",
-        action="store_true",
-        help="also report the least merge radius among the failing level's representatives",
-    )
-    sp.set_defaults(fn=cmd_robustness)
-
-    sp = sub.add_parser("merge-tree", help="merge-radius matrix and dendrogram")
-    _add_common(sp, json_opt=True, csv_opt=True)
-    sp.add_argument("--resolution", required=True, help="sample step 1/k")
-    sp.add_argument("--user-units", action="store_true", dest="user_units")
-    sp.set_defaults(fn=cmd_merge_tree)
-
-    sp = sub.add_parser("selftest", help="run invariant checks on built-in fixtures")
-    sp.set_defaults(fn=cmd_selftest)
-
+    for name in [command] if command in COMMANDS else COMMANDS:
+        _add_command(sub, name)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser, whose usage lists every command, reports what no subparser takes
+    args, unknown = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if unknown:
+        build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

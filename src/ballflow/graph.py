@@ -48,17 +48,16 @@ from .errors import InternalConsistencyError, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# load_graph() refuses more unit edges than this.  Memory grows as E^2: the vertex
-# distance matrix, the frontier of _distance_matrix (8 bytes per pair of one hop)
+# load_graph() refuses more unit edges than this, so every distance and degree
+# fits the int16 vertex distance matrix.  Memory grows as E^2: that matrix (2
+# bytes per pair), the frontier of _distance_matrix (8 bytes per pair of one hop)
 # and levelkeys' int8 key rows (points x edges).  project at radius 3/2 peaked at
-# 72, 107, 197 and 337 MB RSS at 971, 2,028, 2,901 and 3,967 unit edges of
-# random_connected graphs, and loading a star of 4,000 unit edges at 299 MB (2
+# 44, 77, 125 and 205 MB RSS at 971, 2,028, 2,901 and 3,967 unit edges of
+# random_connected graphs, and loading a star of 4,000 unit edges at 189 MB (2
 # x86-64 cores).  No fixture or benchmark graph has more than 200.
 MAX_UNIT_EDGES = 4_000
 # entries per chunk of _quarter_eccentricities, levelkeys and canon's frontier block
 _CHUNK_ENTRIES = 1 << 20
-# (source, vertex) pairs stepped per slice of _distance_matrix's frontier
-_BFS_SLICE = 1 << 18
 
 
 def parse_rational(text: str) -> Fraction:
@@ -134,6 +133,7 @@ class MetricGraph:
         if (self._dist < 0).any():
             raise ValidationError("graph is disconnected")
         self._phi8: np.ndarray | None = None
+        self._diameter: Fraction | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -176,8 +176,9 @@ class MetricGraph:
     # -- distances to vertices and per-edge peaks ---------------------------
 
     def vertex_distance_matrix(self) -> np.ndarray:
-        """All-pairs graph distance on unit edges, as a (V, V) int64 matrix
-        filled at construction by `_distance_matrix`."""
+        """All-pairs graph distance on unit edges, as a (V, V) matrix filled at
+        construction by `_distance_matrix`: int16 for any graph `load_graph`
+        accepts, so widen it before arithmetic that could pass the type."""
         return self._dist
 
     def scaled_distances(self, p: GraphPoint, L: int) -> tuple[int, list[int]]:
@@ -233,14 +234,17 @@ class MetricGraph:
 
     def _quarter_eccentricities(self) -> np.ndarray:
         """Phi at the offsets k/4, k = 0..4, of every unit edge, in eighths: an
-        (E, 5) read-only int64 table of `peaks`' formulas (see the module
-        docstring), computed once per graph."""
+        (E, 5) read-only table of `peaks`' formulas (see the module
+        docstring), computed once per graph, in the narrowest signed type that
+        holds its largest term, 12 + 8 max D: int16 while max D <= 4,094."""
         if self._phi8 is not None:
             return self._phi8
         D = self.vertex_distance_matrix()
         E = self.num_edges
-        k = np.arange(5, dtype=np.int64)
-        table = np.empty((E, 5), dtype=np.int64)
+        work = next(t for t in (np.int16, np.int32, np.int64) if 12 + 8 * int(D.max()) <= np.iinfo(t).max)
+        D = D.astype(work, copy=False)
+        k = np.arange(5, dtype=work)
+        table = np.empty((E, 5), dtype=work)
         step = max(1, _CHUNK_ENTRIES // (5 * E))
         for lo in range(0, E, step):
             own = np.arange(lo, min(lo + step, E))
@@ -274,8 +278,11 @@ class MetricGraph:
         return PotentialProfile(m=m, M=M, centers=centers, extrema=extrema)
 
     def diameter(self) -> Fraction:
-        """Exact diameter: the largest eccentricity, read off the quarter grid."""
-        return Fraction(int(self._quarter_eccentricities().max()), 8)
+        """Exact diameter: the largest eccentricity, read off the quarter grid
+        once per graph."""
+        if self._diameter is None:
+            self._diameter = Fraction(int(self._quarter_eccentricities().max()), 8)
+        return self._diameter
 
     # -- conversions ---------------------------------------------------------
 
@@ -336,25 +343,31 @@ class MetricGraph:
 
 def _distance_matrix(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     """All-pairs hop distances of a multigraph on n vertices, as an (n, n)
-    int64 matrix with -1 where a vertex is never reached.
+    matrix with -1 where a vertex is never reached, in the narrowest signed
+    type above n and every degree: int16 for any graph `load_graph` accepts.
 
     One breadth-first search from every source at once.  The frontier of hop
     h lists the pairs (s, v) with d(s, v) = h, as s * n + v.  A hop steps
     each pair along v's half-edges (loops reach nothing new and are dropped),
     keeps the pairs not reached yet, and keeps one copy of each: every copy
-    writes its own negative tag into the matrix, and the copy whose tag
-    stayed is kept.  The work is about n times the number of half-edges
-    whatever the diameter; a bit-packed frontier like canon's costs the
-    diameter times n^2/64 words, about 14 times slower than one Python BFS
-    per source on a path of 4,000 unit edges.  Slices of about _BFS_SLICE
-    stepped pairs bound the memory a hub would multiply.
+    writes its own tag, -2 - i, into the matrix, and the copy whose tag
+    stayed is kept.  So a slice of the frontier steps at most `cap`
+    candidates, as many as the type has tags; a pair has its vertex's degree
+    of them, fewer.  A hop that fits in one slice is stepped whole.  The work
+    is about n times the number of half-edges whatever the diameter; a
+    bit-packed frontier like canon's costs the diameter times n^2/64 words,
+    about 14 times slower than one Python BFS per source on a path of 4,000
+    unit edges.
     """
     e = np.array([(a, b) for a, b in edges if a != b], dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([e[:, 0], e[:, 1]])
     dst = np.concatenate([e[:, 1], e[:, 0]])[np.argsort(src, kind="stable")]
     deg = np.bincount(src, minlength=n)
     first = np.cumsum(deg) - deg
-    dist = np.full(n * n, -1, dtype=np.int64)
+    bound = max(n, int(deg.max(initial=0)) + 1)
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound < np.iinfo(t).max)
+    cap = np.iinfo(dtype).max - 1
+    dist = np.full(n * n, -1, dtype=dtype)
     frontier = [np.arange(n) * (n + 1)]
     dist[frontier[0]] = 0
     h = 0
@@ -362,13 +375,15 @@ def _distance_matrix(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
         h += 1
         reached = []
         for pairs in frontier:
-            ends = np.cumsum(deg[pairs % n])
-            cuts = np.searchsorted(ends, np.arange(_BFS_SLICE, ends[-1], _BFS_SLICE), side="right")
-            for part in np.split(pairs, cuts):
-                v = part % n
-                k = deg[v]
-                half = np.arange(k.sum()) + np.repeat(first[v] - np.cumsum(k) + k, k)
-                new = np.repeat(part - v, k) + dst[half]
+            v = pairs % n
+            k = deg[v]
+            ends = np.cumsum(k)
+            # candidate c of a pair steps along its vertex's half-edge c + off
+            off, row = first[v] + k - ends, pairs - v
+            lo = base = 0
+            while lo < len(pairs):
+                hi = len(pairs) if ends[-1] - base <= cap else int(np.searchsorted(ends, base + cap, side="right"))
+                new = np.repeat(row[lo:hi], k[lo:hi]) + dst[np.arange(base, ends[hi - 1]) + np.repeat(off[lo:hi], k[lo:hi])]
                 new = new[dist[new] == -1]
                 tag = -2 - np.arange(len(new))
                 dist[new] = tag
@@ -376,6 +391,7 @@ def _distance_matrix(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
                 dist[new] = h
                 if len(new):
                     reached.append(new)
+                lo, base = hi, int(ends[hi - 1])
         frontier = reached
     return dist.reshape(n, n)
 

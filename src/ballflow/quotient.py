@@ -397,8 +397,9 @@ def _level(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()):
 def _phi(g: MetricGraph, cells, S: int) -> np.ndarray:
     """8q * Phi at each point (edge, offset * S), such as a level's vertex
     cells, q = S / 4: interpolated between the quarter-point table's eighths;
-    the ball of radius r is X iff it is at most 8q * r."""
-    T = g._quarter_eccentricities()
+    the ball of radius r is X iff it is at most 8q * r.  The table is
+    narrow, so it is widened before the products."""
+    T = g._quarter_eccentricities().astype(np.int64)
     q = S // 4
     e, t = cells[:, 0], cells[:, 1]
     k = np.minimum(t // q, 3)

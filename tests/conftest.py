@@ -500,6 +500,22 @@ def key_rows_reference(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray
     return np.concatenate([h, l], axis=1)
 
 
+def quarter_table_oracle(g: MetricGraph) -> np.ndarray:
+    """`MetricGraph._quarter_eccentricities` recomputed in int64, one edge at a
+    time: Phi at the offsets k/4 of every edge, in eighths, as the largest of
+    the tent peaks of the other edges and the split peak on its own."""
+    D = g.vertex_distance_matrix().astype(np.int64)
+    tails, heads = np.array(g.edges, dtype=np.int64).T
+    k = np.arange(5, dtype=np.int64)
+    table = np.empty((g.num_edges, 5), dtype=np.int64)
+    for e, (u, v) in enumerate(g.edges):
+        dq = np.minimum(k[:, None] + 4 * D[u], (4 - k)[:, None] + 4 * D[v])
+        peaks = 4 + dq[:, tails] + dq[:, heads]
+        peaks[:, e] = np.maximum(dq[:, u] + k, dq[:, v] + 4 - k)
+        table[e] = peaks.max(axis=1)
+    return table
+
+
 def distance_oracle(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     """The (n, n) int64 vertex distance matrix of a multigraph by one
     breadth-first search per source, -1 where a source is never reached."""

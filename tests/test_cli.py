@@ -735,3 +735,37 @@ class TestBlasThreads:
 
     def test_users_value_wins(self):
         assert self.child("3")[1] == "3"
+
+
+class TestLeanParser:
+    """`main` builds only the subparser that its command names."""
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_help_equals_the_full_parsers(self, name, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as lean:
+            cli.main([name, "--help"])
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args([name, "--help"])
+        assert (lean.value.code, got) == (full.value.code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv,built",
+        [
+            (["info", "builtin:path"], ["info"]),
+            ([], list(cli.COMMANDS)),
+            (["frobnicate"], list(cli.COMMANDS)),
+            # the top-level parser refuses it, with every command in its usage
+            (["info", "builtin:path", "--bogus"], ["info", *cli.COMMANDS]),
+        ],
+    )
+    def test_subparsers_built(self, argv, built, monkeypatch, capsys):
+        names = []
+        add = cli._add_command
+        monkeypatch.setattr(cli, "_add_command", lambda sub, name: names.append(name) or add(sub, name))
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        assert names == built

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,17 @@ from ballflow import fixtures
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.graph import MAX_UNIT_EDGES, GraphPoint, _distance_matrix, load_graph, parse_rational, format_rational
 
-from conftest import assert_eccentricity_matches_oracle, distance_oracle, ecc_oracle, grid_points, potential_oracle
+from conftest import (
+    assert_eccentricity_matches_oracle,
+    distance_oracle,
+    ecc_oracle,
+    grid_points,
+    potential_oracle,
+    quarter_table_oracle,
+)
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def doc(vertices, edges, name="g"):
@@ -34,6 +46,14 @@ LOLLIPOP_DOC = doc(["a", "b"], [("a", "b", "1"), ("a", "a", "1")], name="lollipo
 # one vertex with a loop: Phi is 1/2 everywhere, where the tent of the loop
 # reads 3/4 at offset 1/4
 LOOP_DOC = doc(["a"], [("a", "a", "1")], name="loop")
+
+
+@pytest.fixture(scope="module")
+def path4000():
+    """A path of MAX_UNIT_EDGES unit edges: as many hops, and max D = 4,000,
+    so the Phi kernel's terms are bounded by 12 + 8 * 4,000 = 32,012
+    eighths, near int16's 32,767."""
+    return load_graph(doc(list(range(MAX_UNIT_EDGES + 1)), [(i, i + 1, 1) for i in range(MAX_UNIT_EDGES)]))
 
 
 class TestIngestion:
@@ -199,6 +219,20 @@ class TestDistanceMatrix:
             loaded[connected] += 1
         assert min(loaded.values()) >= 100, loaded
 
+    def test_path_of_4000_unit_edges(self, path4000):
+        D = path4000.vertex_distance_matrix()
+        assert D.dtype == np.int16 and D.max() == MAX_UNIT_EDGES
+        assert np.array_equal(D, distance_oracle(path4000.num_vertices, path4000.edges))
+
+    def test_star_of_4000_leaves(self):
+        """The hub has degree 4,000, so hop 2 steps 16 million candidate pairs
+        in slices whose int16 tags, one per candidate not yet reached, must
+        not wrap."""
+        n, edges = MAX_UNIT_EDGES + 1, [(0, i) for i in range(1, MAX_UNIT_EDGES + 1)]
+        D = _distance_matrix(n, edges)
+        assert D.dtype == np.int16
+        assert np.array_equal(D, distance_oracle(n, edges))
+
     def test_1046_unit_edges(self):
         g = fixtures.random_connected(500, 250, 1)
         assert g.num_edges == 1046
@@ -285,12 +319,34 @@ class TestPotentialProfile:
         assert g.diameter() == oracle.M
 
 
+class TestQuarterTable:
+    """The Phi table, int16 while 12 + 8 max D fits, against the int64 route."""
+
+    def test_big200(self):
+        g = load_graph(workloads.big200_document())
+        assert g._quarter_eccentricities().dtype == np.int16
+        assert np.array_equal(g._quarter_eccentricities(), quarter_table_oracle(g))
+
+    def test_path_of_4000_unit_edges(self, path4000):
+        T = path4000._quarter_eccentricities()
+        assert T.dtype == np.int16 and T.max() == 8 * MAX_UNIT_EDGES
+        assert np.array_equal(T, quarter_table_oracle(path4000))
+
+
 class TestDiameter:
     @pytest.mark.parametrize(
         "name,expect", [("path", 2), ("c4", 2), ("c6", 3), ("theta", 2)]
     )
     def test_fixture_diameters(self, name, expect):
         assert fixtures.builtin(name).diameter() == expect
+
+    def test_reads_the_table_once(self, monkeypatch):
+        g = fixtures.comb(3)
+        calls = []
+        table = g._quarter_eccentricities
+        monkeypatch.setattr(g, "_quarter_eccentricities", lambda: calls.append(1) or table())
+        assert g.diameter() == g.diameter() == potential_oracle(g).M
+        assert len(calls) == 1
 
     def test_diameter_vs_pairwise_sampling(self):
         for seed in range(3):

@@ -16,7 +16,8 @@ of those points against `closed_ball_oracle`, and the class arrays of
 `quotient._classes` against `project`.  At every k/24 up to the diameter,
 `ball_row` about each vertex and the point at 1/3 of each edge is checked
 against `closed_ball` and `closed_ball_oracle`.  Each
-graph's distance matrix is checked against `distance_oracle`, and so are
+graph's int16 distance matrix is checked against `distance_oracle`, its
+int16 quarter-point Phi table against `quarter_table_oracle`, and so are
 `point_distance` between every two quarter points and `point_vertex_distances`
 at each: `distance_oracle` on the unit graph cut into quarter edges, over 4.
 Also checked are its potential
@@ -57,6 +58,7 @@ from conftest import (
     orientation_oracle,
     pairwise_matrix,
     potential_oracle,
+    quarter_table_oracle,
     timeline_oracle,
 )
 from test_balls import assert_rows_are_balls
@@ -130,7 +132,16 @@ def test_every_small_timeline_equals_the_per_locus_oracle():
 
 def test_every_small_graph_distance_matrix():
     for g in small_graphs(*BOUNDS):
-        assert np.array_equal(g.vertex_distance_matrix(), distance_oracle(g.num_vertices, g.edges)), g.name
+        D = g.vertex_distance_matrix()
+        assert D.dtype == np.int16, g.name
+        assert np.array_equal(D, distance_oracle(g.num_vertices, g.edges)), g.name
+
+
+def test_every_small_graph_phi_table():
+    for g in small_graphs(*BOUNDS):
+        T = g._quarter_eccentricities()
+        assert T.dtype == np.int16, g.name
+        assert np.array_equal(T, quarter_table_oracle(g)), g.name
 
 
 def test_every_small_graph_point_distances_on_the_quarter_grid():
