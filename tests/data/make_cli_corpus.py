@@ -12,8 +12,8 @@ path on a command line (and in an error message) is relative.
 
 With `BALLFLOW_DEEP=1` the script also writes `cli_corpus_deep.json`, the
 commands of `deep_commands()` on random graphs of 2,028 and 3,967 unit edges
-(10–20 s), which `tests/test_cli_corpus.py` replays under the same
-variable.
+and a merge tree of comb5's 753 points at step 1/16 (about 7 s on 2 x86-64
+cores), which `tests/test_cli_corpus.py` replays under the same variable.
 """
 
 from __future__ import annotations
@@ -110,6 +110,10 @@ def commands() -> list[list[str]]:
         # a non-dyadic grid
         ["merge-tree", "builtin:theta", "--resolution", "1/3", "--json"],
         ["merge-tree", "builtin:path", "--resolution", "1/5", "--csv"],
+        # the benchmark's shape; a graph that merges early and fast; 150 points
+        ["merge-tree", "builtin:comb5", "--resolution", "1/2", "--json"],
+        ["merge-tree", "rand40.json", "--resolution", "1/8", "--json"],
+        ["merge-tree", "big200.json", "--resolution", "1", "--json"],
         ["ball", "builtin:theta", "--edge", "0", "--t", "1/3", "--radius", "123456789012345678901/100000000000000000000", "--json"],
         ["ball", "builtin:comb5", "--edge", "5", "--t", "1/7", "--radius", "1/1000000000000000000000", "--json"],
         ["ball", "builtin:c6", "--edge", "2", "--t", "2/5", "--radius", "7/10", "--user-units", "--json"],
@@ -143,6 +147,8 @@ def deep_commands() -> list[list[str]]:
     return [
         ["timeline", "rand1000.json", "--json"],
         ["project", "rand2000.json", "--radius", "131/8", "--json"],
+        # 753 points, more representatives than fit one sweep call of several radii
+        ["merge-tree", "builtin:comb5", "--resolution", "1/16", "--json"],
     ]
 
 
