@@ -13,8 +13,9 @@ an uncovered side and (S, 0) for the whole edge, merged on the centre's edge
 
 The middle ball: if R < t < S - R, the ball reaches neither end of e, and
 every path off e passes an end, so it is [t - R, t + R] alone, holds no
-vertex, and every pair of its row reads (-1, S + 1).  As R is fixed per
-call, t fixes the ball, which is encoded as (-2 - t, S + 1) in e's pair.
+vertex, and every pair of its row reads (-1, S + 1).  At one R, t fixes
+the ball, which is encoded as (-2 - t, S + 1) in e's pair; rows keyed at
+several radii in one call (the merge sweep) are grouped with their R.
 Every other ball holds a vertex, so its centre interval joins a side and
 its row is the exact (h, l) form of the set: rows are equal iff balls are.
 
@@ -49,13 +50,17 @@ from .graph import _CHUNK_ENTRIES, MetricGraph
 INT64_SAFE = 1 << 60
 
 
-def ball_keys(g: MetricGraph, r: Fraction, cells, S: int):
+def ball_keys(g: MetricGraph, r, cells, S: int):
     """Classes of equal closed balls of radius r about the points `cells`,
-    the rows that `key_rows` takes.
+    the rows and radii that `key_rows` takes.
 
-    Returns labels: labels[i] is the least j with ball(j) == ball(i).
+    Returns labels: labels[i] is the least j with ball(j) == ball(i) at the
+    same radius.
     """
-    return group_rows(key_rows(g, r, cells, S))
+    rows = key_rows(g, r, cells, S)
+    if isinstance(r, np.ndarray):  # R's bytes lead each key, as a middle ball's row leaves R out
+        rows = np.hstack([np.asarray(r, np.int64)[:, None].view(rows.dtype), rows])
+    return group_rows(rows)
 
 
 def group_rows(rows: np.ndarray) -> np.ndarray:
@@ -88,12 +93,14 @@ def with_distances(g: MetricGraph, cells, S: int) -> np.ndarray:
     return out
 
 
-def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
+def key_rows(g: MetricGraph, r, cells, S: int) -> np.ndarray:
     """The (P, 2E) rows of the module docstring, one per cell: `cells` are
-    rows (edge, offset * S), or the rows of `with_distances`."""
-    r = Fraction(r)
+    rows (edge, offset * S), or the rows of `with_distances`; r is one radius
+    for every row, or an integer ndarray of each row's R = r * S."""
     E, V, P = g.num_edges, g.num_vertices, len(cells)
-    if (r * S).denominator != 1:
+    per_row = isinstance(r, np.ndarray)
+    R = r if per_row else Fraction(r) * S
+    if not per_row and R.denominator != 1:
         raise InternalConsistencyError(f"{g.name}: radius {r} is off the 1/{S} grid of the cells")
     cells = np.asarray(cells)
     off = np.flatnonzero((cells[:, :2] < 0).any(axis=1) | (cells[:, 0] >= E) | (cells[:, 1] > S))[:8]
@@ -101,17 +108,17 @@ def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
         raise InternalConsistencyError(f"{g.name}: cells {off.tolist()} lie off the graph at radius {r}")
     if cells.shape[1] == 2:
         cells = with_distances(g, cells, S)
-    R = int(r * S)
+    R = R.astype(cells.dtype) if per_row else int(R)
     narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
     ends = np.concatenate([g.tails, V + g.heads])  # the reach rows of h's columns, then l's
     rows = np.empty((P, 2 * E), dtype=narrow)
     step = max(1, _CHUNK_ENTRIES // max(E, V))
     for lo in range(0, P, step):
         e = cells[lo : lo + step, 0].astype(np.int64)
-        t = cells[lo : lo + step, 1]
+        t, Rc = cells[lo : lo + step, 1], R[lo : lo + step] if per_row else R
         # c(w), then S - c(w), vertex-major so that the gather copies whole rows
         reach = np.empty((2 * V, len(e)), dtype=narrow)
-        np.clip(R - cells[lo : lo + step, 2:].T, -1, S, out=reach[:V], casting="unsafe")
+        np.clip(Rc - cells[lo : lo + step, 2:].T, -1, S, out=reach[:V], casting="unsafe")
         np.subtract(S, reach[:V], out=reach[V:])
         # the rows edge-major, then one transposed copy
         cols = reach[ends]
@@ -120,7 +127,7 @@ def key_rows(g: MetricGraph, r: Fraction, cells, S: int) -> np.ndarray:
         h += (S - h) * w
         l *= 1 - w
         own = np.arange(len(e))
-        h[e, own], l[e, own] = _center_edge(S, R, t, h[e, own], l[e, own])
+        h[e, own], l[e, own] = _center_edge(S, Rc, t, h[e, own], l[e, own])
         rows[lo : lo + step] = cols.T
     return rows
 

@@ -4,10 +4,10 @@ The merge radius of two points is the smallest r at which their closed
 r-balls coincide.  Ball equality is monotone in r (a larger ball is the
 dilation of a smaller one), and every merge radius of a point set lies on the
 grid k/den, den = lcm(2, offset denominators).  `merge_tree` therefore sweeps
-that grid once, with one `ball_keys` call per radius for one point of each
-class of equal balls, until one class is left; each radius where classes
-merge is one event of the dendrogram, and the merge-radius matrix and
-`ball_check` (on integer `ball_row`s) read the events.  `merge_radius` takes
+that grid once, keying one point of each class of equal balls at a block of
+consecutive radii per `ball_keys` call, until one class is left; each radius
+where classes merge is one event of the dendrogram, and the merge-radius
+matrix and `ball_check` (on integer `ball_row`s) read the events.  `merge_radius` takes
 one pair's radius in closed form (proof below).  The bisections over exact
 balls in `tests/conftest.py` (`merge_radius_oracle`, `extinction_oracle`),
 `ultrametric_check` and `dendrogram_from_matrix` are the oracles.
@@ -76,12 +76,14 @@ from .graph import GraphPoint, MetricGraph
 from .levelkeys import INT64_SAFE, ball_keys, group_rows, with_distances
 
 # Cap on the points of `sample_points`.  The cost grows about as the square
-# of the point count: `merge-tree builtin:path --csv`, which writes one row
-# per pair, took 1.4 s, 6.0 s and 31 s with 59, 145 and 498 MB peak RSS at
-# 501, 1,001 and 2,001 points, and `--json` alone 9.3 s and 614 MB at 4,001
-# (2 x86-64 cores).  The largest sample of the tests and the benchmark is
-# 753 points (comb5 at step 1/16).
+# of the point count: at 1,999 points (`merge-tree builtin:path --resolution
+# 1/999`), `--csv -`, one row per pair, took 34-42 s and 495 MB peak RSS, and
+# `--json` 4.2-5.6 s and 172 MB (2 x86-64 cores, Python 3.11).  The largest
+# sample of the tests and the benchmark is 753 points (comb5 at step 1/16).
 MAX_SAMPLE_POINTS = 2_000
+# Rows per sweep call: a `ball_keys` call costs about 70 us whatever its size
+# and 0.5-1 us per row, so few representatives are keyed at several radii.
+SWEEP_BLOCK_ROWS = 512
 
 # each graph's own {(point, radius): ball} memo for the tests' bisections, dropped with
 # the graph; kept while perfbench/layertrace.py counts `_cached_ball` (ROADMAP 5)
@@ -138,7 +140,14 @@ class MergeMatrix:
 def _merge_sweep(g: MetricGraph, cells, S: int):
     """Yield (r, label) at each grid radius where classes of equal balls about
     the points `cells`, integer rows (edge, offset * S) that give each point
-    by one row only, merge; label[i] is the least index in i's class."""
+    by one row only, merge; label[i] is the least index in i's class.
+
+    One `ball_keys` call keys the representatives at a block's start at each
+    of the block's b = max(1, SWEEP_BLOCK_ROWS // representatives) radii.  The
+    partitions are nested as r grows, so the classes at the block's start
+    refine those at every radius of the block: each radius's labels compose
+    onto the labels at the block's start, and a radius where the class count
+    falls is an event."""
     label = group_rows(cells)
     reps = np.flatnonzero(label == np.arange(len(cells)))  # one point per class, ascending
     if len(reps) < len(cells):
@@ -146,17 +155,22 @@ def _merge_sweep(g: MetricGraph, cells, S: int):
     m = S // math.gcd(S, *cells[:, 1].tolist())  # the offsets' least common denominator
     den = math.lcm(2, m)
     cells = with_distances(g, np.stack([cells[:, 0], cells[:, 1] // (S // m) * (den // m)], axis=1), den)
-    hi = (g.diameter() * den).__ceil__()
-    for k in range(1, hi + 1):
-        if len(reps) < 2:
-            return
-        same = ball_keys(g, Fraction(k, den), cells[reps], den)
-        if (same < np.arange(len(reps))).any():
-            to = np.arange(len(cells))
-            to[reps] = reps[same]
-            label = to[label]
-            reps = reps[same == np.arange(len(reps))]
-            yield Fraction(k, den), label.copy()
+    hi, k = (g.diameter() * den).__ceil__(), 1
+    while len(reps) > 1 and k <= hi:
+        n, ks = len(reps), range(k, min(hi + 1, k + max(1, SWEEP_BLOCK_ROWS // len(reps))))
+        if len(ks) == 1:  # one radius, keyed as a scalar with no R column
+            same = ball_keys(g, Fraction(k, den), cells[reps], den)[None]
+        else:
+            same = ball_keys(g, np.repeat(ks, n), cells[np.tile(reps, len(ks))], den).reshape(-1, n) % n
+        start, classes = label, n
+        for k, s in zip(ks, same):
+            kept = s == np.arange(n)
+            if np.count_nonzero(kept) < classes:
+                classes, to = np.count_nonzero(kept), np.arange(len(cells))
+                to[reps] = reps[s]
+                label = to[start]
+                yield Fraction(k, den), label
+        reps, k = reps[kept], k + 1
     if len(reps) > 1:
         raise InternalConsistencyError(
             f"balls about points {reps.tolist()} of {g.name} differ at the diameter {Fraction(hi, den)}"

@@ -25,7 +25,10 @@ check the gluing direction that the `quotient` docstring proves.
 merge_radius_oracle and extinction_oracle find the first radius of equal
 balls, and of the whole graph, by bisection over exact balls memoized in
 `mergetree._ball_cache`, against the closed forms `merge_radius` and
-`eccentricity` and the merge sweep.
+`eccentricity` and the merge sweep.  merge_sweep_oracle is the merge sweep
+with one `ball_keys` call per grid radius, against which the sweep's blocks
+of radii are checked; it keys with `levelkeys`, as the sweep does, and
+checks only how the sweep composes the blocks' labels.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ballflow.balls import _FULL_ROW, BallSet, Interval, ball_row, closed_ball, 
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import TimelineEntry, timeline_loci
 from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
-from ballflow.levelkeys import _center_edge, key_rows
+from ballflow.levelkeys import _center_edge, ball_keys, group_rows, key_rows, with_distances
 from ballflow.mergetree import MergeMatrix, _cached_ball
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
 
@@ -225,6 +228,32 @@ def extinction_oracle(g: MetricGraph, p: GraphPoint) -> Fraction:
         else:
             lo = mid + 1
     return Fraction(lo, den)
+
+
+def merge_sweep_oracle(g: MetricGraph, cells, S: int):
+    """`mergetree._merge_sweep` with one `ball_keys` call per grid radius, on
+    the representatives left after the last merge: the sweep whose (r, label)
+    sequence the block sweep must yield."""
+    label = group_rows(cells)
+    reps = np.flatnonzero(label == np.arange(len(cells)))
+    if len(reps) < len(cells):
+        yield Fraction(0), label.copy()
+    m = S // math.gcd(S, *cells[:, 1].tolist())
+    den = math.lcm(2, m)
+    cells = with_distances(g, np.stack([cells[:, 0], cells[:, 1] // (S // m) * (den // m)], axis=1), den)
+    hi = (g.diameter() * den).__ceil__()
+    for k in range(1, hi + 1):
+        if len(reps) < 2:
+            return
+        same = ball_keys(g, Fraction(k, den), cells[reps], den)
+        if (same < np.arange(len(reps))).any():
+            to = np.arange(len(cells))
+            to[reps] = reps[same]
+            label = to[label]
+            reps = reps[same == np.arange(len(reps))]
+            yield Fraction(k, den), label.copy()
+    if len(reps) > 1:
+        raise InternalConsistencyError(f"balls about points {reps.tolist()} of {g.name} differ at the diameter")
 
 
 def pairwise_matrix(g: MetricGraph, points) -> MergeMatrix:

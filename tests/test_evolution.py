@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ballflow import evolution, fixtures, mergetree, quotient
@@ -10,6 +11,7 @@ from ballflow.graph import load_graph
 from ballflow.mergetree import merge_radius
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
+import conftest
 from conftest import candidate_grid, relabeled, robustness_oracle, timeline_oracle
 from test_acceptance import big_graph
 from test_small_graphs import BOUNDS, small_graphs
@@ -132,17 +134,27 @@ class TestRobustness:
     def test_exact_failure_keys_17_radii_on_comb5(self, monkeypatch):
         """The sweep's work, counted: comb5 fails at 9/8, whose level's
         midpoints lie on 1/16, so the sweep keys 1/16 ... 17/16, its first
-        merge; the doubled grid took 34 calls."""
-        real = mergetree.ball_keys
-        radii = []
+        merge; the doubled grid took 34 calls.  Its 565 representatives are
+        more than a block of two radii holds, so each call keys one radius,
+        on the rows that the one-radius-per-call sweep keys."""
+        real, calls = mergetree.ball_keys, {mergetree: [], conftest: []}
 
-        def counted(g, r, cells, S):
-            radii.append(r)
-            return real(g, r, cells, S)
+        def counted(module):
+            def keyed(g, r, cells, S):
+                radii = {F(r)} if np.ndim(r) == 0 else {F(R, S) for R in r.tolist()}
+                calls[module].append((radii, np.asarray(cells)[:, :2].tolist()))
+                return real(g, r, cells, S)
 
-        monkeypatch.setattr(mergetree, "ball_keys", counted)
-        assert _exact_failure(fixtures.comb(5), F(9, 8)) == F(17, 16)
-        assert radii == [F(k, 16) for k in range(1, 18)]
+            return keyed
+
+        for module in calls:
+            monkeypatch.setattr(module, "ball_keys", counted(module))
+        g = fixtures.comb(5)
+        assert _exact_failure(g, F(9, 8)) == F(17, 16)
+        assert [radii for radii, _ in calls[mergetree]] == [{F(k, 16)} for k in range(1, 18)]
+        c = quotient._cells(g, F(9, 8))
+        assert next(conftest.merge_sweep_oracle(g, c.representatives(), c.S))[0] == F(17, 16)
+        assert calls[mergetree] == calls[conftest]
 
     @pytest.mark.parametrize("name", ["path", "theta", "c6", "comb3"])
     def test_exact_failure_is_min_pairwise_merge_radius(self, name):

@@ -334,6 +334,25 @@ def test_key_rows_match_reference_over_many_chunks(name, monkeypatch):
         assert_rows_match_reference(g, *level_key_cells(g, r))
 
 
+@pytest.mark.parametrize("chunk", [None, 8], ids=["one-chunk", "chunks-of-2"])
+def test_a_radius_per_row_keys_each_row_at_its_radius(chunk, monkeypatch):
+    """An integer array of R = r * S per row gives the rows of one call per
+    radius, and `ball_keys` groups rows of one radius only.  On the theta at
+    S = 8, (0, 4) is a middle ball at R = 1 and at R = 2, with equal rows, and
+    every ball is whole at R = 24."""
+    if chunk:
+        monkeypatch.setattr(levelkeys, "_CHUNK_ENTRIES", chunk)
+    g, S = fixtures.theta(), 8
+    cells = np.array([(0, 4), (1, 4), (0, 0), (2, 8), (1, 2)])
+    Rs = [1, 2, 3, 24]
+    R, tiled = np.repeat(Rs, len(cells)), np.tile(cells, (len(Rs), 1))
+    rows = [levelkeys.key_rows(g, F(k, S), cells, S) for k in Rs]
+    assert levelkeys.key_rows(g, R, tiled, S).tobytes() == np.concatenate(rows).tobytes()
+    assert rows[0][0].tobytes() == rows[1][0].tobytes()
+    labels = [i * len(cells) + levelkeys.ball_keys(g, F(k, S), cells, S) for i, k in enumerate(Rs)]
+    assert levelkeys.ball_keys(g, R, tiled, S).tolist() == np.concatenate(labels).tolist()
+
+
 class TestErrorContext:
     """Engine errors name the graph, the radius and the cells."""
 

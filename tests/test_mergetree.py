@@ -11,6 +11,7 @@ from ballflow import cli, fixtures
 from ballflow import mergetree
 from ballflow.balls import closed_ball, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
+from ballflow.evolution import robustness_radius
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.mergetree import (
     Dendrogram,
@@ -23,6 +24,7 @@ from ballflow.mergetree import (
     sample_points,
     ultrametric_check,
 )
+from ballflow.quotient import _cells
 
 from conftest import (
     brute_classes,
@@ -30,8 +32,10 @@ from conftest import (
     extinction_oracle,
     grid_points,
     merge_radius_oracle,
+    merge_sweep_oracle,
     pairwise_matrix,
 )
+from test_acceptance import big_graph
 
 
 def star4():
@@ -146,6 +150,32 @@ SWEEP_GRAPHS = {
 }
 
 
+def count_sweep_calls(monkeypatch) -> list:
+    """Record each `ball_keys` call of the merge sweep as (its distinct radii
+    in order, its row count)."""
+    real, calls = mergetree.ball_keys, []
+
+    def counted(g, r, cells, S):
+        calls.append(([F(r)] if np.ndim(r) == 0 else [F(R, S) for R in dict.fromkeys(r.tolist())], len(cells)))
+        return real(g, r, cells, S)
+
+    monkeypatch.setattr(mergetree, "ball_keys", counted)
+    return calls
+
+
+def sweep_cells(g, pts):
+    """`merge_tree`'s cell rows (edge, offset * S) of the canonical points, and S."""
+    pts = [g.canonical_point(p) for p in pts]
+    S = math.lcm(*(p.t.denominator for p in pts))
+    return np.array([(p.edge, int(p.t * S)) for p in pts], dtype=np.int64), S
+
+
+def assert_sweeps_agree(g, cells, S):
+    got = [(r, label.tolist()) for r, label in mergetree._merge_sweep(g, cells, S)]
+    assert got == [(r, label.tolist()) for r, label in merge_sweep_oracle(g, cells, S)]
+    assert got
+
+
 def duplicate_vertex_points(g):
     """Vertex u of the theta given by two different incidences, and a point
     at t = 1/3 that refines the sweep grid to sixths."""
@@ -184,19 +214,15 @@ class TestMergeSweep:
         assert_matches_pairwise(theta_g, m)
 
     def test_comb5_keys_one_radius_per_grid_step(self, monkeypatch):
-        """The sweep's work, counted: comb5 at step 1/2 sweeps the grid 1/2 up
-        to its diameter of 32; the doubled grid took 128 calls."""
-        real = mergetree.ball_keys
-        radii = []
-
-        def counted(g, r, cells, S):
-            radii.append(r)
-            return real(g, r, cells, S)
-
-        monkeypatch.setattr(mergetree, "ball_keys", counted)
+        """The sweep's work, counted: comb5 at step 1/2 keys each radius of the
+        grid 1/2 up to its diameter of 32 once, ascending, a block of radii
+        per call; one radius per call took 64 calls, the doubled grid 128."""
+        calls = count_sweep_calls(monkeypatch)
         g = fixtures.comb(5)
         merge_tree(g, sample_points(g, F(1, 2)))
-        assert radii == [F(k, 2) for k in range(1, 65)]
+        assert [r for radii, _ in calls for r in radii] == [F(k, 2) for k in range(1, 65)]
+        assert len(calls) <= 10
+        assert max(rows for _, rows in calls) <= mergetree.SWEEP_BLOCK_ROWS
 
     def test_offsets_past_int64_keys_are_refused(self, path_g):
         """Offsets on 1/2^k need a sweep of 2^k steps per unit radius, whose
@@ -214,6 +240,36 @@ class TestMergeSweep:
         )
         with pytest.raises(InternalConsistencyError, match="differ at the diameter"):
             merge_tree(path_g, sample_points(path_g, F(1, 2))).matrix()
+
+
+class TestSweepBlocks:
+    """The sweep keys a block of radii per call and composes their labels onto
+    the block's start; it yields the (r, label) sequence of the sweep that
+    keys one radius per call, `merge_sweep_oracle`."""
+
+    @pytest.mark.parametrize(
+        "step", [F(1, 2), F(1, 3), F(1, 4), F(1, 6)], ids=["half", "third", "quarter", "sixth"]
+    )
+    @pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
+    def test_sample_points(self, name, step):
+        g = SWEEP_GRAPHS[name]()
+        assert_sweeps_agree(g, *sweep_cells(g, sample_points(g, step)))
+
+    @pytest.mark.parametrize("name, step", [("comb5", F(1, 16)), ("rand40", F(1, 8))], ids=["comb5", "rand40"])
+    def test_fine_grids(self, name, step):
+        """comb5 at 1/16 keys 753 points one radius per call until the classes
+        fall below 257; rand40 at 1/8 merges early and fast."""
+        g = fixtures.comb(5) if name == "comb5" else fixtures.random_connected(40, 20, seed=1)
+        assert_sweeps_agree(g, *sweep_cells(g, sample_points(g, step)))
+
+    @pytest.mark.parametrize("name", [*fixtures.BUILTIN, "rand40", "big200"])
+    def test_failing_level_representatives(self, name):
+        """The cells that `robustness --exact` sweeps, swept to the end."""
+        g = {"rand40": lambda: fixtures.random_connected(40, 20, seed=1), "big200": big_graph}.get(
+            name, lambda: fixtures.builtin(name)
+        )()
+        c = _cells(g, robustness_radius(g).upper)
+        assert_sweeps_agree(g, c.representatives(), c.S)
 
 
 class TestSweepTree:
