@@ -77,8 +77,8 @@ from .levelkeys import INT64_SAFE, ball_keys, group_rows, with_distances
 
 # Cap on the points of `sample_points`.  The cost grows about as the square
 # of the point count: at 1,999 points (`merge-tree builtin:path --resolution
-# 1/999`), `--csv -`, one row per pair, took 34-42 s and 495 MB peak RSS, and
-# `--json` 4.2-5.6 s and 172 MB (2 x86-64 cores, Python 3.11).  The largest
+# 1/999`), `--csv -`, one row per pair, took 20-21 s and 495 MB peak RSS, and
+# `--json` 2.3-2.5 s and 172 MB (2 x86-64 cores, Python 3.11).  The largest
 # sample of the tests and the benchmark is 753 points (comb5 at step 1/16).
 MAX_SAMPLE_POINTS = 2_000
 # Rows per sweep call: a `ball_keys` call costs about 70 us whatever its size
@@ -158,7 +158,7 @@ def _merge_sweep(g: MetricGraph, cells, S: int):
     hi, k = (g.diameter() * den).__ceil__(), 1
     while len(reps) > 1 and k <= hi:
         n, ks = len(reps), range(k, min(hi + 1, k + max(1, SWEEP_BLOCK_ROWS // len(reps))))
-        if len(ks) == 1:  # one radius, keyed as a scalar with no R column
+        if len(ks) == 1:  # a scalar radius: the R column of per-row radii costs fine sweeps ~10 %
             same = ball_keys(g, Fraction(k, den), cells[reps], den)[None]
         else:
             same = ball_keys(g, np.repeat(ks, n), cells[np.tile(reps, len(ks))], den).reshape(-1, n) % n
