@@ -15,8 +15,8 @@ p.t + r, 0 and 1) lies in (1/L)Z.  `ball_row` reads the distances, scaled by
 L, from the graph's one distance row of p (`MetricGraph.scaled_distances`),
 so each comparison and clip is one of Python integers, which cannot
 overflow.  Its rows are the interval ends times L: at one L, equal rows are
-equal balls, as `mergetree.ball_check` compares them; `closed_ball` is their
-`Fraction` view.
+equal balls, as `tests/conftest.py::ball_check_oracle` compares them;
+`closed_ball` is their `Fraction` view.
 """
 
 from __future__ import annotations

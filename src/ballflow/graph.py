@@ -8,16 +8,18 @@ The stored scale factor G maps internal distances back to user units.  All
 distance, eccentricity and potential computations are exact.  The vertex
 distance matrix is built once, at construction, by one breadth-first search
 from all vertices at once (`_distance_matrix`); a pair it never joins
-refuses the graph as disconnected.  Every scalar quantity of a point reads
-its one distance row (`scaled_distances`) and peak list (`peaks`), in
-Python integers; only the numpy kernels `_quarter_eccentricities` and
-`levelkeys.key_rows` write these formulas again, in dtypes of their own.
+refuses the graph as disconnected.  A point's distance row is
+`scaled_distances`, in Python integers; `peak_rows` gives the rows of many
+points at once with their peaks, and every eccentricity, the quarter table
+of Phi and every merge radius read it.  Only the numpy kernel
+`levelkeys.key_rows` writes the distance formula again, in dtypes of its
+own.
 
 Phi(p), the largest distance from p, is linear on every unit edge between
 the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)
 the distance to a vertex w is min(s + d(u, w), 1 - s + d(v, w)).  Phi(s) is
 the maximum over the edges f of the farthest distance within f, given by
-`peaks`: (a + b + 1)/2 for f != e, with a, b the distances to the ends
+`peak_rows`: (a + b + 1)/2 for f != e, with a, b the distances to the ends
 of f (|a - b| <= 1, so its other tent terms never bind).  On e, a point at
 y <= s is at distance min(s - y, d(p, u) + y), as any other route passes p,
 so the part [0, s] peaks at (s + d(p, u))/2 = min(s, c), c = (1 + d(u, v))/2,
@@ -56,8 +58,10 @@ ONE = Fraction(1)
 # random_connected graphs, and loading a star of 4,000 unit edges at 189 MB (2
 # x86-64 cores).  No fixture or benchmark graph has more than 200.
 MAX_UNIT_EDGES = 4_000
-# entries per chunk of _quarter_eccentricities, levelkeys and canon's frontier block
+# entries per chunk of _quarter_eccentricities, levelkeys, mergetree and canon's frontier block
 _CHUNK_ENTRIES = 1 << 20
+# bound below which integer arrays of peaks and key rows are computed in int64
+INT64_SAFE = 1 << 60
 
 
 def parse_rational(text: str) -> Fraction:
@@ -132,6 +136,7 @@ class MetricGraph:
         self._dist = _distance_matrix(n, self.edges)
         if (self._dist < 0).any():
             raise ValidationError("graph is disconnected")
+        self._max_dist = int(self._dist.max())
         self._phi8: np.ndarray | None = None
         self._diameter: Fraction | None = None
 
@@ -190,16 +195,23 @@ class MetricGraph:
         du, dv = self._dist[u].tolist(), self._dist[v].tolist()
         return T, [min(T + L * a, L - T + L * b) for a, b in zip(du, dv)]
 
-    def peaks(self, p: GraphPoint, L: int) -> list[int]:
-        """2L times the farthest distance from p within each edge, for p at an
-        offset t on (1/L)Z.  With a, b the distances to the edge's ends it is
-        (a + b + 1)/2, and max(a + t, b + 1 - t)/2 on p's own edge (proof in
-        the module docstring)."""
-        T, d = self.scaled_distances(p, L)
-        return [
-            max(d[u] + T, d[v] + L - T) if f == p.edge else d[u] + d[v] + L
-            for f, (u, v) in enumerate(self.edges)
-        ]
+    def peak_rows(self, edges, T, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """(d, P) for n points at offsets T/L on `edges`: d, (n, V), their
+        `scaled_distances` rows, and P, (n, E), 2L times the farthest distance
+        from each point within each edge: (a + b + 1)/2, with a, b the
+        distances to the edge's ends, and max(a + t, b + 1 - t)/2 on the
+        point's own edge (module docstring).  Every value is below
+        2L(max D + 2): in the narrowest signed type below `INT64_SAFE` that
+        holds that bound, else in Python integers (dtype object)."""
+        bound = 2 * L * (self._max_dist + 2)
+        dtype = next((t for t in (np.int16, np.int32, np.int64) if bound < min(INT64_SAFE, np.iinfo(t).max)), object)
+        e, T = np.asarray(edges, dtype=np.int64), np.asarray(T, dtype=dtype)
+        du, dv = (self._dist[ends[e]].astype(dtype, copy=False) for ends in (self.tails, self.heads))
+        d = np.minimum(T[:, None] + L * du, (L - T)[:, None] + L * dv)
+        P = d[:, self.tails] + d[:, self.heads] + L
+        own = np.arange(len(e))
+        P[own, e] = np.maximum(d[own, self.tails[e]] + T, d[own, self.heads[e]] + L - T)
+        return d, P
 
     def point_vertex_distances(self, p: GraphPoint) -> list[Fraction]:
         """Exact distance from p to every vertex: `scaled_distances` over L."""
@@ -225,45 +237,29 @@ class MetricGraph:
     # -- eccentricity (potential at a point) --------------------------------
 
     def eccentricity(self, p: GraphPoint) -> Fraction:
-        """Phi(p): the maximal distance from p, the largest of its peaks."""
+        """Phi(p): the maximal distance from p, the largest of its `peak_rows`."""
         p = self.canonical_point(p)
-        L = p.t.denominator
-        return Fraction(max(self.peaks(p, L)), 2 * L)
+        _, P = self.peak_rows([p.edge], [p.t.numerator], p.t.denominator)
+        return Fraction(int(P.max()), 2 * p.t.denominator)
 
     # -- potential and diameter on the quarter grid ---------------------------
 
     def _quarter_eccentricities(self) -> np.ndarray:
         """Phi at the offsets k/4, k = 0..4, of every unit edge, in eighths: an
-        (E, 5) read-only table of `peaks`' formulas (see the module
-        docstring), computed once per graph, in the narrowest signed type that
-        holds its largest term, 12 + 8 max D: int16 while max D <= 4,094."""
+        (E, 5) read-only table, each point's largest `peak_rows` at L = 4 (see
+        the module docstring), computed once per graph, a chunk of edges at a
+        time, in the narrowest signed type above 8 (max D + 2): int16 while
+        max D <= 4,093."""
         if self._phi8 is not None:
             return self._phi8
-        D = self.vertex_distance_matrix()
-        E = self.num_edges
-        work = next(t for t in (np.int16, np.int32, np.int64) if 12 + 8 * int(D.max()) <= np.iinfo(t).max)
-        D = D.astype(work, copy=False)
-        k = np.arange(5, dtype=work)
-        table = np.empty((E, 5), dtype=work)
-        step = max(1, _CHUNK_ENTRIES // (5 * E))
+        E, chunks = self.num_edges, []
+        step = max(1, _CHUNK_ENTRIES // (5 * max(E, self.num_vertices)))
         for lo in range(0, E, step):
             own = np.arange(lo, min(lo + step, E))
-            rows = np.arange(len(own))
-            # quarter distances from each point (own edge, k/4) to every vertex
-            dq = np.minimum(
-                k[:, None] + 4 * D[self.tails[own]][:, None, :],
-                (4 - k)[:, None] + 4 * D[self.heads[own]][:, None, :],
-            )
-            # the peak of every edge: the tent on other edges, the split at
-            # the point on its own
-            peaks = 4 + dq[:, :, self.tails] + dq[:, :, self.heads]
-            a = dq[rows, :, self.tails[own]]
-            b = dq[rows, :, self.heads[own]]
-            peaks[rows, :, own] = np.maximum(a + k, b + 4 - k)
-            table[own] = peaks.max(axis=2)
-        table.flags.writeable = False
-        self._phi8 = table
-        return table
+            chunks.append(self.peak_rows(np.repeat(own, 5), np.tile(np.arange(5), len(own)), 4)[1].max(axis=1))
+        self._phi8 = np.concatenate(chunks).reshape(E, 5)
+        self._phi8.flags.writeable = False
+        return self._phi8
 
     def potential_profile(self) -> "PotentialProfile":
         """Exact global min m and max M of the potential with solution sets."""
@@ -463,34 +459,27 @@ def load_graph(document) -> MetricGraph:
         raise ValidationError("graph is disconnected")
 
     L = lcm(*[length.denominator for _, _, length in parsed])
-    scale = Fraction(gcd(*[int(length * L) for _, _, length in parsed]), L)
-    units = sum(int(length / scale) for _, _, length in parsed)
-    if units > MAX_UNIT_EDGES:
+    scaled = [length.numerator * (L // length.denominator) for _, _, length in parsed]
+    G = gcd(*scaled)
+    counts = [x // G for x in scaled]  # each document edge's unit edges
+    if sum(counts) > MAX_UNIT_EDGES:
         raise ValidationError(
-            f"graph normalizes to {units} unit edges, over the cap of {MAX_UNIT_EDGES}"
+            f"graph normalizes to {sum(counts)} unit edges, over the cap of {MAX_UNIT_EDGES}"
         )
 
     vertex_names = [str(v) for v in vertices]
     new_edges: list[tuple[int, int]] = []
     provenance: list[str] = []
     segments: list[tuple[int, int, int]] = []
-    for eidx, (u, v, length) in enumerate(parsed):
-        n_units = length / scale
-        assert n_units.denominator == 1
-        n_units = n_units.numerator
-        chain = [u]
-        for k in range(1, n_units):
-            vertex_names.append(f"{vertices[u]}~{vertices[v]}.{eidx}.{k}")
-            chain.append(len(vertex_names) - 1)
-        chain.append(v)
-        for k in range(n_units):
-            new_edges.append((chain[k], chain[k + 1]))
-            provenance.append(
-                f"edge {eidx} ({vertices[u]}-{vertices[v]}, len {format_rational(length)})"
-                f" segment {k + 1}/{n_units}"
-            )
-            segments.append((eidx, k, n_units))
-    return MetricGraph(name, vertex_names, new_edges, scale, provenance, segments)
+    for eidx, ((u, v, length), n_units) in enumerate(zip(parsed, counts)):
+        first = len(vertex_names)
+        vertex_names += [f"{vertices[u]}~{vertices[v]}.{eidx}.{k}" for k in range(1, n_units)]
+        chain = [u, *range(first, len(vertex_names)), v]
+        new_edges += zip(chain, chain[1:])
+        head = f"edge {eidx} ({vertices[u]}-{vertices[v]}, len {format_rational(length)}) segment "
+        provenance += [f"{head}{k}/{n_units}" for k in range(1, n_units + 1)]
+        segments += [(eidx, k, n_units) for k in range(n_units)]
+    return MetricGraph(name, vertex_names, new_edges, Fraction(G, L), provenance, segments)
 
 
 def load_graph_file(path) -> MetricGraph:

@@ -45,9 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .graph import _CHUNK_ENTRIES, MetricGraph
-
-INT64_SAFE = 1 << 60
+from .graph import _CHUNK_ENTRIES, INT64_SAFE, MetricGraph
 
 
 def ball_keys(g: MetricGraph, r, cells, S: int):

@@ -7,8 +7,10 @@ grid k/den, den = lcm(2, offset denominators).  `merge_tree` therefore sweeps
 that grid once, keying one point of each class of equal balls at a block of
 consecutive radii per `ball_keys` call, until one class is left; each radius
 where classes merge is one event of the dendrogram, and the merge-radius
-matrix and `ball_check` (on integer `ball_row`s) read the events.  `merge_radius` takes
-one pair's radius in closed form (proof below).  The bisections over exact
+matrix reads the events.  `merge_radii` takes the radii of many pairs in
+closed form (proof below), in one numpy pass, and `merge_radius` is its
+one-pair case; `ball_check` compares each join of the dendrogram with its
+pair's closed-form radius and builds no ball.  The bisections over exact
 balls in `tests/conftest.py` (`merge_radius_oracle`, `extinction_oracle`),
 `ultrametric_check` and `dendrogram_from_matrix` are the oracles.
 
@@ -41,7 +43,7 @@ t_q the merge radius of p and q lies in (1/2)Z u (1/2)Z +- t_p u
 
 Proof of the closed form.  Let p lie at distances a, b from the ends of an
 edge f.  p's peak on f, its farthest distance within f, is
-`MetricGraph.peaks` (derived in the `graph` docstring).  If p is not inside
+`MetricGraph.peak_rows` (derived in the `graph` docstring).  If p is not inside
 f, d(p, y) at offset y is a tent that peaks at y = (1 + b - a)/2.  Inside f
 at t, the parts [0, t] and [t, 1] peak at y = (t - a)/2 and
 y = (1 + t + b)/2, and p's peak is the higher of the two.  At r = P - e, e
@@ -57,8 +59,9 @@ So the balls differ on f just below max(P, Q) and agree on f from there on.
 Agreement on one edge is not monotone in r, so the merge radius is the
 largest max(P, Q) over the edges where p and q differ: all edges agree
 there, and one does not just below.  Distances to vertices lie in (1/L)Z,
-L = lcm(den t_p, den t_q), so `merge_radius` compares the points'
-`scaled_distances` rows and takes their `peaks`, integers in 1/(2L) units.
+L a common multiple of den t_p and den t_q, so `merge_radii` compares the
+points' distance rows of `peak_rows` and takes their peaks, integers in
+1/(2L) units, at one L for all its points.
 """
 
 from __future__ import annotations
@@ -70,10 +73,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .balls import BallSet, ball_row, closed_ball
+from .balls import BallSet, closed_ball
 from .errors import InternalConsistencyError, ValidationError
-from .graph import GraphPoint, MetricGraph
-from .levelkeys import INT64_SAFE, ball_keys, group_rows, with_distances
+from .graph import _CHUNK_ENTRIES, INT64_SAFE, GraphPoint, MetricGraph
+from .levelkeys import ball_keys, group_rows, with_distances
 
 # Cap on the points of `sample_points`.  The cost grows about as the square
 # of the point count: at 1,999 points (`merge-tree builtin:path --resolution
@@ -98,18 +101,34 @@ def _cached_ball(g: MetricGraph, p: GraphPoint, r: Fraction) -> BallSet:
     return hit
 
 
+def merge_radii(g: MetricGraph, points: list[GraphPoint], a, b) -> tuple[list[int], int]:
+    """(m, M): m[k] / M is the merge radius of the canonical points
+    points[a[k]] and points[b[k]], with M = 2 lcm(the points' denominators):
+    the largest peak of either point over the edges where their distance
+    rows differ at either end or that hold either inside (module docstring),
+    in Python integers, one `peak_rows` call per chunk of pairs."""
+    L = math.lcm(*(p.t.denominator for p in points))
+    e = np.array([p.edge for p in points], dtype=np.int64)
+    T = np.array([p.t.numerator * (L // p.t.denominator) for p in points], dtype=np.int64 if L < INT64_SAFE else object)
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    m, step = [], max(1, _CHUNK_ENTRIES // (2 * max(g.num_edges, g.num_vertices)))
+    for lo in range(0, len(a), step):
+        i, j = a[lo : lo + step], b[lo : lo + step]
+        n, ij = len(i), np.concatenate([i, j])
+        d, P = g.peak_rows(e[ij], T[ij], L)
+        own = (np.arange(g.num_edges) == e[ij, None]) & ((0 < T[ij]) & (T[ij] < L))[:, None]  # the edge a point is inside
+        vertex = d[:n] != d[n:]
+        differ = vertex[:, g.tails] | vertex[:, g.heads] | own[:n] | own[n:]
+        differ[(e[i] == e[j]) & (T[i] == T[j])] = False  # a point and itself differ nowhere
+        m += np.where(differ, np.maximum(P[:n], P[n:]), 0).max(axis=1).tolist()
+    return m, 2 * L
+
+
 def merge_radius(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Smallest radius at which the closed balls about p and q are equal: the
-    largest peak of p or q on an edge where they differ (module docstring)."""
-    p, q = g.canonical_point(p), g.canonical_point(q)
-    if p == q:
-        return Fraction(0)
-    L = math.lcm(p.t.denominator, q.t.denominator)
-    (_, dp), (_, dq) = g.scaled_distances(p, L), g.scaled_distances(q, L)
-    inside = {x.edge for x in (p, q) if 0 < x.t < 1}
-    differ = [f in inside or dp[u] != dq[u] or dp[v] != dq[v] for f, (u, v) in enumerate(g.edges)]
-    best = max(max(a, b) for a, b, bad in zip(g.peaks(p, L), g.peaks(q, L), differ) if bad)
-    return Fraction(best, 2 * L)
+    one-pair case of `merge_radii`."""
+    (m,), M = merge_radii(g, [g.canonical_point(p), g.canonical_point(q)], [0], [1])
+    return Fraction(m, M)
 
 
 def sample_points(g: MetricGraph, step: Fraction) -> list[GraphPoint]:
@@ -267,31 +286,33 @@ def merge_tree(g: MetricGraph, points: list[GraphPoint]) -> Dendrogram:
 
 
 def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:
-    """Pairs (i, j), i the first earlier point nearest to j > 0, whose exact
-    interval balls are unequal at their merge radius or equal half a sweep
-    step below it, ascending in j.  By the ultrametric property, i is the
-    least member of the first cluster that holds j and an earlier point.  It
-    compares `ball_row`s at one L, lcm(2 den, the radii's denominators), and
-    never reads `ball_keys` rows, so it checks the sweep by another route."""
+    """Pairs (i, j), i the first earlier point nearest to j > 0, whose merge
+    radius mu, by `merge_radii`, disagrees with the radius R of the event
+    that joins them, ascending in j.  By the ultrametric property, i is the
+    least member of the first cluster that holds j and an earlier point.
+
+    (i, j) is flagged iff R < mu or R - s >= mu, with s half a sweep step:
+    the radii where two balls are equal form the closed half-line [mu, oo)
+    (module docstring), so these are the pairs whose exact balls are
+    unequal at R or equal at R - s >= 0, and R - s >= mu >= 0 needs R > 0.
+    All joins take one `merge_radii` call: no ball is built, and no
+    `ball_keys` row is read, so the check reaches the sweep's radii by
+    another route."""
     pts = [g.canonical_point(p) for p in d.points]
     den = math.lcm(2, *(p.t.denominator for p in pts))
     L = math.lcm(2 * den, *(ev.radius.denominator for ev in d.events))
     step = L // (2 * den)  # half a sweep step, in units of 1/L
-    dist = [(p.edge, *g.scaled_distances(p, L)) for p in pts]  # each point's distance row, read once
-
-    def ball(i: int, R: int) -> tuple:
-        return ball_row(g, *dist[i], R, L)
-
-    joined, bad = set(), []
+    joins, joined = [], set()
     for ev in d.events:
         R = ev.radius.numerator * (L // ev.radius.denominator)
         for c in ev.clusters:
             new = [j for j in c[1:] if j not in joined]
             joined.update(new)
-            at, below = ball(c[0], R), R > 0 and ball(c[0], R - step)
-            for j in new:
-                if ball(j, R) != at or (R > 0 and ball(j, R - step) == below):
-                    bad.append((c[0], j))
+            joins += [(c[0], j, R) for j in new]
+    i, j, R = zip(*joins) if joins else ((), (), ())
+    mu, M = merge_radii(g, pts, i, j)
+    k = L // M  # M divides 2 den, so L: mu * M * k is mu in units of 1/L
+    bad = [(a, b) for a, b, r, x in zip(i, j, R, mu) if r < k * x or r - step >= k * x]
     return tuple(sorted(bad, key=lambda ij: ij[1]))
 
 

@@ -25,10 +25,13 @@ check the gluing direction that the `quotient` docstring proves.
 merge_radius_oracle and extinction_oracle find the first radius of equal
 balls, and of the whole graph, by bisection over exact balls memoized in
 `mergetree._ball_cache`, against the closed forms `merge_radius` and
-`eccentricity` and the merge sweep.  merge_sweep_oracle is the merge sweep
-with one `ball_keys` call per grid radius, against which the sweep's blocks
-of radii are checked; it keys with `levelkeys`, as the sweep does, and
-checks only how the sweep composes the blocks' labels.
+`eccentricity` and the merge sweep.  ball_check_oracle compares the exact
+`ball_row`s of each join at its radius and half a sweep step below, against
+which `ball_check`'s comparison with closed-form radii is checked.
+merge_sweep_oracle is the merge sweep with one `ball_keys` call per grid
+radius, against which the sweep's blocks of radii are checked; it keys with
+`levelkeys`, as the sweep does, and checks only how the sweep composes the
+blocks' labels.
 """
 
 from __future__ import annotations
@@ -254,6 +257,33 @@ def merge_sweep_oracle(g: MetricGraph, cells, S: int):
             yield Fraction(k, den), label.copy()
     if len(reps) > 1:
         raise InternalConsistencyError(f"balls about points {reps.tolist()} of {g.name} differ at the diameter")
+
+
+def ball_check_oracle(g: MetricGraph, d) -> tuple[tuple[int, int], ...]:
+    """`mergetree.ball_check` by exact balls: the pairs (i, j), i the least
+    member of the first cluster that holds j > 0 and an earlier point, whose
+    `ball_row`s at one L, lcm(2 den, the radii's denominators), are unequal at
+    the joining event's radius R or equal half a sweep step below it."""
+    pts = [g.canonical_point(p) for p in d.points]
+    den = math.lcm(2, *(p.t.denominator for p in pts))
+    L = math.lcm(2 * den, *(ev.radius.denominator for ev in d.events))
+    step = L // (2 * den)  # half a sweep step, in units of 1/L
+    dist = [(p.edge, *g.scaled_distances(p, L)) for p in pts]
+
+    def ball(i: int, R: int) -> tuple:
+        return ball_row(g, *dist[i], R, L)
+
+    joined, bad = set(), []
+    for ev in d.events:
+        R = ev.radius.numerator * (L // ev.radius.denominator)
+        for c in ev.clusters:
+            new = [j for j in c[1:] if j not in joined]
+            joined.update(new)
+            at, below = ball(c[0], R), R > 0 and ball(c[0], R - step)
+            for j in new:
+                if ball(j, R) != at or (R > 0 and ball(j, R - step) == below):
+                    bad.append((c[0], j))
+    return tuple(sorted(bad, key=lambda ij: ij[1]))
 
 
 def pairwise_matrix(g: MetricGraph, points) -> MergeMatrix:

@@ -320,7 +320,7 @@ class TestPotentialProfile:
 
 
 class TestQuarterTable:
-    """The Phi table, int16 while 12 + 8 max D fits, against the int64 route."""
+    """The Phi table, int16 while 8 (max D + 2) fits, against the int64 route."""
 
     def test_big200(self):
         g = load_graph(workloads.big200_document())

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ballflow import cli, fixtures
+from ballflow import balls, cli, fixtures
 from ballflow import mergetree
 from ballflow.balls import closed_ball, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
@@ -19,6 +19,7 @@ from ballflow.mergetree import (
     MergeMatrix,
     ball_check,
     dendrogram_from_matrix,
+    merge_radii,
     merge_radius,
     merge_tree,
     sample_points,
@@ -27,6 +28,7 @@ from ballflow.mergetree import (
 from ballflow.quotient import _cells
 
 from conftest import (
+    ball_check_oracle,
     brute_classes,
     closed_ball_oracle,
     extinction_oracle,
@@ -193,6 +195,34 @@ def assert_matches_pairwise(g, m):
             assert m.mu[i][j] == m.mu[j][i] == mu == merge_radius(g, p, m.points[j]), (i, j)
 
 
+class TestMergeRadii:
+    """The batched closed form against the bisection over exact balls."""
+
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["one-chunk", "chunks"])
+    @pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
+    def test_batched_radii_match_the_bisection(self, name, chunk, monkeypatch):
+        """`merge_radii` on every pair of the points at step 1/2, a point and
+        itself included, in one chunk and in chunks of a few pairs."""
+        g = SWEEP_GRAPHS[name]()
+        pts = [g.canonical_point(p) for p in sample_points(g, F(1, 2))]
+        if chunk:
+            monkeypatch.setattr(mergetree, "_CHUNK_ENTRIES", chunk)
+        a, b = np.triu_indices(len(pts))
+        mu, M = merge_radii(g, pts, a, b)
+        pairs = zip(a.tolist(), b.tolist())
+        assert [F(x, M) for x in mu] == [merge_radius_oracle(g, pts[i], pts[j]) for i, j in pairs]
+
+    def test_batched_radii_past_int64_match_the_oracle(self, theta_g):
+        """Offsets on 1/2^71 take the batch to Python integers."""
+        eps = F(1, 2**70)
+        pts = [GraphPoint(0, eps), GraphPoint(1, F(3, 2**71)), GraphPoint(2, F(1, 2)), theta_g.vertex_point(3)]
+        a, b = np.triu_indices(len(pts), 1)
+        mu, M = merge_radii(theta_g, pts, a, b)
+        assert M == 2**72
+        pairs = zip(a.tolist(), b.tolist())
+        assert [F(x, M) for x in mu] == [merge_radius_oracle(theta_g, pts[i], pts[j]) for i, j in pairs]
+
+
 class TestMergeSweep:
     """The radius sweep's matrix against pairwise bisection and the closed
     form."""
@@ -339,6 +369,58 @@ class TestBallCheck:
                 events[k] = MergeEvent(ev.radius + shift, ev.clusters)
                 moved = Dendrogram(d.points, tuple(events))
                 assert sorted(ball_check(g, moved)) == flagged, (name, ev.radius, shift)
+
+    @pytest.mark.parametrize(
+        "name, step",
+        [(name, step) for name in SWEEP_GRAPHS for step in (F(1, 2), F(1, 3), F(1, 4))]
+        + [("comb5", F(1, 2)), ("rand40", F(1, 8))],
+        ids=lambda x: str(x),
+    )
+    def test_flags_the_pairs_of_the_exact_ball_oracle(self, name, step):
+        """Against `ball_check_oracle` on the sweep's tree, with every event
+        moved by +-half a step and by +-1/(3 den), and with the first event
+        moved below half a step, where the oracle's ball half a step below
+        has a negative radius."""
+        g = {"comb5": lambda: fixtures.comb(5), "rand40": lambda: fixtures.random_connected(40, 20, seed=1)}.get(
+            name, SWEEP_GRAPHS.get(name)
+        )()
+        d = merge_tree(g, sample_points(g, step))
+        den = math.lcm(2, step.denominator)
+        half, third = F(1, 2 * den), F(1, 3 * den)
+        first, *rest = d.events
+
+        def shifted(shift):
+            return Dendrogram(d.points, tuple(MergeEvent(ev.radius + shift, ev.clusters) for ev in d.events))
+
+        trees = {
+            "unmoved": d,
+            "+half": shifted(half),
+            "-half": shifted(-half),
+            "+third": shifted(third),
+            "-third": shifted(-third),
+            "first below half": Dendrogram(d.points, (MergeEvent(half / 2, first.clusters), *rest)),
+        }
+        for case, tree in trees.items():
+            flagged = ball_check(g, tree)
+            assert flagged == ball_check_oracle(g, tree), (name, step, case)
+            # only an event moved up by less than half a step passes
+            assert bool(flagged) == (case not in ("unmoved", "+third")), (name, step, case)
+
+    def test_builds_no_ball(self, monkeypatch):
+        """The check reads closed-form radii: on comb5 at step 1/2 it builds
+        neither a `ball_row` nor a `closed_ball`."""
+        g = fixtures.comb(5)
+        d = merge_tree(g, sample_points(g, F(1, 2)))
+
+        def no_ball(*args):
+            raise AssertionError("ball_check built a ball")
+
+        monkeypatch.setattr(balls, "ball_row", no_ball)
+        monkeypatch.setattr(mergetree, "closed_ball", no_ball)
+        assert ball_check(g, d) == ()
+        *head, root = d.events
+        late = Dendrogram(d.points, (*head, MergeEvent(root.radius + 1, root.clusters)))
+        assert ball_check(g, late)
 
     def test_merge_tree_exits_3_on_a_wrong_matrix(self, monkeypatch, capsys):
         # the root event of path at step 1/2 comes one unit late: point 1
