@@ -201,8 +201,9 @@ class MetricGraph:
         from each point within each edge: (a + b + 1)/2, with a, b the
         distances to the edge's ends, and max(a + t, b + 1 - t)/2 on the
         point's own edge (module docstring).  Every value is below
-        2L(max D + 2): in the narrowest signed type below `INT64_SAFE` that
-        holds that bound, else in Python integers (dtype object)."""
+        2L(max D + 2), so they are computed in the narrowest of int16, int32
+        and int64 that holds that bound while it is below `INT64_SAFE`, else
+        in Python integers (dtype object)."""
         bound = 2 * L * (self._max_dist + 2)
         dtype = next((t for t in (np.int16, np.int32, np.int64) if bound < min(INT64_SAFE, np.iinfo(t).max)), object)
         e, T = np.asarray(edges, dtype=np.int64), np.asarray(T, dtype=dtype)

@@ -109,14 +109,16 @@ def merge_radii(g: MetricGraph, points: list[GraphPoint], a, b) -> tuple[list[in
     in Python integers, one `peak_rows` call per chunk of pairs."""
     L = math.lcm(*(p.t.denominator for p in points))
     e = np.array([p.edge for p in points], dtype=np.int64)
-    T = np.array([p.t.numerator * (L // p.t.denominator) for p in points], dtype=np.int64 if L < INT64_SAFE else object)
+    T = [p.t.numerator * (L // p.t.denominator) for p in points]
+    T = np.array(T, dtype=np.int64 if L < INT64_SAFE else object)
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     m, step = [], max(1, _CHUNK_ENTRIES // (2 * max(g.num_edges, g.num_vertices)))
     for lo in range(0, len(a), step):
         i, j = a[lo : lo + step], b[lo : lo + step]
         n, ij = len(i), np.concatenate([i, j])
         d, P = g.peak_rows(e[ij], T[ij], L)
-        own = (np.arange(g.num_edges) == e[ij, None]) & ((0 < T[ij]) & (T[ij] < L))[:, None]  # the edge a point is inside
+        inside = (0 < T[ij]) & (T[ij] < L)
+        own = (np.arange(g.num_edges) == e[ij, None]) & inside[:, None]  # the edge a point lies inside
         vertex = d[:n] != d[n:]
         differ = vertex[:, g.tails] | vertex[:, g.heads] | own[:n] | own[n:]
         differ[(e[i] == e[j]) & (T[i] == T[j])] = False  # a point and itself differ nowhere
@@ -294,8 +296,8 @@ def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:
     (i, j) is flagged iff R < mu or R - s >= mu, with s half a sweep step:
     the radii where two balls are equal form the closed half-line [mu, oo)
     (module docstring), so these are the pairs whose exact balls are
-    unequal at R or equal at R - s >= 0, and R - s >= mu >= 0 needs R > 0.
-    All joins take one `merge_radii` call: no ball is built, and no
+    unequal at R or equal at R - s.  As mu >= 0, R - s >= mu only when
+    R > 0.  All joins take one `merge_radii` call: no ball is built, and no
     `ball_keys` row is read, so the check reaches the sweep's radii by
     another route."""
     pts = [g.canonical_point(p) for p in d.points]
@@ -311,7 +313,7 @@ def ball_check(g: MetricGraph, d: Dendrogram) -> tuple[tuple[int, int], ...]:
             joins += [(c[0], j, R) for j in new]
     i, j, R = zip(*joins) if joins else ((), (), ())
     mu, M = merge_radii(g, pts, i, j)
-    k = L // M  # M divides 2 den, so L: mu * M * k is mu in units of 1/L
+    k = L // M  # M divides 2 den, so L: k * x is the radius x / M in units of 1/L
     bad = [(a, b) for a, b, r, x in zip(i, j, R, mu) if r < k * x or r - step >= k * x]
     return tuple(sorted(bad, key=lambda ij: ij[1]))
 
