@@ -403,7 +403,7 @@ class TestBallCheck:
         for case, tree in trees.items():
             flagged = ball_check(g, tree)
             assert flagged == ball_check_oracle(g, tree), (name, step, case)
-            # only an event moved up by less than half a step passes
+            # only events left in place or moved up by less than half a step pass
             assert bool(flagged) == (case not in ("unmoved", "+third")), (name, step, case)
 
     def test_builds_no_ball(self, monkeypatch):
