@@ -212,13 +212,16 @@ class TestMergeRadii:
         pairs = zip(a.tolist(), b.tolist())
         assert [F(x, M) for x in mu] == [merge_radius_oracle(g, pts[i], pts[j]) for i, j in pairs]
 
-    def test_batched_radii_past_int64_match_the_oracle(self, theta_g):
-        """Offsets on 1/2^71 take the batch to Python integers."""
-        eps = F(1, 2**70)
-        pts = [GraphPoint(0, eps), GraphPoint(1, F(3, 2**71)), GraphPoint(2, F(1, 2)), theta_g.vertex_point(3)]
+    @pytest.mark.parametrize("k, dtype", [(20, np.int32), (40, np.int64), (70, object)])
+    def test_batched_radii_in_each_dtype_match_the_oracle(self, theta_g, k, dtype):
+        """Offsets on 1/2^(k + 1) put 2L (max D + 2) = 2^(k + 4) past int16,
+        past int32 and past `INT64_SAFE`: the rows are int32, int64 and
+        Python integers."""
+        pts = [GraphPoint(0, F(1, 2**k)), GraphPoint(1, F(3, 2 ** (k + 1))), GraphPoint(2, F(1, 2)), theta_g.vertex_point(3)]
+        assert theta_g.peak_rows([0], [2], 2 ** (k + 1))[1].dtype == dtype
         a, b = np.triu_indices(len(pts), 1)
         mu, M = merge_radii(theta_g, pts, a, b)
-        assert M == 2**72
+        assert M == 2 ** (k + 2)
         pairs = zip(a.tolist(), b.tolist())
         assert [F(x, M) for x in mu] == [merge_radius_oracle(theta_g, pts[i], pts[j]) for i, j in pairs]
 
