@@ -98,6 +98,9 @@ def commands() -> list[list[str]]:
         ["timeline", "kite.json", "--json"],
         ["robustness", "kite.json", "--exact", "--approx"],
         ["project", "kite.json", "--radius", "1/2", "--dot"],
+        ["timeline", "kite.json", "--csv"],
+        # levels that smooth to pure cycles, loops and parallel edges: -1 in `kept`
+        *(["project", g, "--radius", "1/8", "--dot"] for g in ("builtin:c4", "builtin:theta", "kite.json")),
         ["potential", "builtin:comb3", "--approx"],
         ["potential", "rand40.json", "--json"],
         ["ball", "builtin:theta", "--edge", "2", "--t", "1/3", "--radius", "3/2", "--json"],
@@ -151,6 +154,7 @@ def deep_commands() -> list[list[str]]:
     return [
         ["timeline", "rand1000.json", "--json"],
         ["project", "rand2000.json", "--radius", "131/8", "--json"],
+        ["robustness", "rand1000.json", "--exact"],
         # 753 points, more representatives than fit one sweep call of several radii
         ["merge-tree", "builtin:comb5", "--resolution", "1/16", "--json"],
         # 350 points
