@@ -269,50 +269,72 @@ def _search(n: int, edges: tuple[tuple[int, int], ...], ranks: list[int]) -> str
 def smooth_multigraph(
     num_vertices: int, edges: np.ndarray | Sequence[tuple[int, int]]
 ) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Suppress degree-2 vertices of a multigraph whose edges are an (m, 2)
-    array or a sequence of pairs.
+    """`smooth_multigraphs` of one multigraph whose edges are an (m, 2) array
+    or a sequence of pairs: (n_smoothed, smoothed_edges, kept_vertex_ids)."""
+    n, smoothed, kept = smooth_multigraphs([num_vertices], edges, [len(edges)])
+    return int(n[0]), list(zip(*smoothed.T.tolist())), kept.tolist()
 
-    Returns (n_smoothed, smoothed_edges, kept_vertex_ids): essential vertices
-    (degree != 2) survive; chains of degree-2 vertices collapse to single
-    edges; components that are pure cycles become one vertex with a loop;
-    isolated vertices survive as degree-0 vertices.  kept_vertex_ids maps
-    smoothed indices back to original ids (-1 for synthetic cycle vertices).
 
-    Works on half-edges: half-edge h sits at ends[h], and h ^ 1 is the other
-    half of its edge.  Leaving by h and arriving by h ^ 1 at a degree-2
-    vertex, a walk goes on by that vertex's other half-edge; pointer doubling
-    takes every half-edge to the last one of its walk.  Each chain is walked
-    from both of its essential ends, so the sorted chain records come in
-    equal pairs.  The walks that never stop are the pure cycles, two
-    orientations each, counted by their least half-edge (min-label doubling).
+def smooth_multigraphs(sizes, edges: np.ndarray, counts):
+    """Suppress the degree-2 vertices of each of a batch of multigraphs in one
+    pass over their disjoint union: graph i has sizes[i] vertices and the
+    next counts[i] of the pairs edges, in its own vertex ids.  Essential
+    vertices (degree != 2) survive, chains of degree-2 vertices collapse to
+    single edges, and a pure cycle becomes one vertex with a loop.  Returns
+    each graph's smoothed vertex count and, over the union, whose smoothed
+    ids run graph by graph, the sorted smoothed edges and each smoothed
+    vertex's id in its graph (-1 for a cycle's).
+
+    A run of consecutive edges (a, x), (x, b), ... through vertices x of
+    degree 2 is first contracted to the edge (a, b): x's two half-edges are
+    the run's, so this suppresses x early and leaves every other degree, and
+    so the essential vertices, their order and their chains, as they were.
+    The graphs' ids are offset apart, so no run crosses from one into the
+    next.  A level lists each edge's segments in order: most chains go here.
+
+    Then, on half-edges (h at ends[h], h ^ 1 the other half of its edge): a
+    walk leaving by h and arriving by h ^ 1 at a degree-2 vertex goes on by
+    its other half-edge, and pointer doubling takes every half-edge to the
+    last of its walk.  A chain is walked from both its essential ends, so the
+    sorted chain records come in equal pairs.  The walks that never stop are
+    the pure cycles, two orientations each, counted by their least half-edge.
     """
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1)
-    halves = np.arange(len(ends))
-    degree = np.bincount(ends, minlength=num_vertices)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    graphs, base = np.arange(len(sizes)), np.cumsum(sizes) - sizes
+    of = np.repeat(graphs, counts)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2) + base[of][:, None]
+    degree = np.bincount(e.ravel(), minlength=int(sizes.sum()))
     essential = np.flatnonzero(degree != 2)
-    new_id = np.cumsum(degree != 2) - 1
 
+    link = (e[:-1, 1] == e[1:, 0]) & (degree[e[:-1, 1]] == 2)
+    first, last = np.flatnonzero(np.r_[True, ~link][: len(e)]), np.flatnonzero(np.r_[~link, True][: len(e)])
+    e, of = np.stack([e[first, 0], e[last, 1]], axis=1), of[first]
+    ends = e.reshape(-1)
+    halves, left = np.arange(len(ends)), np.bincount(ends, minlength=len(degree))  # left: after the contraction
     # the two half-edges at each degree-2 vertex, paired
     by_vertex = np.argsort(ends, kind="stable")
-    first = (np.cumsum(degree) - degree)[degree == 2]
+    at = (np.cumsum(left) - left)[left == 2]
     pair = halves.copy()
-    pair[by_vertex[first]] = by_vertex[first + 1]
-    pair[by_vertex[first + 1]] = by_vertex[first]
+    pair[by_vertex[at]] = by_vertex[at + 1]
+    pair[by_vertex[at + 1]] = by_vertex[at]
 
     through = degree[ends[halves ^ 1]] == 2
     step = np.where(through, pair[halves ^ 1], halves)
     least = halves
-    for _ in range(len(ends).bit_length()):
+    for _ in range(len(at).bit_length()):  # a walk passes each degree-2 vertex at most once
         least = np.minimum(least, least[step])
         step = step[step]
 
+    # each graph's essential vertices, then one looped vertex per pure cycle
+    cycles = np.bincount(of[np.flatnonzero(through[step] & (least == halves)) // 2], minlength=len(sizes)) // 2
+    owner = np.repeat(graphs, sizes)[essential]
+    n = np.bincount(owner, minlength=len(sizes))
+    kept = np.insert(essential - base[owner], np.repeat(np.cumsum(n), cycles), -1)
+    new_id, loops = np.cumsum(degree != 2) - 1 + np.repeat(np.cumsum(cycles) - cycles, sizes), np.flatnonzero(kept < 0)
     start = np.flatnonzero(degree[ends] != 2)
-    a, b = new_id[ends[start]], new_id[ends[step[start] ^ 1]]
+    # each chain is recorded from both ends, so each loop goes in twice
+    a = np.concatenate([new_id[ends[start]], loops, loops])
+    b = np.concatenate([new_id[ends[step[start] ^ 1]], loops, loops])
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = np.lexsort((hi, lo))[::2]
-    cycles = int(np.count_nonzero(through[step] & (least == halves))) // 2
-
-    kept = essential.tolist() + [-1] * cycles
-    cids = range(len(essential), len(kept))
-    smoothed = list(zip(lo[keep].tolist(), hi[keep].tolist())) + [(c, c) for c in cids]
-    return len(kept), smoothed, kept
+    return n + cycles, np.stack([lo[keep], hi[keep]], axis=1), kept

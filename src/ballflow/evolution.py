@@ -5,7 +5,8 @@ The level at radius r, and so its fingerprint, is constant on each open
 interval between consecutive quarter-integer radii (the theorem of
 `quotient`), so sampling at the grid points and at interval midpoints
 captures the whole evolution exactly.  A timeline keys its levels one
-layout at a time and fingerprints them all in one `quotient.fingerprints` batch.
+layout at a time, numbers and smooths them in chunks of a layout's levels,
+and fingerprints them all in one `quotient.fingerprints` batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
-from .quotient import Fingerprint, _cells, _classes, _grid, _injective, _layout, _level, fingerprints, level_radius
+from .quotient import Fingerprint, _cells, _classes, _grid, _injective, _layout, _level, _levels, fingerprints, level_radius
+
+CHUNK_CELLS = 12288  # cells of one layout's levels numbered and smoothed together
 
 
 @dataclass(frozen=True)
@@ -54,26 +57,30 @@ def timeline(g: MetricGraph) -> Timeline:
     """Each locus's level, keyed at its rho(r) on the layout of rho's grid S:
     the loci of one layout in turn, with one of the three alive at a time, by
     descending rho, so that a level keys only the cells that shared a class at
-    the one before and the new ones (`quotient._Layout`).  The class arrays
-    stream into one `fingerprints` batch."""
+    the one before and the new ones (`quotient._Layout`).  Each chunk of at
+    most CHUNK_CELLS cells of a layout's levels is numbered in one pass, and
+    the class arrays stream into one `fingerprints` batch."""
     groups: dict[int, list[tuple[Fraction, Fraction, bool]]] = {}
     for r, on_grid in timeline_loci(g):
         rho = level_radius(g, r)
         groups.setdefault(_grid(rho), []).append((r, rho, on_grid))
     loci = []  # (r, on_grid, injective), in the order of the levels
 
-    def levels():
+    def chunks():
         for group in groups.values():
             group.sort(key=lambda locus: locus[1], reverse=True)
             layout, shared = _layout(g, group[0][1]), ()
-            for r, rho, on_grid in group:
-                level = _classes(g, rho, layout, shared)
-                shared = level.shared
-                loci.append((r, on_grid, level.injective))
-                yield level
+            step = max(1, CHUNK_CELLS // (len(layout.cells.vertex) + len(layout.cells.edge)))
+            for i in range(0, len(group), step):
+                chunk = group[i : i + step]
+                *keyed, shared = _levels(g, [rho for _, rho, _ in chunk], layout, shared)
+                V, q_edges, counts, n0, injective = _classes(layout.cells, *keyed)[:5]
+                del keyed  # so that the next chunk's walk holds none of this one's arrays
+                loci.extend((r, on_grid, inj) for (r, _, on_grid), inj in zip(chunk, injective))
+                yield V, q_edges, counts, n0
             del layout
 
-    found = fingerprints(levels())
+    found = fingerprints(chunks())
     entries = [TimelineEntry(r, on_grid, f, injective) for (r, on_grid, injective), f in zip(loci, found)]
     entries.sort(key=lambda e: e.radius)
     codes = [e.fingerprint.canonical_code for e in entries]

@@ -4,8 +4,9 @@ multigraph by ball equality, and its topological fingerprint.
 Identification of cells is all-or-nothing per open segment cell, and a
 segment cell's balls are fixed by the balls of its two end cells
 (corollaries 1 and 2 below), so the quotient is computed from the vertex
-cells' balls alone.  `_classes` numbers a level's classes once, as arrays that
-`project` turns into tuples and `timeline` streams into `fingerprints`.
+cells' balls alone.  A timeline keys each level's vertex cells in turn; the
+segments' classes, their numbering (`_classes`) and the smoothing take one
+pass per chunk of levels (`_levels`), and `project` reads a chunk of one.
 
 A level keys only the vertex cells:
 
@@ -175,7 +176,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .canon import canonical_codes, smooth_multigraph
+from .canon import canonical_codes, smooth_multigraphs
 from .errors import InternalConsistencyError, ValidationError
 from .graph import GraphPoint, MetricGraph
 from .levelkeys import ball_keys, with_distances
@@ -363,35 +364,42 @@ def level_radius(g: MetricGraph, r: Fraction) -> Fraction:
     return r if (4 * r).denominator == 1 else Fraction(2 * (4 * r).__floor__() + 1, 8)
 
 
-def _level(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()):
-    """Per cell of the level at rho = rho(r) (vertex cells, then segment
-    cells), keyed on `layout`, the layout of its grid: the least cell with an
-    equal ball and whether that ball is X.  Only the open vertex cells are
-    keyed: by corollaries 1 and 2 of the module docstring a segment is full
-    iff both its ends are, and otherwise its class is the unordered pair of
-    its end classes.  Given the `shared` flags of a larger rho's level on the
-    layout, it keys only those cells and the new ones (`_Layout`)."""
-    c = layout.cells
-    nv = len(c.vertex)
-    k = int(np.count_nonzero(layout.phi > int(2 * c.S * rho)))  # 8q * rho, q = S / 4
-    open_v = layout.order[:k]
-    full = np.ones(nv, dtype=bool)
-    full[open_v] = False
-    labels = np.arange(nv)
-    labels[full] = np.argmax(full)
-    pos = np.arange(k)
-    need = np.concatenate([np.flatnonzero(shared), pos[len(shared) :]])  # ascending
-    if len(need):
-        rows = layout.keyed[:k] if len(need) == k else layout.keyed[need]
-        pos[need] = need[ball_keys(g, rho, rows, c.S)]
-    labels[open_v] = open_v[pos]
-    a, b = labels[c.tail_cell], labels[c.head_cell]
-    seg_full = full[c.tail_cell] & full[c.head_cell]
-    pairs = np.minimum(a, b) * nv + np.maximum(a, b)
+def _levels(g: MetricGraph, radii, layout: _Layout, shared=()):
+    """Per cell (vertex cells, then segment cells) of the levels at the radii
+    rho = rho(r), descending, keyed on `layout`: (levels, cells) arrays of the
+    least cell with an equal ball and of whether that ball is X, and the
+    `shared` flags of the last level.  The walk keys each level's open vertex
+    cells, and given the flags of a larger rho's level (per open cell, in the
+    layout's order, whether its class has another member) only the flagged
+    and the new ones (`_Layout`).  Then all segments at once: a segment is
+    full iff both its ends are, and otherwise its class is the unordered pair
+    of its end classes (corollaries 1 and 2 of the module docstring), keyed
+    apart per level for one `np.unique`."""
+    c, nv = layout.cells, len(layout.cells.vertex)
+    labels, full = np.empty((len(radii), nv), dtype=np.int64), np.ones((len(radii), nv), dtype=bool)
+    for i, rho in enumerate(radii):
+        k = int(np.count_nonzero(layout.phi > int(2 * c.S * rho)))  # 8q * rho, q = S / 4
+        open_v, pos = layout.order[:k], np.arange(k)
+        need = np.concatenate([np.flatnonzero(shared), pos[len(shared) :]])  # ascending
+        if len(need):
+            rows = layout.keyed[:k] if len(need) == k else layout.keyed[need]
+            pos[need] = need[ball_keys(g, rho, rows, c.S)]
+        full[i, open_v], labels[i, open_v] = False, open_v[pos]
+        shared = np.bincount(pos, minlength=k)[pos] > 1
+    labels = np.where(full, np.argmax(full, axis=1)[:, None], labels)  # X's least cell
+    a, b = labels[:, c.tail_cell], labels[:, c.head_cell]
+    seg_full = full[:, c.tail_cell] & full[:, c.head_cell]
+    pairs = np.minimum(a, b) * nv + np.maximum(a, b) + (np.arange(len(radii)) * nv * nv)[:, None]
     _, first, pair = np.unique(pairs, return_index=True, return_inverse=True)
     # a full segment takes X's label, which its tail carries
-    labels = np.concatenate([labels, np.where(seg_full, a, nv + first[pair])])
-    return labels, np.concatenate([full, seg_full])
+    seg = np.where(seg_full, a, nv + (first % a.shape[1])[pair].reshape(a.shape))
+    return np.hstack([labels, seg]), np.hstack([full, seg_full]), shared
+
+
+def _level(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()):
+    """Per cell of the level at rho = rho(r): `_levels` of the one level."""
+    labels, full, _ = _levels(g, [rho], layout, shared)
+    return labels[0], full[0]
 
 
 def _phi(g: MetricGraph, cells, S: int) -> np.ndarray:
@@ -408,57 +416,59 @@ def _phi(g: MetricGraph, cells, S: int) -> np.ndarray:
 
 
 class _Classes(NamedTuple):
-    """A level's classes as arrays, numbered as in `QuotientGraph`."""
+    """The classes of a chunk of levels on one layout, numbered as in `QuotientGraph`."""
 
-    num_vertices: int
-    q_edges: np.ndarray  # (m, 2): endpoint q-vertex ids per edge class
-    n0: int  # number of ball-X segment cells
-    injective: bool
-    vertex_class: np.ndarray
-    edge_class: np.ndarray
-    x_vertex: int | None
-    shared: np.ndarray  # per open vertex cell, in the layout's order: its class has another member
+    num_vertices: np.ndarray  # per level
+    q_edges: np.ndarray  # (m, 2): endpoint q-vertex ids per edge class, the levels' in turn
+    edge_counts: np.ndarray  # edge classes per level
+    n0: np.ndarray  # ball-X segment cells per level
+    injective: list
+    vertex_class: np.ndarray  # (levels, vertex cells)
+    edge_class: np.ndarray  # (levels, segment cells)
+    x_vertex: list
 
 
-def _classes(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()) -> _Classes:
-    """The level at rho = rho(r), keyed on `layout` given `shared` (`_level`)."""
-    labels, full = _level(g, rho, layout, shared)
-    c, nv = layout.cells, len(layout.cells.vertex)
-    # labels are least members, so a running count of the leaders numbers the
-    # classes in order; X's class is the vertex cells' last and no q-edge
-    lead = (labels == np.arange(len(labels))) & ~full
-    number = np.cumsum(lead) - 1
-    x = number[nv - 1] + 1
-    has_x = bool(full[:nv].any())
-    vertex_class = np.where(full[:nv], x, number[labels[:nv]])
-    leaders = np.flatnonzero(lead[nv:])
-    q_edges = np.stack([vertex_class[c.tail_cell[leaders]], vertex_class[c.head_cell[leaders]]], axis=1)
-    edge_class = np.where(full[nv:], -1, number[labels[nv:]] - x)
-    n0, x_vertex = int(np.count_nonzero(full[nv:])), int(x) if has_x else None
-    vc = vertex_class[layout.order]
-    vc = vc[vc < x]  # the open cells, a prefix
-    shared = np.bincount(vc)[vc] > 1
-    return _Classes(int(x) + has_x, q_edges, n0, _injective(labels), vertex_class, edge_class, x_vertex, shared)
+def _classes(c: _Cells, labels, full) -> _Classes:
+    """The classes of a chunk of levels on the cells c from their labels and X flags (`_levels`)."""
+    (labels, full), nv = np.atleast_2d(labels, full), len(c.vertex)
+    # labels are least members, so a running count of a level's leaders
+    # numbers its classes in order; X's class is the vertex cells' last and no q-edge
+    lead = (labels == np.arange(labels.shape[1])) & ~full
+    number = np.cumsum(lead, axis=1) - 1
+    x, has_x = number[:, nv - 1] + 1, full[:, :nv].any(axis=1)
+    at, number = np.arange(0, labels.size, labels.shape[1])[:, None], number.ravel()  # a level's first cell
+    vertex_class = np.where(full[:, :nv], x[:, None], number[labels[:, :nv] + at])
+    level, seg = np.divmod(np.flatnonzero(lead[:, nv:]), labels.shape[1] - nv)
+    q_edges = vertex_class.ravel()[level[:, None] * nv + np.stack([c.tail_cell[seg], c.head_cell[seg]], axis=1)]
+    edge_class = np.where(full[:, nv:], -1, number[labels[:, nv:] + at] - x[:, None])
+    counts, n0 = np.bincount(level, minlength=len(x)), np.count_nonzero(full[:, nv:], axis=1)
+    x_vertex = [v if h else None for v, h in zip(x.tolist(), has_x.tolist())]
+    return _Classes(x + has_x, q_edges, counts, n0, _injective(labels).tolist(), vertex_class, edge_class, x_vertex)
 
 
 def project(g: MetricGraph, r: Fraction) -> QuotientGraph:
     r = Fraction(r)
     rho = level_radius(g, r)
-    c = _classes(g, rho, _layout(g, rho))
-    vertex_class, edge_class = tuple(c.vertex_class.tolist()), tuple(c.edge_class.tolist())
-    return QuotientGraph(r, vertex_class, edge_class, tuple(map(tuple, c.q_edges.tolist())), c.x_vertex, c.injective)
+    layout = _layout(g, rho)
+    c = _classes(layout.cells, *_level(g, rho, layout))
+    vertex_class, edge_class = tuple(c.vertex_class[0].tolist()), tuple(c.edge_class[0].tolist())
+    return QuotientGraph(r, vertex_class, edge_class, tuple(map(tuple, c.q_edges.tolist())), c.x_vertex[0], c.injective[0])
 
 
-def fingerprints(levels: Iterable) -> list[Fingerprint]:
-    """The fingerprint of each level, a `QuotientGraph` or `_Classes` (read for
-    num_vertices, q_edges and n0).  Each level is smoothed as it comes, so a
-    timeline holds one at a time, and the codes take one `canonical_codes` batch."""
+def fingerprints(chunks: Iterable) -> list[Fingerprint]:
+    """The fingerprint of each level of each chunk, the first fields of its
+    `_Classes`: per level V, the q-edges, their count, n0.  A chunk's levels
+    are smoothed in one `smooth_multigraphs` pass, and the codes take one
+    `canonical_codes` batch."""
     parts, graphs = [], []
-    for q in levels:
-        n, edges, _kept = smooth_multigraph(q.num_vertices, q.q_edges)
-        degrees = np.bincount(np.asarray(edges, dtype=np.int64).ravel(), minlength=n).tolist()
-        parts.append((q.num_vertices, len(q.q_edges), q.n0, tuple(sorted(degrees))))
-        graphs.append((n, edges))
+    for V, q_edges, counts, n0 in chunks:
+        n, edges, _kept = smooth_multigraphs(V, q_edges, counts)
+        at, ends = np.cumsum(n) - n, np.searchsorted(edges[:, 0], np.cumsum(n)).tolist()  # a graph's first id, last edge
+        degrees = np.bincount(edges.ravel(), minlength=int(n.sum())).tolist()
+        edges = list(zip(*(edges - np.repeat(at, np.diff(ends, prepend=0))[:, None]).T.tolist()))
+        for i, (a, k, b, e) in enumerate(zip(at.tolist(), n.tolist(), [0, *ends], ends)):
+            parts.append((int(V[i]), int(counts[i]), int(n0[i]), tuple(sorted(degrees[a : a + k]))))
+            graphs.append((k, edges[b:e]))
     return [
         # b0 = 1 and b1 = E - V + 1: every level is connected (corollary 3)
         Fingerprint(1, E - V + 1, V - E, n0, degrees, code, E == 0 and V == 1)
@@ -467,20 +477,20 @@ def fingerprints(levels: Iterable) -> list[Fingerprint]:
 
 
 def fingerprint(q: QuotientGraph) -> Fingerprint:
-    return fingerprints([q])[0]
+    return fingerprints([([q.num_vertices], np.array(q.q_edges).reshape(-1, 2), [len(q.q_edges)], [q.n0])])[0]
 
 
 def is_injective(g: MetricGraph, r: Fraction) -> bool:
     """True iff the projection at radius r is a topological embedding:
     ``project(g, r).injective``, from the cell classes alone."""
     rho = level_radius(g, Fraction(r))
-    return _injective(_level(g, rho, _layout(g, rho))[0])
+    return bool(_injective(_level(g, rho, _layout(g, rho))[0]))
 
 
-def _injective(labels: np.ndarray) -> bool:
-    """No two cells share a ball (so at most one vertex cell is ball X, and
-    no segment cell is: it would carry X's vertex-cell label)."""
-    return bool((labels == np.arange(len(labels))).all())
+def _injective(labels: np.ndarray):
+    """Per level of labels, no two cells share a ball (so at most one vertex
+    cell is ball X, and no segment cell is: it would carry X's vertex-cell label)."""
+    return (labels == np.arange(labels.shape[-1])).all(axis=-1)
 
 
 def euler_bounds_check(g: MetricGraph, f: Fingerprint) -> dict:

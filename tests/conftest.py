@@ -5,7 +5,8 @@ here goes through the exact interval balls of closed_ball / sets_equal /
 point_distance, never `levelkeys` rows, so that engine results are checked
 by a second, independent route.  closed_ball itself is checked against
 closed_ball_oracle, its construction in `Fraction` arithmetic on every edge,
-and the array-based smoothing and canonical code of `canon` against
+and the array-based smoothing (of one graph or of a batch's disjoint union)
+and canonical code of `canon` against
 smooth_oracle and canonical_code_oracle, their chain walk and per-vertex
 Python BFS with recursive search; canonical_code_oracle imports nothing from
 `canon`, and its refine_colors_oracle, which re-signs every vertex each round
@@ -15,7 +16,9 @@ BFS per source, against which the graph's search
 from all sources at once is checked.  level_oracle is the one-pass level that
 keys every cell's ball, against which the level's selective keying is checked;
 its grouping, `np.unique` on a `np.void` view, is group_rows_oracle, against
-which `levelkeys.group_rows` is checked.  timeline_oracle is the timeline by
+which `levelkeys.group_rows` is checked.  classes_oracle numbers one level's
+classes from those labels, against which the numbering of a chunk of levels
+is checked.  timeline_oracle is the timeline by
 one `project` per locus, against which the timeline's shared layouts are
 checked.
 key_rows_reference is `levelkeys.key_rows` by its first, two-clip formula,
@@ -471,6 +474,25 @@ def level_oracle(g: MetricGraph, r: Fraction, layout=None, shared=()):
     rows, E = key_rows(g, r, cells, c.S), g.num_edges
     full = (rows[:, :E] == c.S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
     return group_rows_oracle(rows), full
+
+
+def classes_oracle(c, labels: np.ndarray, full: np.ndarray) -> tuple:
+    """The classes of one level on the cells c, given its (labels, full) of
+    `level_oracle`, by the engine's earlier numbering of one level at a time:
+    (V, q_edges, n0, injective, vertex_class, edge_class, x_vertex), numbered
+    as in `QuotientGraph`."""
+    nv = len(c.vertex)
+    lead = (labels == np.arange(len(labels))) & ~full
+    number = np.cumsum(lead) - 1
+    x = number[nv - 1] + 1
+    has_x = bool(full[:nv].any())
+    vertex_class = np.where(full[:nv], x, number[labels[:nv]])
+    leaders = np.flatnonzero(lead[nv:])
+    q_edges = np.stack([vertex_class[c.tail_cell[leaders]], vertex_class[c.head_cell[leaders]]], axis=1)
+    edge_class = np.where(full[nv:], -1, number[labels[nv:]] - x)
+    injective = bool((labels == np.arange(len(labels))).all())
+    n0, x_vertex = int(np.count_nonzero(full[nv:])), int(x) if has_x else None
+    return int(x) + has_x, q_edges, n0, injective, vertex_class, edge_class, x_vertex
 
 
 def timeline_oracle(g: MetricGraph) -> tuple:

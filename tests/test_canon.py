@@ -3,7 +3,9 @@ conftest, on random multigraphs, on every level of three timelines and on
 families of twins and interchangeable blocks.  The incremental refinement is
 checked against conftest's refinement of every class at each call of the
 search, and the search's refinement and leaf counts are pinned on the cases
-that once blew up.  A batch must give each graph the distance ranks and the
+that once blew up.  Smoothing a batch's disjoint union must give each graph
+what the oracle gives it alone, across runs of edges that would cross from
+one graph into the next without the union's offsets.  A batch must give each graph the distance ranks and the
 code it gets alone, across the chunk limit too, and the memo's counts are
 pinned.  With BALLFLOW_DEEP=1 the oracle comparison runs on 1,200
 more random multigraphs and on larger twin-heavy families."""
@@ -17,10 +19,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ballflow import canon, evolution, fixtures, graph
-from ballflow.canon import canonical_multigraph_code, smooth_multigraph
+from ballflow.canon import canonical_multigraph_code, smooth_multigraph, smooth_multigraphs
 from ballflow.quotient import fingerprint, project
 
 from conftest import (
@@ -62,6 +65,45 @@ def test_random_multigraphs_match_oracles(block):
     for n, edges in cases:
         assert smooth_multigraph(n, edges) == smooth_oracle(n, edges), (n, edges)
         assert canonical_multigraph_code(n, edges) == canonical_code_oracle(n, edges), (n, edges)
+
+
+def walk_multigraph(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A multigraph whose edges come as a few walks, each listed edge after
+    edge, so that runs (a, x), (x, b), ... pass vertices x of degree 2 and of
+    more; a few edges are turned round, which breaks a run."""
+    n, edges = rng.randint(1, 9), []
+    for _ in range(rng.randint(1, 3)):
+        walk = [rng.randrange(n) for _ in range(rng.randint(2, 7))]
+        edges += [(a, b) if rng.random() < 0.8 else (b, a) for a, b in zip(walk, walk[1:])]
+    return n, edges
+
+
+# each of these ends where the next begins, in its own ids, at a vertex of
+# degree 2 in both: only the union's offsets keep a run from crossing over
+CYCLE3 = (3, [(0, 1), (1, 2), (2, 0)])
+BOUNDARY_RUNS = [CYCLE3, CYCLE3, (4, [(0, 1), (1, 2), (2, 3), (3, 0)]), (2, [(0, 1), (1, 0)]), CYCLE3, (1, [(0, 0)])]
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_union_smoothing_matches_each_graph_alone(block):
+    """`smooth_multigraphs` of batches of 1 to 8 graphs, and of the graphs of
+    BOUNDARY_RUNS in turn: each graph's vertex count, smoothed edges and kept
+    ids, read off the union, are the oracle's for the graph alone."""
+    rng = random.Random(7000 + block)
+    cases = [random_multigraph(rng) if rng.random() < 0.5 else walk_multigraph(rng) for _ in range(300)]
+    batches = [BOUNDARY_RUNS] if block == 0 else []
+    while cases:
+        size = rng.randint(1, 8)
+        batches.append(cases[:size])
+        cases = cases[size:]
+    for batch in batches:
+        edges = np.array([e for _, graph_edges in batch for e in graph_edges], dtype=np.int64).reshape(-1, 2)
+        n, smoothed, kept = smooth_multigraphs([k for k, _ in batch], edges, [len(e) for _, e in batch])
+        at = (np.cumsum(n) - n).tolist()
+        for (k, graph_edges), a, m in zip(batch, at, n.tolist()):
+            mine = smoothed[(smoothed[:, 0] >= a) & (smoothed[:, 0] < a + m)] - a
+            got = (m, list(map(tuple, mine.tolist())), kept[a : a + m].tolist())
+            assert got == smooth_oracle(k, graph_edges), (k, graph_edges, batch)
 
 
 SYMMETRIC = {

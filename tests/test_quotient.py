@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ballflow import fixtures, levelkeys, quotient
+from ballflow import evolution, fixtures, levelkeys, quotient
 from ballflow.balls import closed_ball, full_set, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import timeline, timeline_loci
@@ -19,7 +19,7 @@ from ballflow.quotient import (
     subdivision,
 )
 
-from conftest import assert_cells_match_subdivision, cell_partition, level_oracle, relabeled
+from conftest import assert_cells_match_subdivision, cell_partition, classes_oracle, level_oracle, relabeled
 from test_acceptance import big_graph
 
 
@@ -300,6 +300,65 @@ def test_layout_is_a_function_of_the_grid(name):
         got, want = quotient._level(g, rho, shared), quotient._level(g, rho, own)
         assert [a.tolist() for a in got] == [a.tolist() for a in want], rho
     assert sorted(first) == [8, 16, 32]
+
+
+CHUNKED_GRAPHS = {
+    **LAYOUT_GRAPHS,
+    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+    "comb5": lambda: fixtures.comb(5),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_GRAPHS))
+def test_a_chunk_numbers_each_level_as_one_level_alone(name):
+    """Each layout's levels, walked by descending rho as `timeline` walks
+    them, in chunks of 1, 2 and 3 consecutive levels and in one chunk: the
+    arrays of `_classes` of each chunk's `_levels` are, level by level, those
+    that `classes_oracle` numbers from `level_oracle`, which keys every cell."""
+    g = CHUNKED_GRAPHS[name]()
+    groups = {}
+    for r, _ in timeline_loci(g):
+        rho = quotient.level_radius(g, r)
+        groups.setdefault(quotient._grid(rho), []).append(rho)
+    for radii in groups.values():
+        radii.sort(reverse=True)
+        layout = quotient._layout(g, radii[0])
+        want = [classes_oracle(layout.cells, *level_oracle(g, rho)) for rho in radii]
+        for size in (1, 2, 3, len(radii)):
+            got, shared = [], ()
+            for i in range(0, len(radii), size):
+                *keyed, shared = quotient._levels(g, radii[i : i + size], layout, shared)
+                k = quotient._classes(layout.cells, *keyed)
+                ends = np.cumsum(k.edge_counts).tolist()
+                for j, (a, b) in enumerate(zip([0, *ends], ends)):
+                    level = (k.num_vertices[j], k.q_edges[a:b], k.n0[j], k.injective[j], k.vertex_class[j], k.edge_class[j])
+                    got.append([*(np.asarray(v).tolist() for v in level), k.x_vertex[j]])
+            for rho, a, b in zip(radii, got, want):
+                assert a == [*(np.asarray(v).tolist() for v in b[:-1]), b[-1]], (name, size, rho)
+
+
+def test_big200_timeline_numbers_and_smooths_its_levels_in_chunks(monkeypatch):
+    """Counted, not timed: the big200 timeline numbers and smooths its 76
+    levels, on layouts of 750, 1,550 and 2,350 cells, in one pass per chunk
+    of at most `CHUNK_CELLS` cells of one layout's levels: 13 passes, not
+    76."""
+    numbered, smoothed = [], []
+    real_classes, real_smooth = quotient._classes, quotient.smooth_multigraphs
+
+    def classes(c, labels, full):
+        numbered.append(len(labels))
+        assert labels.size <= evolution.CHUNK_CELLS
+        return real_classes(c, labels, full)
+
+    def smooth(sizes, edges, counts):
+        smoothed.append(len(sizes))
+        return real_smooth(sizes, edges, counts)
+
+    monkeypatch.setattr(evolution, "_classes", classes)
+    monkeypatch.setattr(quotient, "smooth_multigraphs", smooth)
+    assert len(timeline(big_graph()).entries) == 76
+    assert numbered == smoothed
+    assert (len(numbered), sum(numbered)) == (13, 76)
 
 
 def test_big200_timeline_keys_only_unknown_balls(monkeypatch):

@@ -116,11 +116,12 @@ def test_every_small_graph_numbers_its_classes_once():
         for k in range(1, int(8 * (g.diameter() + F(1, 2))) + 1):
             r = F(k, 8)
             rho = quotient.level_radius(g, r)
-            c, q = quotient._classes(g, rho, quotient._layout(g, rho)), project(g, r)
-            assert (c.num_vertices, c.q_edges.tolist(), c.n0, c.injective) == (
-                q.num_vertices, list(map(list, q.q_edges)), q.n0, q.injective
+            layout = quotient._layout(g, rho)
+            c, q = quotient._classes(layout.cells, *quotient._level(g, rho, layout)), project(g, r)
+            assert (c.num_vertices.tolist(), c.q_edges.tolist(), c.n0.tolist(), c.injective) == (
+                [q.num_vertices], list(map(list, q.q_edges)), [q.n0], [q.injective]
             ), (g.name, r)
-            assert components_oracle(c.num_vertices, c.q_edges.tolist()) == 1, (g.name, r)
+            assert components_oracle(int(c.num_vertices[0]), c.q_edges.tolist()) == 1, (g.name, r)
             levels += 1
     assert levels == COUNTS[3]
 
