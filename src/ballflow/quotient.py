@@ -463,7 +463,7 @@ def fingerprints(chunks: Iterable) -> list[Fingerprint]:
     parts, graphs = [], []
     for V, q_edges, counts, n0 in chunks:
         n, edges, _kept = smooth_multigraphs(V, q_edges, counts)
-        at, ends = np.cumsum(n) - n, np.searchsorted(edges[:, 0], np.cumsum(n)).tolist()  # a graph's first id, last edge
+        at, ends = np.cumsum(n) - n, np.searchsorted(edges[:, 0], np.cumsum(n)).tolist()  # per graph: first id, end of edges
         degrees = np.bincount(edges.ravel(), minlength=int(n.sum())).tolist()
         edges = list(zip(*(edges - np.repeat(at, np.diff(ends, prepend=0))[:, None]).T.tolist()))
         for i, (a, k, b, e) in enumerate(zip(at.tolist(), n.tolist(), [0, *ends], ends)):
@@ -477,7 +477,7 @@ def fingerprints(chunks: Iterable) -> list[Fingerprint]:
 
 
 def fingerprint(q: QuotientGraph) -> Fingerprint:
-    return fingerprints([([q.num_vertices], np.array(q.q_edges).reshape(-1, 2), [len(q.q_edges)], [q.n0])])[0]
+    return fingerprints([([q.num_vertices], q.q_edges, [len(q.q_edges)], [q.n0])])[0]
 
 
 def is_injective(g: MetricGraph, r: Fraction) -> bool:
