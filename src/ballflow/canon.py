@@ -43,14 +43,14 @@ equal to the best abandons its child of the deepest node whose prefix gamma
 fixes, which gamma maps to the best leaf's, explored earlier.
 
 The search runs on an explicit stack, so a level with thousands of twin
-vertices does not hit Python's recursion limit.  Codes are memoized by value
-on (n, edges), at most 256, in `_memo`, which holds no graph and counts its
-hits and misses: a timeline meets the same smoothed multigraph at many levels.
+vertices does not hit Python's recursion limit.  `canonical_codes` searches
+each distinct (n, edges) of its batch once: a timeline meets the same
+smoothed multigraph at many levels, and hands them all over in one batch.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -170,37 +170,19 @@ def canonical_multigraph_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
     return canonical_codes([(n, edges)])[0]
 
 
-class _Memo(OrderedDict):
-    """Codes by value, (n, edges) -> code, least recently used first; hits
-    and misses count the graphs served without a search and searched."""
-
-    hits = misses = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.hits = self.misses = 0
-
-
-_memo = _Memo()
-
-
 def canonical_codes(graphs: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> list[str]:
     """`canonical_multigraph_code` of each (n, edges).  The distinct graphs
-    missing from `_memo` are ranked largest first, as many at a time as fit
-    `graph._CHUNK_ENTRIES` frontier words, then searched."""
+    are ranked largest first, as many at a time as fit `graph._CHUNK_ENTRIES`
+    frontier words, then each is searched once."""
     keys = [(n, tuple(map(tuple, edges))) for n, edges in graphs]
-    codes = {key: _memo.pop(key, None) if key[0] else "V0|" for key in dict.fromkeys(keys)}
-    todo = sorted((key for key, code in codes.items() if code is None), key=lambda key: -key[0])
-    _memo.hits, _memo.misses = _memo.hits + len(keys) - len(todo), _memo.misses + len(todo)
+    codes = dict.fromkeys(keys, "V0|")  # the empty graph's code; a search overwrites the others
+    todo = sorted((key for key in codes if key[0]), key=lambda key: -key[0])
     while todo:  # the block is the chunk's vertices by the words of its first, its largest
         rows = np.cumsum([n for n, _ in todo]) * ((todo[0][0] + 63) // 64)
         k = max(1, int(np.count_nonzero(rows <= graph._CHUNK_ENTRIES)))
         for (n, edges), ranks in zip(todo[:k], _distance_ranks(todo[:k])):
             codes[n, edges] = _search(n, edges, ranks)
         todo = todo[k:]
-    _memo.update(codes)
-    while len(_memo) > 256:
-        _memo.popitem(last=False)
     return [codes[key] for key in keys]
 
 

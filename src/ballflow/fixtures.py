@@ -80,20 +80,9 @@ def comb(n_teeth: int = 5) -> MetricGraph:
     return load_graph({"name": f"comb{n_teeth}", "vertices": vertices, "edges": edges})
 
 
-def random_tree(n_vertices: int, seed: int) -> MetricGraph:
-    """Random tree with unit integer edge lengths, connected by construction."""
-    rng = random.Random(seed)
-    vs = [f"v{i}" for i in range(n_vertices)]
-    edges = []
-    for i in range(1, n_vertices):
-        j = rng.randrange(i)
-        edges.append({"u": vs[j], "v": vs[i], "length": rng.choice([1, 1, 2])})
-    return load_graph({"name": f"tree{n_vertices}s{seed}", "vertices": vs, "edges": edges})
-
-
 def random_connected(n_vertices: int, extra_edges: int, seed: int) -> MetricGraph:
     """Random connected multigraph: a random tree plus extra edges, which may
-    include loops and parallel edges."""
+    include loops and parallel edges; with no extra edges, the tree alone."""
     rng = random.Random(seed)
     vs = [f"v{i}" for i in range(n_vertices)]
     edges = []

@@ -12,8 +12,8 @@ refuses the graph as disconnected.  A point's distance row is
 `scaled_distances`, in Python integers; `peak_rows` gives the rows of many
 points at once with their peaks, and every eccentricity, the quarter table
 of Phi and every merge radius read it.  Only the numpy kernel
-`levelkeys.key_rows` writes the distance formula again, in dtypes of its
-own.
+`levelkeys.with_distances` writes the distance formula again, in dtypes of
+its own; `levelkeys.key_rows` only clips and gathers its rows.
 
 Phi(p), the largest distance from p, is linear on every unit edge between
 the quarter points 0, 1/4, 1/2, 3/4 and 1.  Proof: at offset s on e = (u, v)

@@ -89,7 +89,7 @@ MAX_SAMPLE_POINTS = 2_000
 SWEEP_BLOCK_ROWS = 512
 
 # each graph's own {(point, radius): ball} memo for the tests' bisections, dropped with
-# the graph; kept while perfbench/layertrace.py counts `_cached_ball` (ROADMAP 5)
+# the graph; kept while perfbench/layertrace.py counts `_cached_ball` (ROADMAP item 3)
 _ball_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

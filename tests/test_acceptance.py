@@ -60,7 +60,7 @@ GRAPH_POOL = [
     fixtures.theta(),
     fixtures.c6(),
     fixtures.c4(),
-    fixtures.random_tree(6, seed=1),
+    fixtures.random_connected(6, 0, 1),
     fixtures.random_connected(5, 2, seed=2),
 ]
 
@@ -81,7 +81,7 @@ def tree_runs():
         runs = []
         elapsed = -time.perf_counter()
         for seed in range(10):
-            g = fixtures.random_tree(12, seed=seed)
+            g = fixtures.random_connected(12, 0, seed)
             assert g.num_edges <= 30
             fps = [
                 (f"tree seed {seed} at {r}", g.num_edges, fingerprint(project(g, r)))
@@ -389,11 +389,11 @@ def test_criterion_9_hausdorff_oracle():
 
 def test_criterion_10_ultrametric():
     graphs = [
-        fixtures.random_tree(5, seed=0),
-        fixtures.random_tree(5, seed=1),
+        fixtures.random_connected(5, 0, 0),
+        fixtures.random_connected(5, 0, 1),
         fixtures.random_connected(4, 1, seed=0),
         fixtures.random_connected(4, 1, seed=1),
-        fixtures.random_tree(6, seed=2),
+        fixtures.random_connected(6, 0, 2),
     ]
     ok = True
     detail = []

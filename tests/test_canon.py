@@ -6,8 +6,10 @@ search, and the search's refinement and leaf counts are pinned on the cases
 that once blew up.  Smoothing a batch's disjoint union must give each graph
 what the oracle gives it alone, across runs of edges that would cross from
 one graph into the next without the union's offsets.  A batch must give each graph the distance ranks and the
-code it gets alone, across the chunk limit too, and the memo's counts are
-pinned.  With BALLFLOW_DEEP=1 the oracle comparison runs on 1,200
+code it gets alone, across the chunk limit too, and search each of its
+distinct graphs once, counted at `canon._search`.  Code equality is also
+checked against networkx's isomorphism test, which shares nothing with the
+search, where networkx is installed.  With BALLFLOW_DEEP=1 the oracle comparison runs on 1,200
 more random multigraphs and on larger twin-heavy families."""
 
 import hashlib
@@ -17,6 +19,7 @@ import os
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -154,27 +157,34 @@ def test_timeline_levels_match_oracles(timeline_levels, name):
         assert fingerprint(q).b0 == components_oracle(q.num_vertices, q.q_edges) == 1, q.radius
 
 
-def test_timeline_searches_each_distinct_smoothed_level_once(timeline_levels):
+def count_searches(monkeypatch) -> list:
+    """The (n, edges) of each `canon._search` call from now on."""
+    real, searched = canon._search, []
+    monkeypatch.setattr(canon, "_search", lambda n, edges, ranks: (searched.append((n, edges)), real(n, edges, ranks))[1])
+    return searched
+
+
+def test_timeline_searches_each_distinct_smoothed_level_once(monkeypatch, timeline_levels):
     g, levels = timeline_levels["comb"]
     distinct = set()
     for q in levels:
         n, edges, _kept = smooth_multigraph(q.num_vertices, q.q_edges)
         distinct.add((n, tuple(edges)))
-    canon._memo.clear()
+    searched = count_searches(monkeypatch)
     entries = evolution.timeline(g).entries
-    assert canon._memo.misses == len(distinct) < len(entries)
-    assert canon._memo.hits + canon._memo.misses == len(entries)
+    assert set(searched) == distinct
+    assert len(searched) == len(distinct) < len(entries)
 
 
 def test_big200_timeline_runs_one_rank_expansion(monkeypatch):
     """Counted, not timed: the distinct smoothed levels of the big200
-    timeline are ranked in one frontier expansion."""
+    timeline are ranked in one frontier expansion and searched once each."""
     real, batches = canon._distance_ranks, []
     monkeypatch.setattr(canon, "_distance_ranks", lambda graphs: (batches.append(len(graphs)), real(graphs))[1])
-    canon._memo.clear()
+    searched = count_searches(monkeypatch)
     entries = evolution.timeline(big_graph()).entries
-    assert batches == [canon._memo.misses] == [44]
-    assert canon._memo.hits + canon._memo.misses == len(entries) == 76
+    assert batches == [len(searched)] == [len(set(searched))] == [44]
+    assert len(entries) == 76
 
 
 def test_deep_search_needs_no_recursion():
@@ -182,7 +192,6 @@ def test_deep_search_needs_no_recursion():
     needs one frame per leaf; the search needs none."""
     n, edges = 301, [(0, leaf) for leaf in range(1, 301)]
     expected = canonical_code_oracle(n, edges)
-    canon._memo.clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -293,9 +302,7 @@ def test_refinement_matches_oracle_at_every_call(monkeypatch, timeline_levels):
     data = json.loads(LEVEL_R131_8.read_text())
     cases.append((data["n"], [tuple(e) for e in data["edges"]]))
     for n, edges in cases:
-        canon._memo.clear()
         canonical_multigraph_code(n, edges)
-    canon._memo.clear()
     assert len(calls) >= sum(n > 0 for n, _edges in cases)
 
 
@@ -306,9 +313,7 @@ def search_counts(monkeypatch, n: int, edges: list[tuple[int, int]]) -> tuple[st
     refine, encode = canon.refine_colors, canon._encode
     monkeypatch.setattr(canon, "refine_colors", lambda *a: (counts.update(["refine"]), refine(*a))[1])
     monkeypatch.setattr(canon, "_encode", lambda *a: (counts.update(["leaf"]), encode(*a))[1])
-    canon._memo.clear()
     code = canonical_multigraph_code(n, edges)
-    canon._memo.clear()
     monkeypatch.undo()
     return code, counts["refine"], counts["leaf"]
 
@@ -388,22 +393,17 @@ def test_batched_ranks_equal_each_graph_alone():
         assert ranks == again[n, edges] == alone == profile_ranks_oracle(n, edges), n
 
 
-def test_a_batch_of_codes_equals_each_code_alone():
-    """Repeats in a batch, graphs already in the memo and V0 are hits; each
-    distinct graph missing from it is searched once."""
+def test_a_batch_of_codes_equals_each_code_alone(monkeypatch):
+    """Repeats in a batch and V0 are not searched; each distinct graph of
+    it is searched once."""
     rng = random.Random("batch")
     cases = rank_cases() + [random_multigraph(rng) for _ in range(30)]
-    alone = []
-    for n, edges in cases:
-        canon._memo.clear()
-        alone.append(canonical_multigraph_code(n, edges))
-    canon._memo.clear()
-    distinct = len({(n, tuple(map(tuple, edges))) for n, edges in cases if n})
+    alone = [canonical_multigraph_code(n, edges) for n, edges in cases]
+    distinct = {(n, tuple(map(tuple, edges))) for n, edges in cases if n}
+    searched = count_searches(monkeypatch)
     assert canon.canonical_codes(cases + cases[:4]) == alone + alone[:4]
-    assert (canon._memo.hits, canon._memo.misses) == (len(cases) + 4 - distinct, distinct)
-    assert canon.canonical_codes(cases[:2]) == alone[:2]
-    assert canon._memo.misses == distinct
-    canon._memo.clear()
+    assert len(searched) == len(distinct) < len(cases) + 4
+    assert set(searched) == distinct
 
 
 def test_a_batch_split_at_the_chunk_limit(monkeypatch):
@@ -419,19 +419,52 @@ def test_a_batch_split_at_the_chunk_limit(monkeypatch):
 
     monkeypatch.setattr(canon, "_distance_ranks", counted)
     monkeypatch.setattr(graph, "_CHUNK_ENTRIES", 200)
-    canon._memo.clear()
     assert canon.canonical_codes(cases) == alone
     assert sum(k for k, _ in chunks) == len(cases)
     assert all(k == 1 or words <= 200 for k, words in chunks)
     assert any(k > 1 for k, _ in chunks) and any(words > 200 for _, words in chunks)
-    canon._memo.clear()
 
 
-def test_the_memo_keeps_the_256_codes_used_last():
-    stars = [star(k) for k in range(300)]
-    canon._memo.clear()
-    canon.canonical_codes(stars)
-    canon.canonical_codes(stars[:1])
-    assert len(canon._memo) == 256
-    assert list(canon._memo)[-2:] == [(300, tuple(stars[-1][1])), (1, ())]
-    canon._memo.clear()
+
+def rook_and_shrikhande() -> list[tuple[int, list[tuple[int, int]]]]:
+    """The 4 x 4 rook's graph and the Shrikhande graph on Z4 x Z4: both are
+    strongly regular (16, 6, 2, 2), so colour refinement splits neither."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    rook = [(a, b) for a in range(16) for b in range(a + 1, 16) if a // 4 == b // 4 or a % 4 == b % 4]
+    shrikhande = [(a, b) for a in range(16) for b in range(a + 1, 16) if ((b // 4 - a // 4) % 4, (b - a) % 4) in steps]
+    return [(16, rook), (16, shrikhande)]
+
+
+def test_codes_agree_with_networkx_isomorphism(timeline_levels):
+    """An oracle apart from conftest's, which runs the same invariant and
+    search: within each bucket of equal (n, |E|, degree histogram), two codes
+    are equal iff networkx's VF2 finds the multigraphs isomorphic.  The cases
+    are random 3- and 4-regular graphs on 8 to 16 vertices and the rook's and
+    Shrikhande graphs, each with a relabelling, random multigraphs on 2 to 9
+    vertices with loops and parallel edges, and the distinct smoothed
+    timeline levels of comb, c6 and theta."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("networkx")
+    cases = [(n, random_regular(rng, n, d)) for d in (3, 4) for n in range(8, 17, 2) for _ in range(4)] + rook_and_shrikhande()
+    cases = [case for n, edges in cases for case in ((n, edges), (n, relabelled(rng, n, edges)))]
+    for n in [rng.randint(2, 9) for _ in range(2000)]:
+        cases.append((n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 12))]))
+    smoothed = (smooth_multigraph(q.num_vertices, q.q_edges)[:2] for _g, levels in timeline_levels.values() for q in levels)
+    cases += dict.fromkeys((n, tuple(edges)) for n, edges in smoothed)  # each distinct level once
+    buckets = {}
+    for (n, edges), code in zip(cases, canon.canonical_codes(cases)):
+        degree = Counter(v for edge in edges for v in edge)
+        key = (n, len(edges), tuple(sorted(Counter(degree[v] for v in range(n)).items())))
+        multigraph = nx.MultiGraph(edges)
+        multigraph.add_nodes_from(range(n))
+        buckets.setdefault(key, []).append((multigraph, code))
+    pairs = isomorphic = 0
+    disagreements = []
+    for bucket in buckets.values():
+        for (a, code_a), (b, code_b) in combinations(bucket, 2):
+            same = nx.is_isomorphic(a, b)
+            pairs, isomorphic = pairs + 1, isomorphic + same
+            if same != (code_a == code_b):
+                disagreements.append((sorted(a.edges()), sorted(b.edges())))
+    assert disagreements == []
+    assert (pairs, isomorphic) == (4413, 2496)

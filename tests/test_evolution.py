@@ -124,7 +124,7 @@ class TestRobustness:
         assert res.exact == F(3)
 
     def test_bracket_consistency_random(self):
-        g = fixtures.random_tree(7, seed=5)
+        g = fixtures.random_connected(7, 0, 5)
         res = robustness_radius(g, exact=True)
         assert res.lower < res.upper
         assert res.lower < res.exact <= res.upper

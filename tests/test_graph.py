@@ -301,7 +301,7 @@ class TestPotentialProfile:
         "make",
         [fixtures.path, fixtures.c4, fixtures.c6, fixtures.theta, lambda: fixtures.comb(3)]
         + [lambda s=s: fixtures.random_connected(8, 4, s) for s in range(5)]
-        + [lambda s=s: fixtures.random_tree(10, s) for s in range(5)]
+        + [lambda s=s: fixtures.random_connected(10, 0, s) for s in range(5)]
         + [lambda: load_graph(MIXED_LOOP_DOC), lambda: load_graph(LOLLIPOP_DOC)],
         ids=["path", "c4", "c6", "theta", "comb3"]
         + [f"random_connected-8-4-{s}" for s in range(5)]

@@ -118,7 +118,7 @@ LEVEL_GRAPHS = {
         ]
     },
     **{
-        f"tree{n}s{s}": (lambda n=n, s=s: fixtures.random_tree(n, s))
+        f"tree{n}s{s}": (lambda n=n, s=s: fixtures.random_connected(n, 0, s))
         for n, s in [(5, 0), (6, 1), (8, 2), (10, 3), (14, 4)]
     },
 }

@@ -147,8 +147,8 @@ SWEEP_GRAPHS = {
     "theta": fixtures.theta,
     "c6": fixtures.c6,
     "comb3": lambda: fixtures.comb(3),
-    "tree8s1": lambda: fixtures.random_tree(8, 1),
-    "tree9s2": lambda: fixtures.random_tree(9, 2),
+    "tree8s1": lambda: fixtures.random_connected(8, 0, 1),
+    "tree9s2": lambda: fixtures.random_connected(9, 0, 2),
 }
 
 

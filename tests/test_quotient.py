@@ -131,7 +131,7 @@ class TestProjectionAgainstBruteForce:
                     assert not sets_equal(g, balls[a], balls[b]), (name, r)
 
     def test_random_tree_brute(self):
-        g = fixtures.random_tree(8, seed=3)
+        g = fixtures.random_connected(8, 0, 3)
         for r in [F(1, 2), F(9, 8), g.diameter() / 2, g.diameter()]:
             q = project(g, r)
             sub = subdivision(g, q.radius)
