@@ -13,7 +13,9 @@ path on a command line (and in an error message) is relative.
 With `BALLFLOW_DEEP=1` the script also writes `cli_corpus_deep.json`, the
 commands of `deep_commands()` on random graphs of 2,028 and 3,967 unit edges
 and merge trees of comb5's 753 points at step 1/16 and of big200's 350
-points at step 1/2 (about 8 s on 2 x86-64 cores), which `tests/test_cli_corpus.py` replays under the same variable.
+points at step 1/2, which `tests/test_cli_corpus.py` replays under the same
+variable.  It takes about 40 s and 1.6 GB on 2 x86-64 cores, most of both
+in `robustness rand2000.json --exact` (24 s).
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ def commands() -> list[list[str]]:
         # a 1/6 grid; a loop
         ["merge-tree", "builtin:comb3", "--resolution", "1/6", "--json"],
         ["merge-tree", "kite.json", "--resolution", "1/3", "--json"],
+        # CSV matrices of 129 and 377 points
+        ["merge-tree", "builtin:path", "--resolution", "1/64", "--csv"],
+        ["merge-tree", "builtin:comb5", "--resolution", "1/8", "--csv"],
         ["ball", "builtin:theta", "--edge", "0", "--t", "1/3", "--radius", "123456789012345678901/100000000000000000000", "--json"],
         ["ball", "builtin:comb5", "--edge", "5", "--t", "1/7", "--radius", "1/1000000000000000000000", "--json"],
         ["ball", "builtin:c6", "--edge", "2", "--t", "2/5", "--radius", "7/10", "--user-units", "--json"],
@@ -159,6 +164,9 @@ def deep_commands() -> list[list[str]]:
         ["merge-tree", "builtin:comb5", "--resolution", "1/16", "--json"],
         # 350 points
         ["merge-tree", "big200.json", "--resolution", "1/2", "--json"],
+        # robustness at 3,967 unit edges, walked and exact
+        ["robustness", "rand2000.json"],
+        ["robustness", "rand2000.json", "--exact"],
     ]
 
 
