@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InternalConsistencyError, ValidationError
-from .graph import GraphPoint, MetricGraph, format_rational, parse_rational
+from .errors import ValidationError
+from .graph import GraphPoint, MetricGraph, format_rational
 from .piecewise import merge_intervals
 
 ZERO = Fraction(0)
@@ -95,10 +95,6 @@ def make_coverage(
                 clipped.append((a, b))
         cov.append(tuple(merge_intervals(clipped)))
     return tuple(cov)
-
-
-def empty_set(g: MetricGraph) -> BallSet:
-    return BallSet(tuple(() for _ in range(g.num_edges)))
 
 
 def full_set(g: MetricGraph) -> BallSet:
@@ -349,23 +345,3 @@ def ball_to_json(g: MetricGraph, A: BallSet, user_units: bool = False) -> dict:
             "radius": format_rational(r * factor),
         }
     return doc
-
-
-def ball_from_json(g: MetricGraph, doc: dict) -> BallSet:
-    per_edge: list[list[Interval]] = [[] for _ in range(g.num_edges)]
-    for item in doc["edges"]:
-        e = int(item["edge"])
-        if not 0 <= e < g.num_edges:
-            raise ValidationError(f"invalid edge index {e}")
-        for a, b in item["intervals"]:
-            per_edge[e].append((parse_rational(a), parse_rational(b)))
-    meta = None
-    if "meta" in doc:
-        mp = doc["meta"]
-        meta = (
-            g.canonical_point(
-                GraphPoint(int(mp["center"]["edge"]), parse_rational(mp["center"]["t"]))
-            ),
-            parse_rational(mp["radius"]),
-        )
-    return BallSet(make_coverage(g, per_edge), meta=meta)

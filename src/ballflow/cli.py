@@ -49,8 +49,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(x: Fraction, approx: bool) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import InternalConsistencyError
 from .graph import MetricGraph
 from .mergetree import _merge_sweep
-from .quotient import Fingerprint, _cells, _classes, _grid, _injective, _layout, _level, _levels, fingerprints, level_radius
+from .quotient import Fingerprint, _cells, _classes, _grid, _injective, _layout, _level, _levels, fingerprints
 
 CHUNK_CELLS = 12288  # cells of one layout's levels numbered and smoothed together
 
@@ -44,7 +44,12 @@ class Timeline:
 
 def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
     """Grid points and interval midpoints covering (0, diameter]: the eighths
-    j/8 for j <= 2 * ceil(4 * diameter), odd j only while j/8 <= diameter."""
+    j/8 for j <= 2 * ceil(4 * diameter), odd j only while j/8 <= diameter.
+
+    Each locus r is its own rho(r) (the theorem of `quotient`), so its level
+    is keyed at r itself: r <= ceil(4 * diameter) / 4 < diameter + 1/4, so
+    2 * (r - diameter) < 1/2 and no half is shifted off; and when 4r = j/2
+    is not whole, j is odd and floor(4r) / 4 + 1/8 = (j - 1) / 8 + 1/8 = r."""
     d = g.diameter()
     return [
         (Fraction(j, 8), j % 2 == 0)
@@ -54,29 +59,28 @@ def timeline_loci(g: MetricGraph) -> list[tuple[Fraction, bool]]:
 
 
 def timeline(g: MetricGraph) -> Timeline:
-    """Each locus's level, keyed at its rho(r) on the layout of rho's grid S:
+    """Each locus's level, keyed at r = rho(r) on the layout of r's grid S:
     the loci of one layout in turn, with one of the three alive at a time, by
-    descending rho, so that a level keys only the cells that shared a class at
+    descending r, so that a level keys only the cells that shared a class at
     the one before and the new ones (`quotient._Layout`).  Each chunk of at
     most CHUNK_CELLS cells of a layout's levels is numbered in one pass, and
     the class arrays stream into one `fingerprints` batch."""
-    groups: dict[int, list[tuple[Fraction, Fraction, bool]]] = {}
+    groups: dict[int, list[tuple[Fraction, bool]]] = {}
     for r, on_grid in timeline_loci(g):
-        rho = level_radius(g, r)
-        groups.setdefault(_grid(rho), []).append((r, rho, on_grid))
+        groups.setdefault(_grid(r), []).append((r, on_grid))
     loci = []  # (r, on_grid, injective), in the order of the levels
 
     def chunks():
         for group in groups.values():
-            group.sort(key=lambda locus: locus[1], reverse=True)
-            layout, shared = _layout(g, group[0][1]), ()
+            group.sort(reverse=True)
+            layout, shared = _layout(g, group[0][0]), ()
             step = max(1, CHUNK_CELLS // (len(layout.cells.vertex) + len(layout.cells.edge)))
             for i in range(0, len(group), step):
                 chunk = group[i : i + step]
-                *keyed, shared = _levels(g, [rho for _, rho, _ in chunk], layout, shared)
+                *keyed, shared = _levels(g, [r for r, _ in chunk], layout, shared)
                 V, q_edges, counts, n0, injective = _classes(layout.cells, *keyed)[:5]
                 del keyed  # so that the next chunk's walk holds none of this one's arrays
-                loci.extend((r, on_grid, inj) for (r, _, on_grid), inj in zip(chunk, injective))
+                loci.extend((r, on_grid, inj) for (r, on_grid), inj in zip(chunk, injective))
                 yield V, q_edges, counts, n0
             del layout
 
@@ -117,10 +121,9 @@ def robustness_radius(g: MetricGraph, exact: bool = False) -> RobustnessResult:
     prev = Fraction(0)
     fail = None
     for r, _on_grid in timeline_loci(g):
-        rho = level_radius(g, r)
-        S = _grid(rho)
-        layout = layouts.get(S) or layouts.setdefault(S, _layout(g, rho))
-        if not _injective(_level(g, rho, layout)[0]):
+        S = _grid(r)
+        layout = layouts.get(S) or layouts.setdefault(S, _layout(g, r))
+        if not _injective(_level(g, r, layout)[0]):
             fail = r
             break
         prev = r

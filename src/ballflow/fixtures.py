@@ -1,8 +1,7 @@
-"""Built-in example graphs and seeded random graph generators."""
+"""Built-in example graphs."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .graph import MetricGraph, load_graph
@@ -78,24 +77,6 @@ def comb(n_teeth: int = 5) -> MetricGraph:
         vertices.append(f"tip{n}")
         edges.append({"u": f"base@{a}", "v": f"tip{n}", "length": str(Fraction(1, 2**n))})
     return load_graph({"name": f"comb{n_teeth}", "vertices": vertices, "edges": edges})
-
-
-def random_connected(n_vertices: int, extra_edges: int, seed: int) -> MetricGraph:
-    """Random connected multigraph: a random tree plus extra edges, which may
-    include loops and parallel edges; with no extra edges, the tree alone."""
-    rng = random.Random(seed)
-    vs = [f"v{i}" for i in range(n_vertices)]
-    edges = []
-    for i in range(1, n_vertices):
-        j = rng.randrange(i)
-        edges.append({"u": vs[j], "v": vs[i], "length": rng.choice([1, 1, 2])})
-    for _ in range(extra_edges):
-        a = rng.randrange(n_vertices)
-        b = rng.randrange(n_vertices)
-        edges.append({"u": vs[a], "v": vs[b], "length": rng.choice([1, 2])})
-    return load_graph(
-        {"name": f"rand{n_vertices}+{extra_edges}s{seed}", "vertices": vs, "edges": edges}
-    )
 
 
 BUILTIN = {

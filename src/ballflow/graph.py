@@ -55,7 +55,7 @@ ONE = Fraction(1)
 # bytes per pair), the frontier of _distance_matrix (8 bytes per pair of one hop)
 # and levelkeys' int8 key rows (points x edges).  project at radius 3/2 peaked at
 # 44, 77, 125 and 205 MB RSS at 971, 2,028, 2,901 and 3,967 unit edges of
-# random_connected graphs, and loading a star of 4,000 unit edges at 189 MB (2
+# random connected graphs, and loading a star of 4,000 unit edges at 189 MB (2
 # x86-64 cores).  No fixture or benchmark graph has more than 200.
 MAX_UNIT_EDGES = 4_000
 # entries per chunk of _quarter_eccentricities, levelkeys, mergetree and canon's frontier block
@@ -425,7 +425,7 @@ def load_graph(document) -> MetricGraph:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or nesting too deep
             raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValidationError("graph document must be a JSON object")
@@ -491,6 +491,6 @@ def load_graph_file(path) -> MetricGraph:
     with fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
     return load_graph(document)

@@ -1,15 +1,14 @@
 """Classes of equal closed balls at a fixed radius, on a scaled-integer grid.
 
-Points come as an integer cell array, one row (edge, offset * S) per point,
-where S is a common denominator with R = r * S an integer, or as the rows
-of `with_distances`, which append the point's distance to every vertex,
-scaled by S.  Those distances do not depend on R, so a caller that keys one
-set of points at many radii (a timeline layout, the merge sweep) computes
-them once, and each call only clips and gathers.  All coverage
-endpoints are then integers, and each ball becomes one row of integers, two
-per edge: its part [0, h] u [l, S] as (h, l), with h = -1 or l = S + 1 for
-an uncovered side and (S, 0) for the whole edge, merged on the centre's edge
-(e, t) with [t - R, t + R].
+Points come as the rows of `with_distances`: (edge, offset * S), where S is
+a common denominator with R = r * S an integer, then the point's distance
+to every vertex, scaled by S.  Those distances do not depend on R, so a
+caller that keys one set of points at many radii (a timeline layout, the
+merge sweep) computes them once, and each call only clips and gathers.
+All coverage endpoints are then integers, and each ball becomes one row of
+integers, two per edge: its part [0, h] u [l, S] as (h, l), with h = -1 or
+l = S + 1 for an uncovered side and (S, 0) for the whole edge, merged on the
+centre's edge (e, t) with [t - R, t + R].
 
 The middle ball: if R < t < S - R, the ball reaches neither end of e, and
 every path off e passes an end, so it is [t - R, t + R] alone, holds no
@@ -50,7 +49,7 @@ from .graph import _CHUNK_ENTRIES, INT64_SAFE, MetricGraph
 
 def ball_keys(g: MetricGraph, r, cells, S: int):
     """Classes of equal closed balls of radius r about the points `cells`,
-    the rows and radii that `key_rows` takes.
+    the `with_distances` rows and radii that `key_rows` takes.
 
     Returns labels: labels[i] is the least j with ball(j) == ball(i) at the
     same radius.
@@ -93,19 +92,16 @@ def with_distances(g: MetricGraph, cells, S: int) -> np.ndarray:
 
 def key_rows(g: MetricGraph, r, cells, S: int) -> np.ndarray:
     """The (P, 2E) rows of the module docstring, one per cell: `cells` are
-    rows (edge, offset * S), or the rows of `with_distances`; r is one radius
-    for every row, or an integer ndarray of each row's R = r * S."""
+    the rows of `with_distances`; r is one radius for every row, or an
+    integer ndarray of each row's R = r * S."""
     E, V, P = g.num_edges, g.num_vertices, len(cells)
     per_row = isinstance(r, np.ndarray)
     R = r if per_row else Fraction(r) * S
     if not per_row and R.denominator != 1:
         raise InternalConsistencyError(f"{g.name}: radius {r} is off the 1/{S} grid of the cells")
-    cells = np.asarray(cells)
     off = np.flatnonzero((cells[:, :2] < 0).any(axis=1) | (cells[:, 0] >= E) | (cells[:, 1] > S))[:8]
     if len(off):
         raise InternalConsistencyError(f"{g.name}: cells {off.tolist()} lie off the graph at radius {r}")
-    if cells.shape[1] == 2:
-        cells = with_distances(g, cells, S)
     R = R.astype(cells.dtype) if per_row else int(R)
     narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if S < np.iinfo(t).max)
     ends = np.concatenate([g.tails, V + g.heads])  # the reach rows of h's columns, then l's

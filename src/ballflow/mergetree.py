@@ -229,21 +229,6 @@ class Dendrogram:
     points: tuple[GraphPoint, ...]
     events: tuple[MergeEvent, ...]
 
-    def clusters_at(self, r: Fraction) -> list[tuple[int, ...]]:
-        """Partition of leaf indices into clusters of merge radius <= r.
-
-        Each event lists whole merged clusters, so a leaf's cluster at r is
-        the last one it joined at a radius <= r.
-        """
-        cluster = {i: (i,) for i in range(len(self.points))}
-        for ev in self.events:
-            if ev.radius > r:
-                break
-            for group in ev.clusters:
-                for i in group:
-                    cluster[i] = group
-        return sorted(set(cluster.values()), key=lambda c: c[0])
-
     @property
     def root_radius(self) -> Fraction:
         return self.events[-1].radius if self.events else Fraction(0)

@@ -396,9 +396,9 @@ def _levels(g: MetricGraph, radii, layout: _Layout, shared=()):
     return np.hstack([labels, seg]), np.hstack([full, seg_full]), shared
 
 
-def _level(g: MetricGraph, rho: Fraction, layout: _Layout, shared=()):
+def _level(g: MetricGraph, rho: Fraction, layout: _Layout):
     """Per cell of the level at rho = rho(r): `_levels` of the one level."""
-    labels, full, _ = _levels(g, [rho], layout, shared)
+    labels, full, _ = _levels(g, [rho], layout)
     return labels[0], full[0]
 
 

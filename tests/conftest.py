@@ -35,13 +35,21 @@ merge_sweep_oracle is the merge sweep with one `ball_keys` call per grid
 radius, against which the sweep's blocks of radii are checked; it keys with
 `levelkeys`, as the sweep does, and checks only how the sweep composes the
 blocks' labels.
+
+The tests' own graphs and API: random_connected loads the benchmark's
+`workloads.random_connected_document` (this module puts `perfbench/` on
+`sys.path` for every test module); empty_set, ball_from_json (which reads
+the `ball --json` output) and clusters_at (a dendrogram's cut at a radius)
+are read by no command.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict, deque
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +59,13 @@ from ballflow import fixtures, quotient
 from ballflow.balls import _FULL_ROW, BallSet, Interval, ball_row, closed_ball, full_set, make_coverage, sets_equal
 from ballflow.errors import InternalConsistencyError, ValidationError
 from ballflow.evolution import TimelineEntry, timeline_loci
-from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile
+from ballflow.graph import GraphPoint, MetricGraph, PotentialProfile, load_graph, parse_rational
 from ballflow.levelkeys import _center_edge, ball_keys, group_rows, key_rows, with_distances
 from ballflow.mergetree import MergeMatrix, _cached_ball
 from ballflow.piecewise import PiecewiseLinear, pl_max, pl_max_all, pl_min
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,6 +84,42 @@ def theta_g():
 @pytest.fixture(scope="session")
 def c6_g():
     return fixtures.c6()
+
+
+def random_connected(n_vertices: int, extra_edges: int, seed: int) -> MetricGraph:
+    """A random tree plus extra edges, loops and parallels allowed; with no
+    extra edges, the tree alone (`workloads.random_connected_document`)."""
+    return load_graph(workloads.random_connected_document(n_vertices, extra_edges, seed))
+
+
+def empty_set(g: MetricGraph) -> BallSet:
+    return BallSet(tuple(() for _ in range(g.num_edges)))
+
+
+def ball_from_json(g: MetricGraph, doc: dict) -> BallSet:
+    """The set of a `ball --json` document (`balls.ball_to_json`) in internal units."""
+    per_edge: list[list[Interval]] = [[] for _ in range(g.num_edges)]
+    for item in doc["edges"]:
+        per_edge[int(item["edge"])] += [(parse_rational(a), parse_rational(b)) for a, b in item["intervals"]]
+    meta = doc.get("meta")
+    if meta is not None:
+        center = g.canonical_point(GraphPoint(int(meta["center"]["edge"]), parse_rational(meta["center"]["t"])))
+        meta = (center, parse_rational(meta["radius"]))
+    return BallSet(make_coverage(g, per_edge), meta=meta)
+
+
+def clusters_at(d, r: Fraction) -> list[tuple[int, ...]]:
+    """The partition of the dendrogram d's leaf indices into clusters of merge
+    radius <= r.  Each event lists whole merged clusters, so a leaf's cluster
+    at r is the last one it joined at a radius <= r."""
+    cluster = {i: (i,) for i in range(len(d.points))}
+    for ev in d.events:
+        if ev.radius > r:
+            break
+        for group in ev.clusters:
+            for i in group:
+                cluster[i] = group
+    return sorted(set(cluster.values()), key=lambda c: c[0])
 
 
 def candidate_grid(g: MetricGraph) -> list[Fraction]:
@@ -465,12 +512,12 @@ def group_rows_oracle(rows: np.ndarray) -> np.ndarray:
     return first[inverse].reshape(-1)
 
 
-def level_oracle(g: MetricGraph, r: Fraction, layout=None, shared=()):
+def level_oracle(g: MetricGraph, r: Fraction, layout=None):
     """`quotient._level` by keying every vertex cell and segment midpoint
-    of the cells cut at r itself (the layout and shared arguments are
-    ignored), grouping equal key rows and reading X off them: (labels, full)."""
+    of the cells cut at r itself (the layout argument is ignored), grouping
+    equal key rows and reading X off them: (labels, full)."""
     c = quotient._cells(g, r)
-    cells = np.concatenate([c.vertex, np.stack([c.edge, (c.lo + c.hi) // 2], axis=1)])
+    cells = with_distances(g, c.representatives(), c.S)
     rows, E = key_rows(g, r, cells, c.S), g.num_edges
     full = (rows[:, :E] == c.S).all(axis=1) & (rows[:, E : 2 * E] == 0).all(axis=1)
     return group_rows_oracle(rows), full
@@ -545,7 +592,7 @@ def orientation_oracle(g: MetricGraph, q) -> int:
     lo, hi, edge = c.lo[members], c.hi[members], c.edge[members]
     quarter = np.stack([edge, lo + (hi - lo) // 4], axis=1)
     three_quarter = np.stack([edge[first], lo[first] + 3 * (hi - lo)[first] // 4], axis=1)
-    rows = key_rows(g, rho, np.concatenate([quarter, three_quarter]), c.S)
+    rows = key_rows(g, rho, with_distances(g, np.concatenate([quarter, three_quarter]), c.S), c.S)
     kq, k3q = rows[: len(members)], np.repeat(rows[len(members) :], sizes, axis=0)
     bad = np.flatnonzero(~(kq == kq[lead]).all(axis=1) & ~(kq == k3q).all(axis=1))
     assert not len(bad), (

@@ -30,7 +30,7 @@ from ballflow.mergetree import (
 )
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
-from conftest import brute_classes, candidate_grid, cell_partition, hausdorff_oracle, pairwise_matrix
+from conftest import brute_classes, candidate_grid, cell_partition, clusters_at, hausdorff_oracle, pairwise_matrix, random_connected
 
 
 def report(n: int, ok: bool, detail: str = "") -> None:
@@ -60,8 +60,8 @@ GRAPH_POOL = [
     fixtures.theta(),
     fixtures.c6(),
     fixtures.c4(),
-    fixtures.random_connected(6, 0, 1),
-    fixtures.random_connected(5, 2, seed=2),
+    random_connected(6, 0, 1),
+    random_connected(5, 2, seed=2),
 ]
 
 
@@ -81,7 +81,7 @@ def tree_runs():
         runs = []
         elapsed = -time.perf_counter()
         for seed in range(10):
-            g = fixtures.random_connected(12, 0, seed)
+            g = random_connected(12, 0, seed)
             assert g.num_edges <= 30
             fps = [
                 (f"tree seed {seed} at {r}", g.num_edges, fingerprint(project(g, r)))
@@ -293,7 +293,7 @@ def test_criterion_7_critical_grid():
     rng = random.Random(7)
     mismatches = []
     for seed in range(10):
-        g = fixtures.random_connected(7, extra_edges=seed % 3, seed=seed)
+        g = random_connected(7, extra_edges=seed % 3, seed=seed)
         assert g.num_edges <= 20
         grid = [F(0)] + candidate_grid(g)
         for a, b in zip(grid, grid[1:]):
@@ -389,11 +389,11 @@ def test_criterion_9_hausdorff_oracle():
 
 def test_criterion_10_ultrametric():
     graphs = [
-        fixtures.random_connected(5, 0, 0),
-        fixtures.random_connected(5, 0, 1),
-        fixtures.random_connected(4, 1, seed=0),
-        fixtures.random_connected(4, 1, seed=1),
-        fixtures.random_connected(6, 0, 2),
+        random_connected(5, 0, 0),
+        random_connected(5, 0, 1),
+        random_connected(4, 1, seed=0),
+        random_connected(4, 1, seed=1),
+        random_connected(6, 0, 2),
     ]
     ok = True
     detail = []
@@ -405,7 +405,7 @@ def test_criterion_10_ultrametric():
             continue
         d = merge_tree(g, pts)
         for r in candidate_grid(g):
-            cut = sorted(tuple(sorted(c)) for c in d.clusters_at(r))
+            cut = sorted(tuple(sorted(c)) for c in clusters_at(d, r))
             brute = sorted(tuple(sorted(c)) for c in brute_classes(g, r, pts))
             if cut != brute:
                 ok = False

@@ -6,11 +6,9 @@ import pytest
 
 from ballflow import fixtures
 from ballflow.balls import (
-    ball_from_json,
     ball_to_json,
     closed_ball,
     dilate,
-    empty_set,
     full_set,
     hausdorff,
     lyapunov,
@@ -22,7 +20,16 @@ from ballflow.balls import (
 from ballflow.errors import ValidationError
 from ballflow.graph import GraphPoint
 
-from conftest import closed_ball_oracle, grid_points, hausdorff_oracle, integer_ball, integer_coverage
+from conftest import (
+    ball_from_json,
+    closed_ball_oracle,
+    empty_set,
+    grid_points,
+    hausdorff_oracle,
+    integer_ball,
+    integer_coverage,
+    random_connected,
+)
 
 
 def rand_point(g, rng):
@@ -39,7 +46,7 @@ ORACLE_GRAPHS = {
     "c6": fixtures.c6,
     "comb3": lambda: fixtures.comb(3),
     # two unit loops and a pair of parallel unit edges
-    "rand6+4s21": lambda: fixtures.random_connected(6, 4, 21),
+    "rand6+4s21": lambda: random_connected(6, 4, 21),
 }
 
 

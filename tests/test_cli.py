@@ -13,16 +13,15 @@ from pathlib import Path
 import pytest
 
 from ballflow import cli, evolution, fixtures, mergetree, quotient
-from ballflow.balls import ball_from_json, closed_ball, sets_equal
+from ballflow.balls import closed_ball, sets_equal
 from ballflow.evolution import timeline_loci
 from ballflow.graph import GraphPoint, load_graph
 from ballflow.quotient import subdivision
 
-from conftest import relabeled
+import workloads
+from conftest import ball_from_json, relabeled
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.append(str(PERFBENCH))
-import workloads  # noqa: E402
 
 
 # `project --dot` output, frozen before smoothing was vectorised
@@ -91,6 +90,30 @@ class TestExitCodes:
         assert code == 2
         assert "edge index must be an integer, got 'x'" in err
         assert "Traceback" not in err and not out
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error: invalid-input:") and "Traceback" not in err and not out, err
+        return err
+
+    def test_unwritable_json_path(self, capsys):
+        err = self.assert_refused(capsys, "potential", "builtin:c4", "--json", "/nonexistent/dir/out.json")
+        assert "cannot write /nonexistent/dir/out.json" in err
+
+    def test_csv_path_is_a_directory(self, tmp_path, capsys):
+        err = self.assert_refused(capsys, "timeline", "builtin:c4", "--csv", str(tmp_path))
+        assert f"cannot write {tmp_path}" in err
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        f = tmp_path / "nested.json"
+        f.write_text("[" * 200_000)
+        assert "invalid JSON in" in self.assert_refused(capsys, "info", str(f))
+
+    def test_document_that_is_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "bom.json"
+        f.write_bytes(b"\xff\xfe")
+        assert "invalid JSON in" in self.assert_refused(capsys, "info", str(f))
 
     def test_malformed_document(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

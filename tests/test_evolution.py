@@ -12,7 +12,7 @@ from ballflow.mergetree import merge_radius
 from ballflow.quotient import fingerprint, is_injective, project, subdivision
 
 import conftest
-from conftest import candidate_grid, relabeled, robustness_oracle, timeline_oracle
+from conftest import candidate_grid, random_connected, relabeled, robustness_oracle, timeline_oracle
 from test_acceptance import big_graph
 from test_small_graphs import BOUNDS, small_graphs
 
@@ -124,7 +124,7 @@ class TestRobustness:
         assert res.exact == F(3)
 
     def test_bracket_consistency_random(self):
-        g = fixtures.random_connected(7, 0, 5)
+        g = random_connected(7, 0, 5)
         res = robustness_radius(g, exact=True)
         assert res.lower < res.upper
         assert res.lower < res.exact <= res.upper
@@ -171,7 +171,7 @@ TIMELINE_GRAPHS = {
     **{name: make for name, make in fixtures.BUILTIN.items()},
     "big200": big_graph,
     "comb5": lambda: fixtures.comb(5),
-    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+    "rand40": lambda: random_connected(40, 20, 1),
 }
 
 
@@ -204,25 +204,33 @@ def test_big200_timeline_builds_three_layouts(monkeypatch):
 
 
 def test_big200_timeline_reduces_each_locus_once(monkeypatch):
-    """`level_radius` runs once per locus, where the locus is grouped."""
-    g, calls = big_graph(), []
+    """Each locus is its own rho (`timeline_loci`), so the timeline keys it
+    at r and runs `level_radius` no times."""
+    calls = []
     real = quotient.level_radius
-
-    def counted(g, r):
-        calls.append(r)
-        return real(g, r)
-
-    monkeypatch.setattr(quotient, "level_radius", counted)
-    monkeypatch.setattr(evolution, "level_radius", counted)
-    timeline(g)
-    assert sorted(calls) == [r for r, _on_grid in timeline_loci(g)]
+    monkeypatch.setattr(quotient, "level_radius", lambda g, r: calls.append(r) or real(g, r))
+    assert not hasattr(evolution, "level_radius")
+    timeline(big_graph())
+    assert calls == []
 
 
 ROBUSTNESS_GRAPHS = {
     **{name: make for name, make in fixtures.BUILTIN.items()},
-    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+    "rand40": lambda: random_connected(40, 20, 1),
     "big200": big_graph,
 }
+
+
+def test_every_timeline_locus_is_its_own_level_radius():
+    """The proof in the `timeline_loci` docstring: rho(r) = r at every locus
+    of the builtins, comb1-7, random graphs with loops and parallel edges,
+    the small-graph family and big200."""
+    graphs = [make() for make in ROBUSTNESS_GRAPHS.values()] + [fixtures.comb(n) for n in range(1, 8)]
+    graphs += [random_connected(n, m, s) for n, m in ((6, 4), (8, 0), (12, 6), (30, 15)) for s in range(5)]
+    graphs += small_graphs(*BOUNDS)
+    for g in graphs:
+        loci = [r for r, _on_grid in timeline_loci(g)]
+        assert [quotient.level_radius(g, r) for r in loci] == loci, g.name
 
 
 @pytest.mark.parametrize("name", ["small graphs", *ROBUSTNESS_GRAPHS])

@@ -1,7 +1,5 @@
 import random
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +15,9 @@ from conftest import (
     grid_points,
     potential_oracle,
     quarter_table_oracle,
+    random_connected,
 )
-
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
-import workloads  # noqa: E402
+import workloads
 
 
 def doc(vertices, edges, name="g"):
@@ -234,7 +231,7 @@ class TestDistanceMatrix:
         assert np.array_equal(D, distance_oracle(n, edges))
 
     def test_1046_unit_edges(self):
-        g = fixtures.random_connected(500, 250, 1)
+        g = random_connected(500, 250, 1)
         assert g.num_edges == 1046
         assert np.array_equal(g.vertex_distance_matrix(), distance_oracle(g.num_vertices, g.edges))
 
@@ -250,7 +247,7 @@ class TestEccentricity:
 
     def test_random_graphs_match_oracle(self):
         for seed in range(3):
-            g = fixtures.random_connected(5, 2, seed)
+            g = random_connected(5, 2, seed)
             for p in grid_points(g, 3):
                 exact = g.eccentricity(p)
                 approx = ecc_oracle(g, p, 32)
@@ -292,7 +289,7 @@ class TestPotentialProfile:
 
     def test_invariant_m_at_least_half_M(self):
         for seed in range(5):
-            g = fixtures.random_connected(6, 2, seed)
+            g = random_connected(6, 2, seed)
             prof = g.potential_profile()
             assert 2 * prof.m >= prof.M
             assert prof.M == g.diameter() == potential_oracle(g).M
@@ -300,8 +297,8 @@ class TestPotentialProfile:
     @pytest.mark.parametrize(
         "make",
         [fixtures.path, fixtures.c4, fixtures.c6, fixtures.theta, lambda: fixtures.comb(3)]
-        + [lambda s=s: fixtures.random_connected(8, 4, s) for s in range(5)]
-        + [lambda s=s: fixtures.random_connected(10, 0, s) for s in range(5)]
+        + [lambda s=s: random_connected(8, 4, s) for s in range(5)]
+        + [lambda s=s: random_connected(10, 0, s) for s in range(5)]
         + [lambda: load_graph(MIXED_LOOP_DOC), lambda: load_graph(LOLLIPOP_DOC)],
         ids=["path", "c4", "c6", "theta", "comb3"]
         + [f"random_connected-8-4-{s}" for s in range(5)]
@@ -350,7 +347,7 @@ class TestDiameter:
 
     def test_diameter_vs_pairwise_sampling(self):
         for seed in range(3):
-            g = fixtures.random_connected(5, 2, seed)
+            g = random_connected(5, 2, seed)
             pts = grid_points(g, 8)
             brute = max(
                 g.point_distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]

@@ -22,6 +22,7 @@ from conftest import (
     key_rows_reference,
     level_oracle,
     orientation_oracle,
+    random_connected,
 )
 from test_acceptance import big_graph
 
@@ -79,7 +80,7 @@ def test_classes_match_fraction_balls(name):
     g = GRAPHS[name]()
     for r in level_radii(g):
         cells, S, pts = level_points(g, r)
-        labels = levelkeys.ball_keys(g, r, cells, S)
+        labels = levelkeys.ball_keys(g, r, levelkeys.with_distances(g, cells, S), S)
         assert labels.tolist() == coverage_classes(g, r, pts)[0], r
 
 
@@ -111,14 +112,14 @@ LEVEL_GRAPHS = {
     "cycle5": lambda: fixtures.cycle(5),
     "kite": kite,
     **{
-        f"rand{n}+{m}s{s}": (lambda n=n, m=m, s=s: fixtures.random_connected(n, m, s))
+        f"rand{n}+{m}s{s}": (lambda n=n, m=m, s=s: random_connected(n, m, s))
         for n, m, s in [
             (4, 1, 0), (4, 1, 1), (6, 2, 2), (6, 3, 3), (8, 2, 4), (8, 4, 5),
             (10, 3, 6), (10, 5, 7), (12, 4, 8), (12, 6, 9), (16, 5, 10), (20, 8, 11),
         ]
     },
     **{
-        f"tree{n}s{s}": (lambda n=n, s=s: fixtures.random_connected(n, 0, s))
+        f"tree{n}s{s}": (lambda n=n, s=s: random_connected(n, 0, s))
         for n, s in [(5, 0), (6, 1), (8, 2), (10, 3), (14, 4)]
     },
 }
@@ -268,11 +269,11 @@ def test_group_rows_matches_unique_oracle(dtype):
 
 def test_rows_are_int8_on_the_timeline_grid():
     g = fixtures.c6()
-    assert levelkeys.key_rows(g, F(9, 8), [(0, 5), (2, 32)], 32).dtype == np.int8
+    assert levelkeys.key_rows(g, F(9, 8), levelkeys.with_distances(g, [(0, 5), (2, 32)], 32), 32).dtype == np.int8
 
 
 def assert_rows_match_reference(g, r, cells, S):
-    got, want = levelkeys.key_rows(g, r, cells, S), key_rows_reference(g, r, cells, S)
+    got, want = levelkeys.key_rows(g, r, levelkeys.with_distances(g, cells, S), S), key_rows_reference(g, r, cells, S)
     assert (got.dtype, got.shape) == (want.dtype, want.shape), (g.name, r)
     assert got.tobytes() == want.tobytes(), (g.name, r)
     return got
@@ -290,7 +291,7 @@ def level_key_cells(g, r):
 BENCHMARK_GRAPHS = {
     "big200": big_graph,
     "comb5": lambda: fixtures.comb(5),
-    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+    "rand40": lambda: random_connected(40, 20, 1),
 }
 
 
@@ -343,7 +344,7 @@ def test_a_radius_per_row_keys_each_row_at_its_radius(chunk, monkeypatch):
     if chunk:
         monkeypatch.setattr(levelkeys, "_CHUNK_ENTRIES", chunk)
     g, S = fixtures.theta(), 8
-    cells = np.array([(0, 4), (1, 4), (0, 0), (2, 8), (1, 2)])
+    cells = levelkeys.with_distances(g, [(0, 4), (1, 4), (0, 0), (2, 8), (1, 2)], S)
     Rs = [1, 2, 3, 24]
     R, tiled = np.repeat(Rs, len(cells)), np.tile(cells, (len(Rs), 1))
     rows = [levelkeys.key_rows(g, F(k, S), cells, S) for k in Rs]
@@ -358,10 +359,11 @@ class TestErrorContext:
 
     def test_radius_off_the_cell_grid(self, theta_g):
         with pytest.raises(InternalConsistencyError, match=r"theta: radius 1/3 is off the 1/8 grid"):
-            levelkeys.ball_keys(theta_g, F(1, 3), [(0, 4)], 8)
+            levelkeys.ball_keys(theta_g, F(1, 3), levelkeys.with_distances(theta_g, [(0, 4)], 8), 8)
 
     def test_cells_off_the_graph(self, theta_g):
-        cells = [(0, 4), (theta_g.num_edges, 0), (1, 9)]
+        cells = levelkeys.with_distances(theta_g, [(0, 4), (0, 0), (1, 8)], 8)
+        cells[1, 0], cells[2, 1] = theta_g.num_edges, 9
         with pytest.raises(InternalConsistencyError, match=r"theta: cells \[1, 2\] lie off the graph at radius 1/2"):
             levelkeys.ball_keys(theta_g, F(1, 2), cells, 8)
 
@@ -375,7 +377,7 @@ class TestErrorContext:
         quarters = {(e, lo + k * w // 4) for e, lo, w in segments for k in (1, 3)}
 
         def scrambled(g, r, cells, S):
-            assert all(tuple(cell) in quarters for cell in cells.tolist())  # the oracle's call
+            assert all(tuple(cell[:2]) in quarters for cell in cells.tolist())  # the oracle's call
             rows = real(g, r, cells, S)
             rows[:, 0] = np.arange(len(rows))  # every ball distinct, in one column only
             return rows
@@ -394,7 +396,7 @@ def test_project_memory_is_bounded():
     """On 1,373 unit edges the kernel before chunked int8 rows traced a
     519 MB peak in `project` at r = 3/2; keying every cell's ball in int8
     rows traced about 58 MB, and keying only the unknown ones about 35 MB."""
-    g = fixtures.random_connected(700, 300, 1)
+    g = random_connected(700, 300, 1)
     assert g.num_edges == 1373
     tracemalloc.start()
     try:

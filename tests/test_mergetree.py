@@ -31,11 +31,13 @@ from conftest import (
     ball_check_oracle,
     brute_classes,
     closed_ball_oracle,
+    clusters_at,
     extinction_oracle,
     grid_points,
     merge_radius_oracle,
     merge_sweep_oracle,
     pairwise_matrix,
+    random_connected,
 )
 from test_acceptance import big_graph
 
@@ -147,8 +149,8 @@ SWEEP_GRAPHS = {
     "theta": fixtures.theta,
     "c6": fixtures.c6,
     "comb3": lambda: fixtures.comb(3),
-    "tree8s1": lambda: fixtures.random_connected(8, 0, 1),
-    "tree9s2": lambda: fixtures.random_connected(9, 0, 2),
+    "tree8s1": lambda: random_connected(8, 0, 1),
+    "tree9s2": lambda: random_connected(9, 0, 2),
 }
 
 
@@ -292,13 +294,13 @@ class TestSweepBlocks:
     def test_fine_grids(self, name, step):
         """comb5 at 1/16 keys 753 points one radius per call until the classes
         fall below 257; rand40 at 1/8 merges early and fast."""
-        g = fixtures.comb(5) if name == "comb5" else fixtures.random_connected(40, 20, seed=1)
+        g = fixtures.comb(5) if name == "comb5" else random_connected(40, 20, seed=1)
         assert_sweeps_agree(g, *sweep_cells(g, sample_points(g, step)))
 
     @pytest.mark.parametrize("name", [*fixtures.BUILTIN, "rand40", "big200"])
     def test_failing_level_representatives(self, name):
         """The cells that `robustness --exact` sweeps, swept to the end."""
-        g = {"rand40": lambda: fixtures.random_connected(40, 20, seed=1), "big200": big_graph}.get(
+        g = {"rand40": lambda: random_connected(40, 20, seed=1), "big200": big_graph}.get(
             name, lambda: fixtures.builtin(name)
         )()
         c = _cells(g, robustness_radius(g).upper)
@@ -384,7 +386,7 @@ class TestBallCheck:
         moved by +-half a step and by +-1/(3 den), and with the first event
         moved below half a step, where the oracle's ball half a step below
         has a negative radius."""
-        g = {"comb5": lambda: fixtures.comb(5), "rand40": lambda: fixtures.random_connected(40, 20, seed=1)}.get(
+        g = {"comb5": lambda: fixtures.comb(5), "rand40": lambda: random_connected(40, 20, seed=1)}.get(
             name, SWEEP_GRAPHS.get(name)
         )()
         d = merge_tree(g, sample_points(g, step))
@@ -514,7 +516,7 @@ class TestDendrogram:
         # 0, every event radius, the midpoints between them, and past the root
         radii = [F(0)] + [ev.radius for ev in d.events] + [d.root_radius + 1]
         for r in sorted(set(radii) | {(a + b) / 2 for a, b in zip(radii, radii[1:])}):
-            cut = sorted(tuple(sorted(c)) for c in d.clusters_at(r))
+            cut = sorted(tuple(sorted(c)) for c in clusters_at(d, r))
             brute = sorted(tuple(sorted(c)) for c in brute_classes(g, r, pts))
             assert cut == brute, r
 

@@ -19,7 +19,7 @@ from ballflow.quotient import (
     subdivision,
 )
 
-from conftest import assert_cells_match_subdivision, cell_partition, classes_oracle, level_oracle, relabeled
+from conftest import assert_cells_match_subdivision, cell_partition, classes_oracle, level_oracle, random_connected, relabeled
 from test_acceptance import big_graph
 
 
@@ -131,7 +131,7 @@ class TestProjectionAgainstBruteForce:
                     assert not sets_equal(g, balls[a], balls[b]), (name, r)
 
     def test_random_tree_brute(self):
-        g = fixtures.random_connected(8, 0, 3)
+        g = random_connected(8, 0, 3)
         for r in [F(1, 2), F(9, 8), g.diameter() / 2, g.diameter()]:
             q = project(g, r)
             sub = subdivision(g, q.radius)
@@ -250,7 +250,7 @@ def test_level_radius_reduces_onto_the_eighth_grid(theta_g):
 SWEPT_GRAPHS = {
     "theta": fixtures.theta,
     "comb3": lambda: fixtures.comb(3),
-    "rand6+4s1": lambda: fixtures.random_connected(6, 4, 1),
+    "rand6+4s1": lambda: random_connected(6, 4, 1),
 }
 
 
@@ -278,8 +278,8 @@ def test_level_is_the_level_at_its_representative_radius(name, monkeypatch):
 
 LAYOUT_GRAPHS = {
     **fixtures.BUILTIN,
-    "rand8+4s5": lambda: fixtures.random_connected(8, 4, 5),
-    "rand6+4s3": lambda: fixtures.random_connected(6, 4, 3),
+    "rand8+4s5": lambda: random_connected(8, 4, 5),
+    "rand6+4s3": lambda: random_connected(6, 4, 3),
     "big200": big_graph,
 }
 
@@ -304,7 +304,7 @@ def test_layout_is_a_function_of_the_grid(name):
 
 CHUNKED_GRAPHS = {
     **LAYOUT_GRAPHS,
-    "rand40": lambda: fixtures.random_connected(40, 20, 1),
+    "rand40": lambda: random_connected(40, 20, 1),
     "comb5": lambda: fixtures.comb(5),
 }
 

@@ -44,7 +44,7 @@ from ballflow.balls import closed_ball
 from ballflow.canon import canonical_multigraph_code
 from ballflow.evolution import timeline
 from ballflow.graph import GraphPoint, load_graph
-from ballflow.levelkeys import ball_keys
+from ballflow.levelkeys import ball_keys, with_distances
 from ballflow.mergetree import dendrogram_from_matrix, merge_radius, merge_tree, sample_points
 from ballflow.quotient import fingerprint, project
 
@@ -167,7 +167,7 @@ def test_every_small_graph_ball_classes_at_every_8th():
         for k in range(1, int(8 * (g.diameter() + F(1, 2))) + 1):
             r = F(k, 8)
             cells, S, pts = level_points(g, r)
-            assert ball_keys(g, r, cells, S).tolist() == coverage_classes(g, r, pts)[0], (g.name, r)
+            assert ball_keys(g, r, with_distances(g, cells, S), S).tolist() == coverage_classes(g, r, pts)[0], (g.name, r)
             for p in pts:
                 assert repr(closed_ball(g, p, r)) == repr(closed_ball_oracle(g, p, r)), (g.name, p, r)
             levels += 1

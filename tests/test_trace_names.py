@@ -8,11 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import layertrace
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "perfbench"))
-import layertrace  # noqa: E402
 
 
 @pytest.mark.parametrize(
